@@ -1,20 +1,6 @@
 """Tensor-network state factorization and numerical local-unitary invariants."""
 
-from .tensor import (
-    Tensor,
-    ShapeError,
-    contract,
-    self_trace,
-    permute_legs,
-    group_legs,
-    ungroup_legs,
-    tensor_product,
-    make_identity,
-    make_cup,
-    make_cap,
-    make_swap,
-    make_copy,
-)
+from .tensor import Tensor, ShapeError, group_legs
 from .decompose import (
     SVDFactors,
     SchmidtForm,

@@ -196,7 +196,7 @@ def cmd_entropy(args) -> CommandResult:
     grouped, block_dims = states.bipartition_density(rho, data.dims, keep)
     can_crosscheck = len(keep) < len(data.dims)
     for alpha in alphas:
-        s_alpha = entropy.renyi(spec, alpha)
+        s_alpha = svn if alpha == 1 else entropy.renyi(spec, alpha)
         key = f"S_{alpha:g}"
         res.values[key] = s_alpha
         line = f"{key} = {_fmt(s_alpha)}"

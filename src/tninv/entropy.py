@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor
+from .states import as_operator
 
 CLAMP_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -40,9 +40,7 @@ class Spectrum:
 
     @classmethod
     def from_density(cls, rho) -> "Spectrum":
-        mat = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
-        n = int(round(np.sqrt(mat.size)))
-        mat = mat.reshape(n, n)
+        mat = as_operator(rho)
         return cls(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0))
 
 
@@ -106,9 +104,8 @@ def char_poly_relation(rho) -> CharPolyRelation:
     Returns the coefficients and both residuals (expected ~1e-8 or below
     for a valid reduced density operator).
     """
-    mat = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
-    n = int(round(np.sqrt(mat.size)))
-    mat = mat.reshape(n, n)
+    mat = as_operator(rho)
+    n = len(mat)
     if n > 8:
         raise ValueError(f"dimension {n} too large; expected a reduced operator <= 8")
     herm = (mat + mat.conj().T) / 2.0

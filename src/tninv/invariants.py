@@ -5,6 +5,11 @@ copies of rho wired together by one permutation of the copies per
 subsystem.  Tuples related by relabeling the identical copies (conjugating
 every permutation by the same element) give the same number, so classes
 are enumerated up to simultaneous conjugation.
+
+The value is computed one way in production: :func:`evaluate_fast`
+contracts the whole network in one ``np.einsum``.  :func:`evaluate` builds
+the k-fold tensor power and the permutation matrix explicitly and is kept
+only as the reference that tests compare against.
 """
 
 from __future__ import annotations
@@ -18,10 +23,11 @@ import numpy as np
 
 from . import perms
 from .decompose import schmidt
-from .tensor import Tensor, ShapeError, contract, self_trace, tensor_product, group_legs
-from .states import apply_local_unitary, random_local_unitary
+from .tensor import Tensor, ShapeError
+from .states import apply_local_unitary, as_operator, random_local_unitary
 
 MAX_DEGREE = 6  # (k!)^n tuples; exhaustive conjugation stays cheap up to here
+EINSUM_LABELS = 52  # np.einsum names its indices with the letters a-z, A-Z
 
 
 @dataclass(frozen=True)
@@ -196,14 +202,6 @@ def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
     return classes
 
 
-def _density_tensor(rho, dims) -> Tensor:
-    arr = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
-    d = prod(dims)
-    if arr.size != d * d:
-        raise ShapeError(f"operator of size {arr.size} does not fit dims {dims}")
-    return Tensor._wrap(arr.reshape(d, d))
-
-
 def permutation_operator(t: PermTuple, dims: Sequence[int]) -> np.ndarray:
     """Matrix permuting, per subsystem, the k copies of that subsystem.
 
@@ -233,53 +231,47 @@ def evaluate(t: PermTuple, rho, dims: Sequence[int]) -> complex:
     and takes the trace of their product.  Exponential in k; intended as
     the reference route backing :func:`evaluate_fast`.
     """
-    dims = tuple(int(d) for d in dims)
-    rho_t = _density_tensor(rho, dims)
-    power = rho_t
-    for _ in range(t.k - 1):
-        power = tensor_product(power, rho_t)
-    rows = list(range(0, 2 * t.k, 2))
-    cols = list(range(1, 2 * t.k, 2))
-    mat = group_legs(power, (rows, cols)).data
     op = permutation_operator(t, dims)
-    return complex(np.einsum("ij,ji->", op, mat))
+    mat = as_operator(rho, dims)
+    power = mat
+    for _ in range(t.k - 1):
+        power = np.kron(power, mat)
+    return complex(np.einsum("ij,ji->", op, power))
 
 
 def evaluate_fast(t: PermTuple, rho, dims: Sequence[int]) -> complex:
-    """Invariant value by direct contraction, one copy of rho at a time.
+    """Invariant value as one planned contraction of the k copies of rho.
 
-    Each copy is wired into the running network with its row leg for
-    subsystem s sent to copy sigma_s(c); loops closed along the way.  Never
-    materializes the k-fold tensor power.
+    Subsystems with the same permutation are wired identically, so their
+    legs are fused into one; over the m fused groups, copy c carries row
+    labels sigma_j(c) * m + j and column labels c * m + j, and a single
+    ``np.einsum`` sums over all of them.  Never materializes the k-fold
+    tensor power.  Raises ShapeError when the network needs more than the
+    52 index labels einsum has.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     if n != t.n:
         raise ShapeError(f"{n} dims for an {t.n}-subsystem tuple")
-    rho_legs = Tensor._wrap(_density_tensor(rho, dims).data.reshape(dims + dims))
-    running = Tensor._wrap(np.ones((), dtype=np.complex128))
-    open_labels: list[tuple[int, int]] = []
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for s, sigma in enumerate(t.sigmas):
+        groups.setdefault(sigma, []).append(s)
+    m = len(groups)
+    if m * t.k > EINSUM_LABELS:
+        raise ShapeError(
+            f"label {t.label()} needs {m * t.k} contraction indices "
+            f"({m} distinct permutations x degree {t.k}); einsum has {EINSUM_LABELS}"
+        )
+    order = [s for members in groups.values() for s in members]
+    fused = tuple(prod(dims[s] for s in members) for members in groups.values())
+    legs = as_operator(rho, dims).reshape(dims + dims)
+    legs = legs.transpose(order + [n + s for s in order]).reshape(fused + fused)
+    operands = []
     for c in range(t.k):
-        copy_labels = [(t.sigmas[s][c], s) for s in range(n)]
-        copy_labels += [(c, s) for s in range(n)]
-        copy_pos = {lab: j for j, lab in enumerate(copy_labels)}
-        pairs = [
-            (i, copy_pos[lab])
-            for i, lab in enumerate(open_labels)
-            if lab in copy_pos
-        ]
-        running = contract(running, rho_legs, pairs)
-        matched = {j for _, j in pairs}
-        merged = [lab for lab in open_labels if lab not in copy_pos]
-        merged += [lab for j, lab in enumerate(copy_labels) if j not in matched]
-        positions: dict[tuple[int, int], list[int]] = {}
-        for i, lab in enumerate(merged):
-            positions.setdefault(lab, []).append(i)
-        dup_pairs = [tuple(v) for v in positions.values() if len(v) == 2]
-        if dup_pairs:
-            running = self_trace(running, dup_pairs)
-        open_labels = [lab for lab in merged if len(positions[lab]) == 1]
-    return running.item()
+        rows = [sigma[c] * m + j for j, sigma in enumerate(groups)]
+        cols = [c * m + j for j in range(m)]
+        operands += [legs, rows + cols]
+    return complex(np.einsum(*operands, [], optimize="greedy"))
 
 
 def pure_jk(state: Tensor, bipartition, k: int) -> float:
@@ -305,7 +297,7 @@ def max_unitary_deviation(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dims = tuple(int(d) for d in dims)
-    rho_t = _density_tensor(rho, dims)
+    rho_t = Tensor._wrap(as_operator(rho, dims))
     base = complex(value_fn(rho_t))
     scale = max(abs(base), 1e-300)
     children = np.random.SeedSequence(seed).spawn(trials)

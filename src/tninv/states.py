@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
@@ -79,15 +79,28 @@ def _decode_pairs(entries, what):
     for i, entry in enumerate(entries):
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise StateFileError(f"{what}[{i}] is not a [real, imag] pair")
-        out[i] = complex(float(entry[0]), float(entry[1]))
+        try:
+            out[i] = complex(float(entry[0]), float(entry[1]))
+        except (TypeError, ValueError, OverflowError):
+            raise StateFileError(f"{what}[{i}] is not a pair of numbers") from None
+    if not np.all(np.isfinite(out)):
+        raise StateFileError(f"{what} has non-finite components")
     return out
+
+
+def _is_dim(d) -> bool:
+    if isinstance(d, float):
+        return d.is_integer() and d >= 1
+    return isinstance(d, int) and not isinstance(d, bool) and d >= 1
 
 
 def load_state(path, validate: bool = True) -> StateData:
     """Read a StateData from ``path``.
 
-    Density operators are checked for hermiticity and unit trace unless
-    ``validate`` is false.
+    The file must be a JSON object whose ``dims`` are positive integers and
+    whose ``data`` holds finite components; anything else raises
+    StateFileError.  Density operators are also checked for hermiticity and
+    unit trace unless ``validate`` is false.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -95,18 +108,20 @@ def load_state(path, validate: bool = True) -> StateData:
     except (OSError, json.JSONDecodeError) as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
 
+    if not isinstance(doc, dict):
+        raise StateFileError(f"{path} does not hold a JSON object")
     for field in ("kind", "dims", "data"):
         if field not in doc:
             raise StateFileError(f"missing field {field!r} in {path}")
     kind = doc["kind"]
     if kind not in ("pure", "density"):
         raise StateFileError(f"unknown kind {kind!r}")
-    try:
-        dims = tuple(int(d) for d in doc["dims"])
-    except (TypeError, ValueError):
-        raise StateFileError(f"bad dims {doc['dims']!r}") from None
-    if not dims or any(d < 1 for d in dims):
-        raise StateFileError(f"dims must be positive integers, got {dims}")
+    for field in ("dims", "data"):
+        if not isinstance(doc[field], list):
+            raise StateFileError(f"field {field!r} is not a list in {path}")
+    if not doc["dims"] or not all(_is_dim(d) for d in doc["dims"]):
+        raise StateFileError(f"dims must be positive integers, got {doc['dims']!r}")
+    dims = tuple(int(d) for d in doc["dims"])
     d = prod(dims)
 
     if kind == "pure":
@@ -118,7 +133,7 @@ def load_state(path, validate: bool = True) -> StateData:
         return StateData(kind, dims, Tensor._wrap(vec.reshape(dims)))
 
     rows = doc["data"]
-    if len(rows) != d or any(len(r) != d for r in rows):
+    if len(rows) != d or any(not isinstance(r, list) or len(r) != d for r in rows):
         raise StateFileError(f"density data is not a {d} x {d} matrix")
     mat = np.vstack([_decode_pairs(r, "data") for r in rows])
     if validate:
@@ -178,11 +193,19 @@ def density_from_pure(state: Tensor) -> Tensor:
     return Tensor._wrap(np.outer(vec, vec.conj()))
 
 
-def _as_matrix(rho, dims) -> np.ndarray:
-    arr = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
-    d = prod(dims)
+def as_operator(rho, dims=None) -> np.ndarray:
+    """The square matrix of an operator over the product space.
+
+    ``rho`` is a Tensor or an array of any shape holding d * d components,
+    where d is the product of ``dims`` (or, with ``dims`` absent, the
+    square root of the size).  The result is a view of the input's
+    components whenever numpy can reshape without copying, and keeps their
+    dtype, so real input is not converted to complex.
+    """
+    arr = rho.data if isinstance(rho, Tensor) else np.asarray(rho)
+    d = prod(dims) if dims is not None else isqrt(arr.size)
     if arr.size != d * d:
-        raise ShapeError(f"operator of size {arr.size} does not fit dims {dims}")
+        raise ShapeError(f"operator of size {arr.size} is not a {d} x {d} matrix")
     return arr.reshape(d, d)
 
 
@@ -199,7 +222,7 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> Tensor:
         raise ShapeError("keep must be nonempty")
     if any(i < 0 or i >= n for i in keep):
         raise ShapeError(f"keep {keep} out of range for {n} subsystems")
-    arr = _as_matrix(rho, dims).reshape(dims + dims)
+    arr = as_operator(rho, dims).reshape(dims + dims)
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
     out = [i for i in keep] + [n + i for i in keep]
@@ -222,7 +245,7 @@ def bipartition_density(rho, dims: Sequence[int], keep: Sequence[int]):
         raise ShapeError(f"bad keep set {keep} for {n} subsystems")
     rest = [i for i in range(n) if i not in keep]
     order = keep + rest
-    arr = _as_matrix(rho, dims).reshape(dims + dims)
+    arr = as_operator(rho, dims).reshape(dims + dims)
     perm = order + [n + i for i in order]
     arr = np.transpose(arr, perm)
     d = prod(dims)
@@ -238,5 +261,5 @@ def apply_local_unitary(rho, dims: Sequence[int], unitaries) -> Tensor:
     full = unitaries[0]
     for u in unitaries[1:]:
         full = np.kron(full, u)
-    mat = _as_matrix(rho, dims)
+    mat = as_operator(rho, dims)
     return Tensor._wrap(full @ mat @ full.conj().T)

@@ -1,8 +1,9 @@
-"""Dense complex tensors and the wire calculus used to contract them.
+"""Dense complex tensors and the leg grouping that bends them into matrices.
 
-A tensor is a dense complex array with an ordered tuple of legs.  All
-operations return new tensors; nothing is modified in place, so values can
-be shared freely between threads.
+A tensor is a dense complex array with an ordered tuple of legs.  Values
+are read-only; operations return new tensors, so values can be shared
+freely between threads.  Contracting networks of tensors is left to
+``np.einsum``; see :func:`tninv.invariants.evaluate_fast`.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-Pairing = Sequence[tuple[int, int]]
-
 
 class ShapeError(ValueError):
-    """Raised when leg counts, dimensions or pairings do not line up."""
+    """Raised when leg counts or dimensions do not line up."""
 
 
 class Tensor:
@@ -26,26 +25,16 @@ class Tensor:
     ----------
     data : np.ndarray
         Complex components, row-major in leg order.  Read-only.
-    leg_labels : tuple or None
-        Optional opaque labels, one per leg.  Purely diagnostic; they never
-        influence numerics and are not propagated by operations.
     """
 
-    __slots__ = ("_data", "leg_labels")
+    __slots__ = ("_data",)
 
-    def __init__(self, data, leg_labels=None):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.complex128, order="C")
         if any(d < 1 for d in arr.shape):
             raise ShapeError(f"leg dimensions must be positive, got {arr.shape}")
         arr.flags.writeable = False
         self._data = arr
-        if leg_labels is not None:
-            leg_labels = tuple(leg_labels)
-            if len(leg_labels) != arr.ndim:
-                raise ShapeError(
-                    f"{len(leg_labels)} labels for a {arr.ndim}-leg tensor"
-                )
-        self.leg_labels = leg_labels
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -56,7 +45,6 @@ class Tensor:
             arr = arr.copy()
         arr.flags.writeable = False
         t._data = arr
-        t.leg_labels = None
         return t
 
     @property
@@ -87,90 +75,14 @@ class Tensor:
         return f"Tensor(dims={self.dims})"
 
 
-def _check_pairing(pairs, dims_a, dims_b=None):
-    """Validate a pairing; returns (axes_a, axes_b) index lists.
-
-    With ``dims_b`` absent the pairing is internal to one tensor and no leg
-    may appear twice across the whole pairing.
-    """
-    axes_a, axes_b = [], []
-    for pair in pairs:
-        if len(pair) != 2:
-            raise ShapeError(f"pairing entries must be (leg, leg), got {pair!r}")
-        axes_a.append(int(pair[0]))
-        axes_b.append(int(pair[1]))
-    if dims_b is None:
-        used = axes_a + axes_b
-        if len(set(used)) != len(used):
-            raise ShapeError("duplicate leg in self-pairing")
-        for i in used:
-            if not 0 <= i < len(dims_a):
-                raise ShapeError(f"leg {i} out of range for {len(dims_a)} legs")
-        for i, j in zip(axes_a, axes_b):
-            if dims_a[i] != dims_a[j]:
-                raise ShapeError(
-                    f"cannot pair legs of dimension {dims_a[i]} and {dims_a[j]}"
-                )
-    else:
-        if len(set(axes_a)) != len(axes_a) or len(set(axes_b)) != len(axes_b):
-            raise ShapeError("duplicate leg in pairing")
-        for i in axes_a:
-            if not 0 <= i < len(dims_a):
-                raise ShapeError(f"leg {i} out of range for {len(dims_a)} legs")
-        for j in axes_b:
-            if not 0 <= j < len(dims_b):
-                raise ShapeError(f"leg {j} out of range for {len(dims_b)} legs")
-        for i, j in zip(axes_a, axes_b):
-            if dims_a[i] != dims_b[j]:
-                raise ShapeError(
-                    f"cannot pair legs of dimension {dims_a[i]} and {dims_b[j]}"
-                )
-    return axes_a, axes_b
-
-
-def contract(a: Tensor, b: Tensor, pairing: Pairing) -> Tensor:
-    """Join the paired legs of two tensors and sum over them.
-
-    Args:
-        a, b: the tensors to contract.
-        pairing: sequence of ``(leg of a, leg of b)`` pairs.  May be empty,
-            in which case the result is the tensor product.
-
-    Returns:
-        Tensor whose legs are the unpaired legs of ``a`` in order, followed
-        by the unpaired legs of ``b`` in order.
-    """
-    axes_a, axes_b = _check_pairing(pairing, a.dims, b.dims)
-    return Tensor._wrap(np.tensordot(a.data, b.data, axes=(axes_a, axes_b)))
-
-
-def self_trace(a: Tensor, pairing: Pairing) -> Tensor:
-    """Close loops inside one tensor by summing over the paired legs."""
-    axes_a, axes_b = _check_pairing(pairing, a.dims)
-    labels = list(range(a.nlegs))
-    for i, j in zip(axes_a, axes_b):
-        labels[j] = labels[i]
-    closed = set(axes_a) | set(axes_b)
-    out = [labels[i] for i in range(a.nlegs) if i not in closed]
-    return Tensor._wrap(np.einsum(a.data, labels, out))
-
-
-def permute_legs(a: Tensor, perm: Sequence[int]) -> Tensor:
-    """Reorder legs so that new leg ``i`` is old leg ``perm[i]``."""
-    perm = list(perm)
-    if sorted(perm) != list(range(a.nlegs)):
-        raise ShapeError(f"{perm} is not a permutation of {a.nlegs} legs")
-    return Tensor._wrap(np.transpose(a.data, perm))
-
-
 def group_legs(a: Tensor, split: tuple[Sequence[int], Sequence[int]]) -> Tensor:
     """Fuse the legs of ``a`` into at most two fat legs.
 
     ``split`` is a pair of ordered leg groups that together cover every leg
     exactly once.  The result has one leg per non-empty group, of dimension
     equal to the product of the group's dimensions; components follow
-    row-major index arithmetic within each group, so the operation is
-    invertible by :func:`ungroup_legs` given the original dimensions.
+    row-major index arithmetic within each group, so reshaping to the
+    moved legs' dimensions undoes it.
     """
     g1, g2 = [list(g) for g in split]
     if sorted(g1 + g2) != list(range(a.nlegs)):
@@ -180,69 +92,3 @@ def group_legs(a: Tensor, split: tuple[Sequence[int], Sequence[int]]) -> Tensor:
         prod(a.dims[i] for i in g) for g in (g1, g2) if g
     )
     return Tensor._wrap(moved.reshape(shape))
-
-
-def ungroup_legs(a: Tensor, group_dims: Sequence[Sequence[int]]) -> Tensor:
-    """Split fat legs back into their constituent dimensions.
-
-    ``group_dims`` gives, per leg of ``a``, the list of original dimensions
-    whose product equals that leg's dimension.
-    """
-    groups = [tuple(int(d) for d in g) for g in group_dims]
-    if len(groups) != a.nlegs:
-        raise ShapeError(f"{len(groups)} groups for a {a.nlegs}-leg tensor")
-    for g, d in zip(groups, a.dims):
-        if prod(g) != d:
-            raise ShapeError(f"group {g} does not factor leg dimension {d}")
-    shape = tuple(d for g in groups for d in g)
-    return Tensor._wrap(a.data.reshape(shape))
-
-
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    """Tensor product: legs of ``a`` followed by legs of ``b``."""
-    return Tensor._wrap(np.tensordot(a.data, b.data, axes=([], [])))
-
-
-def make_identity(d: int) -> Tensor:
-    """Identity wire: two legs, components delta(i, j)."""
-    _check_dim(d)
-    return Tensor._wrap(np.eye(d, dtype=np.complex128))
-
-
-def make_cup(d: int) -> Tensor:
-    """Cup metric tensor, the unnormalized pair state sum_k |kk>."""
-    _check_dim(d)
-    return Tensor._wrap(np.eye(d, dtype=np.complex128))
-
-
-def make_cap(d: int) -> Tensor:
-    """Cap metric tensor, the costate sum_k <kk|.
-
-    In the flat metric used throughout, cups and caps have identical
-    components; they differ only in which way the wire bends.
-    """
-    _check_dim(d)
-    return Tensor._wrap(np.eye(d, dtype=np.complex128))
-
-
-def make_swap(d: int) -> Tensor:
-    """Wire crossing with components delta(i,l) delta(j,k), legs (i,j,k,l)."""
-    _check_dim(d)
-    eye = np.eye(d, dtype=np.complex128)
-    return Tensor._wrap(np.einsum("il,jk->ijkl", eye, eye))
-
-
-def make_copy(d: int, m: int, n: int) -> Tensor:
-    """COPY dot with m + n legs of dimension d; component 1 iff all indices agree."""
-    _check_dim(d)
-    if m < 0 or n < 0 or m + n < 1:
-        raise ShapeError(f"COPY needs m, n >= 0 with m + n >= 1, got {m}, {n}")
-    legs = m + n
-    arr = np.zeros((d,) * legs, dtype=np.complex128)
-    arr[tuple([np.arange(d)] * legs)] = 1.0
-    return Tensor._wrap(arr)
-
-
-def _check_dim(d):
-    if int(d) != d or d < 1:
-        raise ShapeError(f"dimension must be a positive integer, got {d!r}")

@@ -93,6 +93,16 @@ def test_corrupt_file_fails_loudly(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_malformed_state_file_exits_2(tmp_path, capsys):
+    for i, text in enumerate(["3", '{"kind": "pure", "dims": [2], "data": 5}',
+                              '{"kind": "pure", "dims": [2], "data": [[NaN, 0], [0, 0]]}']):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(text)
+        assert main(["entropy", str(path), "--keep", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_factor_bad_truncation_flag(product4_path, capsys):
     assert main(["factor", product4_path, "--truncate-chi", "0"]) == 2
     assert "error" in capsys.readouterr().err
@@ -139,6 +149,17 @@ def test_invariants_label_subsystem_mismatch(bell_path, capsys):
     assert main(["invariants", "eval", bell_path, "--label", "2; (12)"]) == 2
 
 
+def test_invariants_eval_label_over_einsum_limit(tmp_path, capsys):
+    # nine distinct permutations at degree 6 need 54 indices, two over the limit
+    psi = random_pure_state((2,) * 9, seed=1)
+    path = tmp_path / "q9.json"
+    save_state(StateData.pure(psi), path)
+    label = "6; (12) | (13) | (14) | (15) | (16) | (23) | (24) | (25) | (26)"
+    assert main(["invariants", "eval", str(path), "--label", label]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "52" in err and "Traceback" not in err
+
+
 # ----------------------------------------------------------------- entropy
 
 
@@ -164,6 +185,16 @@ def test_entropy_random_5qubit_crosscheck(tmp_path, capsys):
     assert main(["entropy", str(path), "--keep", "0,1", "--alpha", "3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["diagnostics"]["crosscheck_dev_3"] <= 1e-9
+
+
+def test_entropy_alpha_one_is_von_neumann(tmp_path, capsys):
+    psi = random_pure_state((2,) * 3, seed=12)
+    path = tmp_path / "r3.json"
+    save_state(StateData.pure(psi), path)
+    assert main(["entropy", str(path), "--keep", "0", "--alpha", "1,2", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["values"]["S_1"] == doc["values"]["S_vn"] > 0.0
+    assert doc["diagnostics"]["crosscheck_dev_2"] <= 1e-9
 
 
 def test_entropy_bad_keep(bell_path, capsys):

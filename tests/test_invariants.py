@@ -237,12 +237,24 @@ def test_evaluate_fast_equals_explicit_oracle():
         for k in (1, 2, 3)
         for c in enumerate_invariants(2, k)
     ]
-    for i in range(100):
-        rho = random_density(4)
-        for t in classes:
-            fast = evaluate_fast(t, rho, (2, 2))
-            ref = evaluate(t, rho, (2, 2))
-            assert abs(fast - ref) <= 1e-10 * max(abs(ref), 1.0)
+    cases = [((2, 2), classes, 100)]
+    # unequal dims where equal permutations sit on subsystems 0 and 2, so
+    # fusing them must move subsystem 2's legs past subsystem 1's
+    split = [
+        c.representative
+        for k in (2, 3)
+        for c in enumerate_invariants(3, k)
+        if c.representative.sigmas[0] == c.representative.sigmas[2]
+        != c.representative.sigmas[1]
+    ]
+    cases.append(((2, 3, 2), split, 2))
+    for dims, tuples, states in cases:
+        for i in range(states):
+            rho = random_density(int(np.prod(dims)))
+            for t in tuples:
+                fast = evaluate_fast(t, rho, dims)
+                ref = evaluate(t, rho, dims)
+                assert abs(fast - ref) <= 1e-10 * max(abs(ref), 1.0)
 
 
 def test_evaluate_conjugation_invariance():
@@ -273,6 +285,30 @@ def test_evaluate_dims_mismatch():
         evaluate_fast(PermTuple(2, ((1, 0),)), rho, (2, 2, 2))
     with pytest.raises(ShapeError):
         evaluate_fast(PermTuple(2, ((1, 0), (1, 0))), rho, (2,))
+
+
+def test_evaluate_fast_shared_cycle_on_nine_qubits():
+    # one fused group: tr(rho^6) over 2^9 dimensions
+    rng = np.random.default_rng(44)
+    a = rng.standard_normal((512, 3)) + 1j * rng.standard_normal((512, 3))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho)
+    t = parse_label("6; " + " | ".join(["(123456)"] * 9))
+    want = np.sum(np.linalg.eigvalsh(rho) ** 6)
+    assert abs(evaluate_fast(t, rho, (2,) * 9) - want) <= 1e-10 * want
+
+
+def test_evaluate_fast_label_limit():
+    # 9 distinct permutations x degree 6 = 54 indices, over einsum's 52;
+    # the check comes before rho is touched, so a tiny operator will do
+    t = parse_label("6; (12) | (13) | (14) | (15) | (16) | (23) | (24) | (25) | (26)")
+    with pytest.raises(ShapeError, match="52"):
+        evaluate_fast(t, np.eye(512) / 512, (2,) * 9)
+    # a shared permutation fuses: 2 groups x 6 = 12 indices
+    psi = random_pure_state((2,) * 10, seed=6)
+    shared = parse_label("6; " + " | ".join(["(123456)"] * 5 + ["e"] * 5))
+    val = evaluate_fast(shared, density_from_pure(psi), (2,) * 10)
+    assert abs(val - pure_jk(psi, (list(range(5)), list(range(5, 10))), 6)) < 1e-12
 
 
 def test_permutation_operator_swap():

@@ -71,11 +71,23 @@ def test_load_rejects_non_hermitian(tmp_path):
 
 
 def test_load_rejects_malformed_dims(tmp_path):
-    doc = {"kind": "pure", "dims": [2, 2], "data": [[1.0, 0.0]] * 3}
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(StateFileError):
-        load_state(path)
+    bad = [
+        {"kind": "pure", "dims": [2, 2], "data": [[1.0, 0.0]] * 3},
+        {"kind": "pure", "dims": [2, 2.5], "data": [[1.0, 0.0]] * 4},
+        {"kind": "pure", "dims": [True, 2], "data": [[1.0, 0.0]] * 2},
+        {"kind": "pure", "dims": ["2"], "data": [[1.0, 0.0]] * 2},
+        {"kind": "pure", "dims": 2, "data": [[1.0, 0.0]] * 2},
+        {"kind": "pure", "dims": [], "data": []},
+    ]
+    for i, doc in enumerate(bad):
+        path = tmp_path / f"dims{i}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError):
+            load_state(path)
+    # an integral float is still a dimension
+    path = tmp_path / "float_dims.json"
+    path.write_text(json.dumps({"kind": "pure", "dims": [2.0], "data": [[1.0, 0.0], [0.0, 0.0]]}))
+    assert load_state(path).dims == (2,)
 
 
 def test_load_rejects_garbage(tmp_path):
@@ -87,6 +99,22 @@ def test_load_rejects_garbage(tmp_path):
     path2.write_text(json.dumps({"kind": "pure"}))
     with pytest.raises(StateFileError):
         load_state(path2)
+    nan = float("nan")
+    bad = [
+        "3",
+        "[1, 2]",
+        json.dumps({"kind": "pure", "dims": [2], "data": 5}),
+        json.dumps({"kind": "density", "dims": [1], "data": [5]}),
+        json.dumps({"kind": "pure", "dims": [2], "data": [[1.0, 0.0], [None, 0.0]]}),
+        json.dumps({"kind": "pure", "dims": [2], "data": [[nan, 0.0], [0.0, 0.0]]}),
+        json.dumps({"kind": "pure", "dims": [1], "data": [[1.0, float("inf")]]}),
+        json.dumps({"kind": "density", "dims": [1], "data": [[[nan, 0.0]]]}),
+    ]
+    for i, text in enumerate(bad):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(text)
+        with pytest.raises(StateFileError):
+            load_state(path, validate=False)
 
 
 # --------------------------------------------------------------- generators
