@@ -49,6 +49,7 @@ from .states import (
     StateData,
     StateFileError,
     save_state,
+    save_chain,
     load_state,
     random_pure_state,
     random_local_unitary,

@@ -81,27 +81,9 @@ def cmd_factor(args) -> CommandResult:
         )
     res.add(f"fidelity: {_fmt(fid)}")
     if args.out:
-        _write_chain(chain, args.out)
+        states.save_chain(chain, args.out)
         res.add(f"chain written to {args.out}")
     return res
-
-
-def _write_chain(chain, path):
-    doc = {
-        "kind": "mps",
-        "phys_dims": [int(d) for d in chain.phys_dims],
-        "bond_dims": [int(c) for c in chain.bond_dims],
-        "sites": [
-            [[list(map(float, (z.real, z.imag))) for z in row] for row in
-             site.data.reshape(site.dims[0] * site.dims[1], site.dims[2])]
-            for site in chain.sites
-        ],
-        "site_shapes": [list(site.dims) for site in chain.sites],
-        "bond_sigmas": [[float(s) for s in v] for v in chain.bond_sigmas],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
 
 
 def _density_of(data: states.StateData):
@@ -266,7 +248,7 @@ def main(argv=None) -> int:
             res = cmd_invariants(args)
         else:
             res = cmd_entropy(args)
-    except (StateFileError, ShapeError, ValueError) as exc:
+    except (StateFileError, ShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(res.render(args.json))

@@ -1,9 +1,9 @@
-"""State and operator persistence, random generation, and partial traces.
+"""State and chain files, random generation, and partial traces.
 
-States are stored as UTF-8 JSON with fields ``kind`` (``pure`` or
-``density``), ``dims`` (subsystem dimensions) and ``data`` (components as
-``[real, imag]`` pairs; a flat list for pure states, a list of rows for
-density operators).  Doubles survive the round trip bit-exactly.
+This module owns the file formats: UTF-8 JSON with each complex component
+a ``[real, imag]`` pair, so doubles round-trip bit-exactly.  A state file
+has ``kind`` (``pure`` or ``density``), ``dims`` and ``data`` (a flat list
+for pure states, rows for density operators); see :func:`save_chain` for chains.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from .tensor import Tensor, ShapeError
 
 HERMITICITY_TOL = 1e-9
-TRACE_TOL = 1e-9
+TRACE_TOL = 1e-9  # also bounds how far a pure state's squared norm may be off 1
+PSD_TOL = 1e-9  # most negative eigenvalue a density operator may have
 
 
 class StateFileError(ValueError):
@@ -53,39 +54,55 @@ class StateData:
         return cls("density", dims, Tensor._wrap(tensor.data.reshape(d, d)))
 
 
-def _encode_complex(arr: np.ndarray):
-    return [[float(z.real), float(z.imag)] for z in arr]
+def _encode(arr: np.ndarray) -> list:
+    """``arr`` as nested lists with a ``[real, imag]`` pair per component."""
+    return np.stack([arr.real, arr.imag], -1).tolist()
+
+
+def _write_json(doc: dict, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc) + "\n")
 
 
 def save_state(state: StateData, path) -> None:
     """Write a StateData to ``path`` as JSON."""
-    flat = state.tensor.data.reshape(-1)
-    if state.kind == "pure":
-        data = _encode_complex(flat)
-    elif state.kind == "density":
-        d = prod(state.dims)
-        mat = state.tensor.data.reshape(d, d)
-        data = [_encode_complex(row) for row in mat]
-    else:
+    if state.kind not in ("pure", "density"):
         raise StateFileError(f"unknown kind {state.kind!r}")
-    doc = {"kind": state.kind, "dims": list(state.dims), "data": data}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    d = prod(state.dims)
+    shape = (d,) if state.kind == "pure" else (d, d)
+    data = _encode(state.tensor.data.reshape(shape))
+    _write_json({"kind": state.kind, "dims": list(state.dims), "data": data}, path)
 
 
-def _decode_pairs(entries, what):
-    out = np.empty(len(entries), dtype=np.complex128)
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise StateFileError(f"{what}[{i}] is not a [real, imag] pair")
-        try:
-            out[i] = complex(float(entry[0]), float(entry[1]))
-        except (TypeError, ValueError, OverflowError):
-            raise StateFileError(f"{what}[{i}] is not a pair of numbers") from None
-    if not np.all(np.isfinite(out)):
-        raise StateFileError(f"{what} has non-finite components")
-    return out
+def save_chain(chain, path) -> None:
+    """Write an MPSChain to ``path`` as JSON.
+
+    Each site is stored as its ``(left * phys, right)`` matrix, with its
+    3-leg shape in ``site_shapes``.
+    """
+    doc = {
+        "kind": "mps",
+        "phys_dims": [int(d) for d in chain.phys_dims],
+        "bond_dims": [int(c) for c in chain.bond_dims],
+        "sites": [_encode(s.data.reshape(-1, s.dims[2])) for s in chain.sites],
+        "site_shapes": [list(s.dims) for s in chain.sites],
+        "bond_sigmas": [[float(x) for x in v] for v in chain.bond_sigmas],
+    }
+    _write_json(doc, path)
+
+
+def _decode(entries, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of :func:`_encode`: ``[real, imag]`` pairs to a complex array."""
+    try:
+        arr = np.array(entries, dtype=np.float64)
+        if arr.shape != shape + (2,):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        size = " x ".join(map(str, shape))
+        raise StateFileError(f"data is not {size} [real, imag] pairs") from None
+    if not np.all(np.isfinite(arr)):
+        raise StateFileError("data has non-finite components")
+    return arr.view(np.complex128).reshape(shape)
 
 
 def _is_dim(d) -> bool:
@@ -94,18 +111,18 @@ def _is_dim(d) -> bool:
     return isinstance(d, int) and not isinstance(d, bool) and d >= 1
 
 
-def load_state(path, validate: bool = True) -> StateData:
+def load_state(path) -> StateData:
     """Read a StateData from ``path``.
 
     The file must be a JSON object whose ``dims`` are positive integers and
-    whose ``data`` holds finite components; anything else raises
-    StateFileError.  Density operators are also checked for hermiticity and
-    unit trace unless ``validate`` is false.
+    whose ``data`` holds finite components.  A pure state must have unit
+    norm; a density operator must be hermitian, positive semidefinite and
+    of unit trace.  Anything else raises StateFileError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
 
     if not isinstance(doc, dict):
@@ -124,27 +141,22 @@ def load_state(path, validate: bool = True) -> StateData:
     dims = tuple(int(d) for d in doc["dims"])
     d = prod(dims)
 
+    mat = _decode(doc["data"], (d,) if kind == "pure" else (d, d))
     if kind == "pure":
-        if len(doc["data"]) != d:
-            raise StateFileError(
-                f"dims {dims} imply {d} components, file has {len(doc['data'])}"
-            )
-        vec = _decode_pairs(doc["data"], "data")
-        return StateData(kind, dims, Tensor._wrap(vec.reshape(dims)))
+        norm2 = float(np.vdot(mat, mat).real)
+        if abs(norm2 - 1.0) > TRACE_TOL:
+            raise StateFileError(f"pure state has squared norm {norm2:.12g}, not 1")
+        return StateData(kind, dims, Tensor._wrap(mat.reshape(dims)))
 
-    rows = doc["data"]
-    if len(rows) != d or any(not isinstance(r, list) or len(r) != d for r in rows):
-        raise StateFileError(f"density data is not a {d} x {d} matrix")
-    mat = np.vstack([_decode_pairs(r, "data") for r in rows])
-    if validate:
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise StateFileError(
-                f"density operator fails hermiticity by {herm:.3e}"
-            )
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise StateFileError(f"density operator has trace {tr:.12g}, not 1")
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > HERMITICITY_TOL:
+        raise StateFileError(f"density operator fails hermiticity by {herm:.3e}")
+    low = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
+    if low < -PSD_TOL:
+        raise StateFileError(f"density operator has negative eigenvalue {low:.3e}")
+    tr = complex(np.trace(mat))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise StateFileError(f"density operator has trace {tr:.12g}, not 1")
     return StateData(kind, dims, Tensor._wrap(mat))
 
 

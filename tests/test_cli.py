@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from tninv import StateData, Tensor, random_pure_state, density_from_pure, save_state
+from tninv import (
+    StateData,
+    Tensor,
+    density_from_pure,
+    mps_factor,
+    random_pure_state,
+    save_state,
+)
 from tninv.cli import main
 
 
@@ -70,12 +77,34 @@ def test_factor_truncation_flag(tmp_path, capsys):
     assert max(doc["values"]["bond_dims"]) <= 2
 
 
-def test_factor_writes_chain(product4_path, tmp_path, capsys):
+def test_factor_writes_chain(tmp_path, capsys):
+    psi = random_pure_state((2, 3, 2, 2), seed=36)
+    path = tmp_path / "r4.json"
+    save_state(StateData.pure(psi), path)
     out_path = tmp_path / "chain.json"
-    assert main(["factor", product4_path, "--out", str(out_path)]) == 0
+    assert main(["factor", str(path), "--out", str(out_path)]) == 0
     doc = json.loads(out_path.read_text())
     assert doc["kind"] == "mps"
-    assert doc["phys_dims"] == [2, 2, 2, 2]
+    assert doc["phys_dims"] == [2, 3, 2, 2]
+    sites = []
+    for pairs, shape in zip(doc["sites"], doc["site_shapes"]):
+        arr = np.array(pairs)
+        assert arr.shape == (shape[0] * shape[1], shape[2], 2)
+        sites.append(arr.view(np.complex128).reshape(shape))
+    for site, want in zip(sites, mps_factor(psi).sites):
+        assert site.tobytes() == want.data.tobytes()
+    rebuilt = np.ones((1, 1))
+    for site in sites:
+        rebuilt = np.tensordot(rebuilt, site, axes=(-1, 0))
+    overlap = np.vdot(psi.data.reshape(-1), rebuilt.reshape(-1))
+    assert abs(overlap) ** 2 >= 1 - 1e-12
+
+
+def test_factor_unwritable_out_exits_2(product4_path, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "chain.json"
+    assert main(["factor", product4_path, "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_factor_rejects_density_input(tmp_path, capsys):
@@ -116,6 +145,12 @@ def test_invariants_list_n1_k2(capsys):
     out = capsys.readouterr().out
     assert "2; e" in out
     assert "2; (12)" in out
+
+
+def test_invariants_list_too_many_tuples_exits_2(capsys):
+    assert main(["invariants", "list", "-n", "9", "-k", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_invariants_eval_maximally_mixed(tmp_path, capsys):

@@ -192,6 +192,8 @@ def test_enumerate_rejects_bad_degree():
         enumerate_invariants(1, 7)
     with pytest.raises(ValueError):
         enumerate_invariants(0, 2)
+    with pytest.raises(ValueError, match="tuples"):
+        enumerate_invariants(9, 6)
 
 
 # ---------------------------------------------------------------- evaluate

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,32 +43,41 @@ def test_density_roundtrip_bit_identical(tmp_path):
     assert np.array_equal(back.tensor.data, rho.data)
 
 
+def test_saved_bell_state_matches_readme(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    bell = Tensor(np.array([[1, 0], [0, 1]]) * np.sqrt(0.5))
+    path = tmp_path / "bell.json"
+    save_state(StateData.pure(bell), path)
+    assert path.read_text(encoding="utf-8") == example
+
+
 def test_load_rejects_wrong_trace(tmp_path):
-    rho = 0.9 * np.eye(2) / 2
-    doc = {
-        "kind": "density",
-        "dims": [2],
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in rho],
-    }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(StateFileError, match="trace"):
-        load_state(path)
-    # override skips validation
-    assert load_state(path, validate=False).dims == (2,)
+    bad = [
+        ("density", [2], 0.9 * np.eye(2) / 2, "trace"),
+        ("pure", [2], np.array([3.0, 0.0]), "norm"),
+        ("density", [2], np.diag([1.5, -0.5]), "negative eigenvalue"),
+    ]
+    for i, (kind, dims, arr, match) in enumerate(bad):
+        pairs = np.stack([arr.real, np.zeros_like(arr)], -1).tolist()
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({"kind": kind, "dims": dims, "data": pairs}))
+        with pytest.raises(StateFileError, match=match):
+            load_state(path)
 
 
 def test_load_rejects_non_hermitian(tmp_path):
-    mat = np.array([[0.5, 0.5], [0.0, 0.5]])
-    doc = {
-        "kind": "density",
-        "dims": [2],
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in mat],
-    }
-    path = tmp_path / "nh.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(StateFileError, match="hermiticity"):
-        load_state(path)
+    # the second matrix is also not PSD; hermiticity is checked first
+    for i, mat in enumerate([[[0.5, 0.5], [0.0, 0.5]], [[1.5, 1.0], [0.0, -0.5]]]):
+        doc = {
+            "kind": "density",
+            "dims": [2],
+            "data": [[[float(z), 0.0] for z in row] for row in mat],
+        }
+        path = tmp_path / f"nh{i}.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(StateFileError, match="hermiticity"):
+            load_state(path)
 
 
 def test_load_rejects_malformed_dims(tmp_path):
@@ -109,12 +119,17 @@ def test_load_rejects_garbage(tmp_path):
         json.dumps({"kind": "pure", "dims": [2], "data": [[nan, 0.0], [0.0, 0.0]]}),
         json.dumps({"kind": "pure", "dims": [1], "data": [[1.0, float("inf")]]}),
         json.dumps({"kind": "density", "dims": [1], "data": [[[nan, 0.0]]]}),
+        json.dumps({"kind": "pure", "dims": [2], "data": [[1.0, 0.0, 0.0]] * 2}),
+        json.dumps({"kind": "pure", "dims": [2], "data": [[1.0, 0.0], "ab"]}),
+        json.dumps({"kind": "pure", "dims": [1], "data": [[1.0, {"im": 0.0}]]}),
+        '{"kind": "pure", "dims": [1], "data": [[1%s, 0]]}' % ("0" * 400),
+        "[" * 100_000 + "]" * 100_000,
     ]
     for i, text in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
         path.write_text(text)
         with pytest.raises(StateFileError):
-            load_state(path, validate=False)
+            load_state(path)
 
 
 # --------------------------------------------------------------- generators
