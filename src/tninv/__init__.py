@@ -34,6 +34,7 @@ from .invariants import (
     verify_invariance,
     max_unitary_deviation,
     pure_jk,
+    reduced_power_label,
 )
 from .entropy import (
     Spectrum,

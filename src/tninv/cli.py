@@ -175,24 +175,18 @@ def cmd_entropy(args) -> CommandResult:
     res.add(f"S_vn = {_fmt(svn)}")
 
     worst = 0.0
-    grouped, block_dims = states.bipartition_density(rho, data.dims, keep)
-    can_crosscheck = len(keep) < len(data.dims)
     for alpha in alphas:
         s_alpha = svn if alpha == 1 else entropy.renyi(spec, alpha)
         key = f"S_{alpha:g}"
         res.values[key] = s_alpha
         line = f"{key} = {_fmt(s_alpha)}"
-        if alpha == int(alpha) and alpha >= 2 and can_crosscheck:
-            k = int(alpha)
-            cyc = tuple((list(range(1, k)) + [0]))
-            t = invariants.PermTuple(
-                k, (cyc, tuple(range(k)))
-            )
-            val = invariants.evaluate_fast(t, grouped, block_dims)
-            s_inv = entropy.renyi_from_invariant(val.real, k)
+        if alpha == int(alpha) and alpha >= 2 and len(keep) < len(data.dims):
+            t = invariants.reduced_power_label(len(data.dims), keep, int(alpha))
+            val = invariants.evaluate_fast(t, rho, data.dims)
+            s_inv = entropy.renyi_from_invariant(val.real, t.k)
             dev = abs(s_inv - s_alpha)
             worst = max(worst, dev)
-            res.diagnostics[f"crosscheck_dev_{k}"] = dev
+            res.diagnostics[f"crosscheck_dev_{t.k}"] = dev
             line += f"  (invariant cross-check dev={_fmt(dev)})"
         res.add(line)
     if worst > ENTROPY_CROSSCHECK_THRESHOLD:

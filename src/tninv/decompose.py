@@ -178,10 +178,6 @@ class MPSChain:
             raise ShapeError("need one bond vector per internal bond")
 
     @property
-    def nsites(self) -> int:
-        return len(self.sites)
-
-    @property
     def bond_dims(self) -> tuple[int, ...]:
         return tuple(t.dims[2] for t in self.sites[:-1])
 
@@ -241,7 +237,7 @@ def mps_factor(
 def _check_policy(max_chi, sigma_cutoff):
     if max_chi is not None and max_chi < 1:
         raise ValueError(f"max_chi must be >= 1, got {max_chi}")
-    if sigma_cutoff is not None and sigma_cutoff < 0:
+    if sigma_cutoff is not None and not sigma_cutoff >= 0:  # NaN too
         raise ValueError(f"sigma_cutoff must be >= 0, got {sigma_cutoff}")
 
 

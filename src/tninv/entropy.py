@@ -46,8 +46,8 @@ class Spectrum:
 
 def renyi(spectrum: Spectrum, alpha: float) -> float:
     """Renyi entropy of order alpha: ln(sum p^alpha) / (1 - alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:  # NaN too
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1:
         raise ValueError("alpha = 1 is the von Neumann limit; use von_neumann()")
     return float(np.log(np.sum(spectrum.probs**alpha)) / (1.0 - alpha))

@@ -7,8 +7,13 @@ identity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+
+import numpy as np
+
+MAX_DEGREE = 6  # k=6 conjugation table: 720^2 int16, 1 MB, ~60 ms to build
 
 
 def identity_perm(k: int) -> tuple[int, ...]:
@@ -27,17 +32,31 @@ def inverse(p) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def conjugate(p, t) -> tuple[int, ...]:
-    """t p t^{-1}, i.e. p with its points relabeled through t."""
-    out = [0] * len(p)
-    for i in range(len(p)):
-        out[t[i]] = t[p[i]]
-    return tuple(out)
-
-
 def all_perms(k: int) -> list[tuple[int, ...]]:
     """All of S_k in lexicographic order of one-line notation."""
     return list(itertools.permutations(range(k)))
+
+
+@functools.lru_cache(maxsize=MAX_DEGREE)
+def conjugation_table(k: int):
+    """S_k acting on itself by conjugation, as positions in ``all_perms(k)``.
+
+    ``index[p]`` is the position of p; the int16 arrays ``conj[t, p]`` and
+    ``inv[p]`` hold the positions of t p t^{-1} and p^{-1}.  Positions sort
+    like the permutations, so a minimum over positions is one over S_k.
+    """
+    if not 1 <= k <= MAX_DEGREE:
+        raise ValueError(f"degree k={k} outside supported range 1..{MAX_DEGREE}")
+    listed = all_perms(k)
+    sk = np.array(listed, dtype=np.int16)
+    sk_inv = np.argsort(sk, axis=1)  # the argsort of a permutation is its inverse
+    weights = k ** np.arange(k - 1, -1, -1)
+    keys = sk @ weights  # base-k codes, ascending like sk
+    conj = np.empty((len(sk), len(sk)), dtype=np.int16)
+    for t, tau in enumerate(sk):  # (t p t^{-1})[j] = t[p[t^{-1}[j]]]
+        conj[t] = np.searchsorted(keys, tau[sk[:, sk_inv[t]]] @ weights)
+    inv = np.searchsorted(keys, sk_inv @ weights).astype(np.int16)
+    return {p: i for i, p in enumerate(listed)}, conj, inv
 
 
 def cycles(p) -> list[tuple[int, ...]]:

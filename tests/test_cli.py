@@ -133,8 +133,9 @@ def test_malformed_state_file_exits_2(tmp_path, capsys):
 
 
 def test_factor_bad_truncation_flag(product4_path, capsys):
-    assert main(["factor", product4_path, "--truncate-chi", "0"]) == 2
-    assert "error" in capsys.readouterr().err
+    for flag, value in (("--truncate-chi", "0"), ("--truncate-tol", "nan")):
+        assert main(["factor", product4_path, flag, value]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- invariants
@@ -217,9 +218,10 @@ def test_entropy_random_5qubit_crosscheck(tmp_path, capsys):
     psi = random_pure_state((2,) * 5, seed=35)
     path = tmp_path / "r5.json"
     save_state(StateData.pure(psi), path)
-    assert main(["entropy", str(path), "--keep", "0,1", "--alpha", "3", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["diagnostics"]["crosscheck_dev_3"] <= 1e-9
+    for keep in ("0,1", "1,3"):
+        assert main(["entropy", str(path), "--keep", keep, "--alpha", "3", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"]["crosscheck_dev_3"] <= 1e-9
 
 
 def test_entropy_alpha_one_is_von_neumann(tmp_path, capsys):
@@ -234,6 +236,14 @@ def test_entropy_alpha_one_is_von_neumann(tmp_path, capsys):
 
 def test_entropy_bad_keep(bell_path, capsys):
     assert main(["entropy", bell_path, "--keep", "5"]) == 2
+
+
+def test_entropy_non_finite_alpha_exits_2(bell_path, capsys):
+    for alpha in ("nan", "inf", "2,-inf"):
+        assert main(["entropy", bell_path, "--keep", "0", "--alpha", alpha]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: alpha") and captured.err.count("\n") == 1
 
 
 # ------------------------------------------------------------- determinism

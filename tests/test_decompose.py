@@ -230,6 +230,11 @@ def test_mps_bad_policy():
         mps_factor(psi, max_chi=0)
     with pytest.raises(ValueError):
         mps_truncate(mps_factor(psi), max_chi=0)
+    for cutoff in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="sigma_cutoff"):
+            mps_factor(psi, sigma_cutoff=cutoff)
+        with pytest.raises(ValueError, match="sigma_cutoff"):
+            mps_truncate(mps_factor(psi), sigma_cutoff=cutoff)
 
 
 def test_mps_zero_sigma_bond_is_inert():

@@ -79,6 +79,9 @@ def test_renyi_rejects_bad_alpha():
         renyi(s, -2)
     with pytest.raises(ValueError):
         renyi(s, 1)
+    for alpha in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            renyi(s, alpha)
 
 
 def test_renyi_monotone_in_alpha():

@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from tninv import perms
 from tninv import (
     PermTuple,
     ShapeError,
@@ -19,6 +21,7 @@ from tninv import (
     parse_label,
     permutation_operator,
     pure_jk,
+    reduced_power_label,
     verify_invariance,
     random_pure_state,
     density_from_pure,
@@ -177,11 +180,45 @@ def test_enumerate_matches_brute_force(n, k):
     assert hit == len(reps)
 
 
+def partitions(k, largest=None):
+    largest = k if largest is None else largest
+    if k == 0:
+        yield ()
+    for part in range(min(k, largest), 0, -1):
+        for rest in partitions(k - part, part):
+            yield (part,) + rest
+
+
+def burnside_count(n, k):
+    """Orbits of S_k on S_k^n by simultaneous conjugation.
+
+    Burnside: the mean over tau of |centralizer(tau)|^n, i.e. the sum over
+    cycle types lambda of z_lambda^(n-1), z_lambda = prod_i i^m_i m_i!.
+    """
+    total = 0
+    for lam in partitions(k):
+        z = math.prod(i ** lam.count(i) * math.factorial(lam.count(i)) for i in set(lam))
+        total += z ** (n - 1)
+    return total
+
+
+# every (n, k) the catalog benchmark lists, plus the three largest grids
+@pytest.mark.parametrize(
+    "n,k",
+    [(2, 4), (3, 3), (4, 3), (2, 5), (3, 4), (5, 3), (1, 6), (2, 6), (3, 5), (4, 4)],
+)
+def test_enumerate_matches_burnside(n, k):
+    classes = enumerate_invariants(n, k)
+    assert len(classes) == burnside_count(n, k)
+    assert sum(c.orbit_size for c in classes) == math.factorial(k) ** n
+    assert all(type(c.orbit_size) is int for c in classes)
+    codes = [c.representative.sigmas for c in classes]
+    assert codes == sorted(codes)
+
+
 def test_enumerate_orbit_sizes_sum():
     for n, k in [(1, 4), (2, 3)]:
         classes = enumerate_invariants(n, k)
-        import math
-
         assert sum(c.orbit_size for c in classes) == math.factorial(k) ** n
 
 
@@ -371,6 +408,58 @@ def test_product_rule_over_components():
 # ---------------------------------------------------------------- realness
 
 
+def loop_conjugate(p, tau):
+    out = [0] * len(p)
+    for i in range(len(p)):
+        out[tau[i]] = tau[p[i]]
+    return tuple(out)
+
+
+def loop_canonicalize(t):
+    """The S_k loop canonicalize used before the conjugation table."""
+    best = min(
+        tuple(loop_conjugate(s, tau) for s in t.sigmas)
+        for tau in itertools.permutations(range(t.k))
+    )
+    return PermTuple(t.k, best)
+
+
+def loop_is_real(t):
+    """The S_k loop is_real_guaranteed used before the conjugation table."""
+    inverses = tuple(perms.inverse(s) for s in t.sigmas)
+    return any(
+        tuple(loop_conjugate(s, tau) for s in t.sigmas) == inverses
+        for tau in itertools.permutations(range(t.k))
+    )
+
+
+def test_table_lookups_match_loops():
+    rng = np.random.default_rng(2024)
+    checked_real = 0
+    for k in (4, 5, 6):
+        sk = list(itertools.permutations(range(k)))
+        for n in range(1, 9):
+            s = sk[rng.integers(len(sk))]
+            powers = [s]  # one relabeling inverts every power of s: real
+            while len(powers) < n:
+                powers.append(tuple(s[x] for x in powers[-1]))
+            tau = sk[rng.integers(len(sk))]
+            for sigmas in (
+                tuple(sk[i] for i in rng.integers(len(sk), size=n)),
+                tuple(powers),
+            ):
+                t = PermTuple(k, sigmas)
+                assert canonicalize(t) == loop_canonicalize(t)
+                assert is_real_guaranteed(t) == loop_is_real(t)
+                checked_real += loop_is_real(t)
+                want = tuple(loop_conjugate(x, tau) for x in sigmas)
+                assert conjugate_tuple(t, tau).sigmas == want
+    assert checked_real >= 24
+    for fn in (canonicalize, is_real_guaranteed):
+        with pytest.raises(ValueError, match="degree"):
+            fn(PermTuple(7, (tuple(range(7)),)))
+
+
 def test_real_guaranteed_self_inverse():
     assert is_real_guaranteed(PermTuple(4, ((1, 0, 3, 2), (0, 1, 2, 3))))
 
@@ -506,3 +595,8 @@ def test_jk_matches_invariant_evaluation():
         # group the state as (first qubit) x (rest)
         val = evaluate_fast(t, rho, (2, 4))
         assert abs(val - jk) < 1e-10
+        # or leave it ungrouped and let evaluate_fast fuse the legs
+        for keep, rest in (([0], [1, 2]), ([1], [0, 2]), ([0, 2], [1])):
+            t = reduced_power_label(3, keep, k)
+            val = evaluate_fast(t, rho, (2, 2, 2))
+            assert abs(val - pure_jk(psi, (keep, rest), k)) < 1e-10

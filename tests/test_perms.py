@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from tninv import perms
@@ -15,10 +16,25 @@ def test_compose_and_inverse():
 
 
 def test_conjugate_definition():
-    for p in itertools.permutations(range(4)):
-        for t in [(1, 0, 2, 3), (3, 2, 1, 0)]:
-            want = perms.compose(t, perms.compose(p, perms.inverse(t)))
-            assert perms.conjugate(p, t) == want
+    # every entry of the table at k <= 5 against t p t^{-1} by composition
+    for k in range(1, 6):
+        index, conj, inv = perms.conjugation_table(k)
+        sk = perms.all_perms(k)
+        assert [index[p] for p in sk] == list(range(len(sk)))
+        for p in sk:
+            assert sk[inv[index[p]]] == perms.inverse(p)
+            for t in sk:
+                want = perms.compose(t, perms.compose(p, perms.inverse(t)))
+                assert sk[conj[index[t], index[p]]] == want
+
+
+def test_conjugation_table_shape_and_degree_bound():
+    index, conj, inv = perms.conjugation_table(6)
+    assert conj.shape == (720, 720) and conj.dtype == inv.dtype == np.int16
+    assert perms.conjugation_table(6)[1] is conj  # built once per degree
+    for k in (0, perms.MAX_DEGREE + 1):
+        with pytest.raises(ValueError, match="degree"):
+            perms.conjugation_table(k)
 
 
 def test_all_perms_lex_order():
