@@ -259,7 +259,7 @@ def evaluate_fast(t: PermTuple, rho, dims: Sequence[int]) -> complex:
     return complex(np.einsum(*operands, [], optimize="greedy"))
 
 
-def reduced_power_label(n: int, keep, k: int) -> PermTuple:
+def reduced_power_label(n: int, keep: Sequence[int], k: int) -> PermTuple:
     """Label of tr(rho_keep^k): the k-cycle on ``keep``, ``e`` elsewhere.
 
     :func:`evaluate_fast` fuses the kept legs itself, so the operator needs

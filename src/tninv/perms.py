@@ -38,7 +38,7 @@ def all_perms(k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=MAX_DEGREE)
-def conjugation_table(k: int):
+def conjugation_table(k: int) -> tuple[dict, np.ndarray, np.ndarray]:
     """S_k acting on itself by conjugation, as positions in ``all_perms(k)``.
 
     ``index[p]`` is the position of p; the int16 arrays ``conj[t, p]`` and
