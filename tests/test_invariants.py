@@ -462,6 +462,8 @@ def test_table_lookups_match_loops():
 
 def test_real_guaranteed_self_inverse():
     assert is_real_guaranteed(PermTuple(4, ((1, 0, 3, 2), (0, 1, 2, 3))))
+    # only the identity relabeling fixes both transpositions
+    assert is_real_guaranteed(parse_label("3; (12) | (23)"))
 
 
 def test_real_guaranteed_three_cycle():
