@@ -32,6 +32,7 @@ from .invariants import (
     evaluate_fast,
     is_real_guaranteed,
     verify_invariance,
+    verify_classes,
     max_unitary_deviation,
     pure_jk,
     reduced_power_label,

@@ -45,12 +45,20 @@ class Spectrum:
 
 
 def renyi(spectrum: Spectrum, alpha: float) -> float:
-    """Renyi entropy of order alpha: ln(sum p^alpha) / (1 - alpha)."""
+    """Renyi entropy of order alpha: ln(sum p^alpha) / (1 - alpha).
+
+    The sum is taken over p / p_max, so it is at least 1 and cannot
+    underflow at large alpha, where the entropy tends to -ln p_max.
+    """
     if not 0 < alpha < np.inf:  # NaN too
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if alpha == 1:
         raise ValueError("alpha = 1 is the von Neumann limit; use von_neumann()")
-    return float(np.log(np.sum(spectrum.probs**alpha)) / (1.0 - alpha))
+    p = spectrum.probs
+    top = float(p.max())
+    # alpha / (1 - alpha) rather than alpha * ln(p_max), which overflows near 1e308
+    scaled = np.log(np.sum((p / top) ** alpha)) / (1.0 - alpha)
+    return float(alpha / (1.0 - alpha) * np.log(top) + scaled)
 
 
 def von_neumann(spectrum: Spectrum) -> float:

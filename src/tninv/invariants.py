@@ -6,8 +6,9 @@ subsystem.  Tuples related by relabeling the identical copies (conjugating
 every permutation by the same element) give the same number, so classes
 are enumerated up to simultaneous conjugation.
 
-The value is computed one way in production: :func:`evaluate_fast`
-contracts the whole network in one ``np.einsum``.  :func:`evaluate` builds
+The value is computed one way in production: :func:`evaluate_fast` and
+:func:`verify_classes` contract the whole network in one ``np.einsum``,
+built by the same fused-leg network builder.  :func:`evaluate` builds
 the k-fold tensor power and the permutation matrix explicitly and is kept
 only as the reference that tests compare against.
 """
@@ -224,17 +225,28 @@ def evaluate(t: PermTuple, rho, dims: Sequence[int]) -> complex:
     return complex(np.einsum("ij,ji->", op, power))
 
 
-def evaluate_fast(t: PermTuple, rho, dims: Sequence[int]) -> complex:
-    """Invariant value as one planned contraction of the k copies of rho.
+@dataclass(frozen=True)
+class _Network:
+    """The fused-leg einsum of one label on one set of subsystem dims.
 
     Subsystems with the same permutation are wired identically, so their
-    legs are fused into one; over the m fused groups, copy c carries row
-    labels sigma_j(c) * m + j and column labels c * m + j, and a single
-    ``np.einsum`` sums over all of them.  Never materializes the k-fold
-    tensor power.  Raises ShapeError when the network needs more than the
-    52 index labels einsum has.
+    legs are fused into one: the operator's ``dims + dims`` legs are
+    transposed by ``axes`` and reshaped to ``fused``.  Over the m fused
+    groups, copy c carries row labels sigma_j(c) * m + j and column labels
+    c * m + j; ``subscripts`` holds one rows + cols list per copy.
     """
-    dims = tuple(int(d) for d in dims)
+
+    legs: tuple[int, ...]
+    axes: tuple[int, ...]
+    fused: tuple[int, ...]
+    subscripts: tuple[list[int], ...]
+
+    def operands(self, mat: np.ndarray) -> list:
+        op = mat.reshape(self.legs).transpose(self.axes).reshape(self.fused)
+        return [x for sub in self.subscripts for x in (op, sub)] + [[]]
+
+
+def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
     n = len(dims)
     if n != t.n:
         raise ShapeError(f"{n} dims for an {t.n}-subsystem tuple")
@@ -249,14 +261,25 @@ def evaluate_fast(t: PermTuple, rho, dims: Sequence[int]) -> complex:
         )
     order = [s for members in groups.values() for s in members]
     fused = tuple(prod(dims[s] for s in members) for members in groups.values())
-    legs = as_operator(rho, dims).reshape(dims + dims)
-    legs = legs.transpose(order + [n + s for s in order]).reshape(fused + fused)
-    operands = []
-    for c in range(t.k):
-        rows = [sigma[c] * m + j for j, sigma in enumerate(groups)]
-        cols = [c * m + j for j in range(m)]
-        operands += [legs, rows + cols]
-    return complex(np.einsum(*operands, [], optimize="greedy"))
+    subscripts = tuple(
+        [sigma[c] * m + j for j, sigma in enumerate(groups)] + [c * m + j for j in range(m)]
+        for c in range(t.k)
+    )
+    axes = tuple(order + [n + s for s in order])
+    return _Network(dims + dims, axes, fused + fused, subscripts)
+
+
+def evaluate_fast(t: PermTuple, rho, dims: Sequence[int]) -> complex:
+    """Invariant value as one planned contraction of the k copies of rho.
+
+    Fuses the legs of subsystems that share a permutation and sums the k
+    copies in a single ``np.einsum``; never materializes the k-fold tensor
+    power.  Raises ShapeError when the network needs more than the 52
+    index labels einsum has.
+    """
+    dims = tuple(int(d) for d in dims)
+    operands = _network(t, dims).operands(as_operator(rho, dims))
+    return complex(np.einsum(*operands, optimize="greedy"))
 
 
 def reduced_power_label(n: int, keep: Sequence[int], k: int) -> PermTuple:
@@ -281,6 +304,29 @@ def pure_jk(state: Tensor, bipartition, k: int) -> float:
     return float(np.sum(form.sigma ** (2 * k)))
 
 
+def _max_deviations(
+    values_fn: Callable[[Tensor], list], rho, dims: Sequence[int], trials: int, seed
+) -> list[float]:
+    """Per-entry max relative change of ``values_fn`` under local unitaries.
+
+    Trial i draws its unitaries from child i of ``SeedSequence(seed)`` and
+    rotates rho once; every value is taken on that one rotated operator.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    dims = tuple(int(d) for d in dims)
+    rho_t = Tensor._wrap(as_operator(rho, dims))
+    bases = [complex(v) for v in values_fn(rho_t)]
+    scales = [max(abs(b), 1e-300) for b in bases]
+    worst = [0.0] * len(bases)
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        us = random_local_unitary(dims, seed=child)
+        values = values_fn(apply_local_unitary(rho_t, dims, us))
+        for i, (value, base, scale) in enumerate(zip(values, bases, scales)):
+            worst[i] = max(worst[i], abs(complex(value) - base) / scale)
+    return worst
+
+
 def max_unitary_deviation(
     value_fn: Callable[[Tensor], complex],
     rho,
@@ -289,26 +335,31 @@ def max_unitary_deviation(
     seed=0,
 ) -> float:
     """Max relative change of ``value_fn`` under random local unitaries."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    return _max_deviations(lambda r: [value_fn(r)], rho, dims, trials, seed)[0]
+
+
+def verify_classes(
+    tuples: Sequence[PermTuple], rho, dims: Sequence[int], trials: int = 20, seed=0
+) -> list[float]:
+    """:func:`verify_invariance` of every tuple on one set of Haar trials.
+
+    Each trial draws its local unitaries and rotates rho once for all the
+    tuples.  Each tuple's network is built, and its einsum path planned,
+    once on the unrotated operator and reused for every trial.
+    """
     dims = tuple(int(d) for d in dims)
-    rho_t = Tensor._wrap(as_operator(rho, dims))
-    base = complex(value_fn(rho_t))
-    scale = max(abs(base), 1e-300)
-    children = np.random.SeedSequence(seed).spawn(trials)
-    worst = 0.0
-    for child in children:
-        us = random_local_unitary(dims, seed=child)
-        rotated = apply_local_unitary(rho_t, dims, us)
-        dev = abs(complex(value_fn(rotated)) - base) / scale
-        worst = max(worst, dev)
-    return worst
+    nets = [_network(t, dims) for t in tuples]
+    mat = as_operator(rho, dims)
+    paths = [np.einsum_path(*net.operands(mat), optimize="greedy")[0] for net in nets]
+
+    def values(r: Tensor) -> list[complex]:
+        return [np.einsum(*net.operands(r.data), optimize=p) for net, p in zip(nets, paths)]
+
+    return _max_deviations(values, rho, dims, trials, seed)
 
 
 def verify_invariance(
     t: PermTuple, rho, dims: Sequence[int], trials: int = 20, seed=0
 ) -> float:
     """Empirical invariance check: max relative deviation over Haar trials."""
-    return max_unitary_deviation(
-        lambda r: evaluate_fast(t, r, dims), rho, dims, trials=trials, seed=seed
-    )
+    return verify_classes([t], rho, dims, trials=trials, seed=seed)[0]

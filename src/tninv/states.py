@@ -266,12 +266,24 @@ def bipartition_density(rho, dims: Sequence[int], keep: Sequence[int]):
 
 
 def apply_local_unitary(rho, dims: Sequence[int], unitaries) -> Tensor:
-    """Conjugate a density operator by a tensor product of local unitaries."""
+    """Conjugate a density operator by a tensor product of local unitaries.
+
+    U_s multiplies row leg s alone, one matrix product per subsystem, so
+    the d^n x d^n Kronecker product is never formed: O(n d D^2) instead of
+    O(D^3) for D = prod(dims).  The column legs take the same row pass,
+    through U rho U^H = (U (U rho)^H)^H.
+    """
     dims = tuple(int(d) for d in dims)
     if len(unitaries) != len(dims):
         raise ShapeError(f"{len(unitaries)} unitaries for {len(dims)} subsystems")
-    full = unitaries[0]
-    for u in unitaries[1:]:
-        full = np.kron(full, u)
-    mat = as_operator(rho, dims)
-    return Tensor._wrap(full @ mat @ full.conj().T)
+    for u, d in zip(unitaries, dims):
+        if np.shape(u) != (d, d):
+            raise ShapeError(f"unitary of shape {np.shape(u)} on a subsystem of dim {d}")
+    full = prod(dims)
+
+    def rows_adjoint(mat):  # (U mat)^H, U applied one row leg at a time
+        for s, u in enumerate(unitaries):
+            mat = np.matmul(u, mat.reshape(prod(dims[:s]), dims[s], -1))
+        return np.conjugate(mat.reshape(full, full).T, order="C")
+
+    return Tensor._wrap(rows_adjoint(rows_adjoint(as_operator(rho, dims))))

@@ -246,6 +246,37 @@ def test_entropy_non_finite_alpha_exits_2(bell_path, capsys):
         assert captured.err.startswith("error: alpha") and captured.err.count("\n") == 1
 
 
+def test_entropy_alpha_past_einsum_limit_skips_crosscheck(tmp_path, capsys):
+    psi = random_pure_state((2,) * 3, seed=12)
+    path = tmp_path / "r3.json"
+    save_state(StateData.pure(psi), path)
+    mat = psi.data.reshape(2, 4)
+    p_max = float(np.max(np.linalg.svd(mat, compute_uv=False)) ** 2)
+    args = ["entropy", str(path), "--keep", "0", "--json", "--alpha"]
+    assert main(args + ["1e308"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["values"]["S_1e+308"] == pytest.approx(-np.log(p_max), rel=1e-12)
+    assert doc["diagnostics"] == {"crosscheck_skipped": [1e308]}
+    # 26 is the highest order whose cycle | e label fits einsum's 52 indices
+    assert main(args + ["26,27,30"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["crosscheck_skipped"] == [27.0, 30.0]
+    assert doc["diagnostics"]["crosscheck_dev_26"] <= 1e-9
+    assert set(doc["values"]) == {"S_vn", "S_26", "S_27", "S_30"}
+    assert main(["entropy", str(path), "--keep", "0", "--alpha", "30"]) == 0
+    assert "cross-check skipped" in capsys.readouterr().out
+
+
+def test_entropy_unparsable_option_is_named(bell_path, capsys):
+    for option, text in (("--keep", "a"), ("--keep", "0.5"), ("--alpha", "2,,3")):
+        args = ["entropy", bell_path, "--keep", "0", option, text]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {option} ") and captured.err.count("\n") == 1
+        assert repr(text) in captured.err
+
+
 # ------------------------------------------------------------- determinism
 
 

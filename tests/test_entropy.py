@@ -84,6 +84,24 @@ def test_renyi_rejects_bad_alpha():
             renyi(s, alpha)
 
 
+def test_renyi_large_alpha_tends_to_min_entropy():
+    # sum p^alpha underflows to 0 here, which read as S = inf
+    two = Spectrum(np.array([0.6, 0.4]))
+    a = 1e4
+    assert renyi(two, a) == pytest.approx(-a / (a - 1) * np.log(0.6), rel=1e-12)
+    # alpha * ln(p_max) overflows once p_max < exp(-1.8); S_alpha -> -ln p_max
+    assert renyi(Spectrum(np.full(8, 1 / 8)), 1e308) == pytest.approx(np.log(8), rel=1e-12)
+    p = RNG.dirichlet(np.ones(16))
+    assert renyi(Spectrum(p), 1e308) == pytest.approx(-np.log(p.max()), rel=1e-12)
+
+
+def test_renyi_moderate_alpha_matches_direct_sum():
+    p = RNG.dirichlet(np.ones(6))
+    for alpha in (0.3, 0.5, 2, 3, 7.2, 30):
+        direct = np.log(np.sum(p**alpha)) / (1 - alpha)
+        assert renyi(Spectrum(p), alpha) == pytest.approx(direct, rel=1e-12)
+
+
 def test_renyi_monotone_in_alpha():
     for _ in range(100):
         s = random_spectrum(5)

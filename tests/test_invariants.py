@@ -1,12 +1,16 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tninv import perms
+from tninv import invariants, perms
 from tninv import (
     PermTuple,
+    StateData,
+    Tensor,
     ShapeError,
     canonicalize,
     conjugate_tuple,
@@ -22,10 +26,13 @@ from tninv import (
     permutation_operator,
     pure_jk,
     reduced_power_label,
+    verify_classes,
     verify_invariance,
     random_pure_state,
     density_from_pure,
+    save_state,
 )
+from tninv.cli import VERIFY_THRESHOLD, main
 
 RNG = np.random.default_rng(991)
 
@@ -536,6 +543,85 @@ def test_non_invariant_control_detected():
 
     dev = max_unitary_deviation(value, rho, (2, 2), trials=10, seed=5)
     assert dev > 1e-6
+
+
+def test_verify_classes_matches_per_class_loop():
+    dims = (2, 3, 2)
+    rho = random_density(12, np.random.default_rng(232))
+    tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(3, k)]
+    devs = verify_classes(tuples, rho, dims, trials=4, seed=23)
+    assert len(devs) == len(tuples) == 1 + 8 + 49
+    for t, dev in zip(tuples, devs):
+        want = max_unitary_deviation(
+            lambda r: evaluate_fast(t, r, dims), rho, dims, trials=4, seed=23
+        )
+        assert abs(dev - want) <= 1e-12, t.label()
+        assert dev <= 1e-9, t.label()
+
+
+def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatch):
+    calls = {"draw": 0, "rotate": 0, "plan": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "random_local_unitary",
+                        counting("draw", invariants.random_local_unitary))
+    monkeypatch.setattr(invariants, "apply_local_unitary",
+                        counting("rotate", invariants.apply_local_unitary))
+    monkeypatch.setattr(invariants.np, "einsum_path", counting("plan", np.einsum_path))
+    tuples = [c.representative for c in enumerate_invariants(3, 3)]
+    verify_classes(tuples, random_density(8), (2, 2, 2), trials=3, seed=4)
+    assert calls == {"draw": 3, "rotate": 3, "plan": len(tuples)}
+
+
+def _verify_cli(tmp_path, dims, k, *extra):
+    rho = random_density(math.prod(dims), np.random.default_rng(77))
+    path = tmp_path / "rho.json"
+    save_state(StateData.density(Tensor(rho), dims), path)
+    return main(["invariants", "verify", str(path), "-k", str(k), *extra])
+
+
+def test_verify_cli_same_seed_same_output(tmp_path, capsys):
+    for extra in ((), ("--json",)):
+        outs = []
+        for _ in range(2):
+            assert _verify_cli(tmp_path, (2, 3, 2), 3, "--trials", "3", "--seed", "5", *extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
+def test_verify_cli_json_labels_order_and_keys(tmp_path, capsys):
+    labels = [c.label() for c in enumerate_invariants(3, 3)]
+    assert _verify_cli(tmp_path, (2, 2, 2), 3, "--trials", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  deviation=")[0] for line in lines[:-1]] == labels
+    assert lines[-1].startswith("max deviation: ")
+    assert _verify_cli(tmp_path, (2, 2, 2), 3, "--trials", "2", "--json") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["values"]) == sorted(labels)
+    assert set(doc["diagnostics"]) == {"max_deviation", "threshold"}
+    assert doc["diagnostics"]["threshold"] == VERIFY_THRESHOLD
+    assert doc["diagnostics"]["max_deviation"] == max(doc["values"].values()) <= 1e-9
+    assert doc["exit_code"] == 0 and doc["command"] == "invariants verify"
+
+
+def test_verify_memory_does_not_grow_with_trials(tmp_path, capsys):
+    dims = (2,) * 6
+    _verify_cli(tmp_path, dims, 2, "--trials", "1")  # warm caches and imports
+    peaks = {}
+    for trials in (2, 40):
+        tracemalloc.start()
+        try:
+            assert _verify_cli(tmp_path, dims, 2, "--trials", str(trials)) == 0
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[40] - peaks[2] < 64 * 64 * 16  # one complex 64 x 64 operator
 
 
 # ---------------------------------------------------- single-subsystem laws

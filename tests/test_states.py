@@ -175,6 +175,22 @@ def test_random_local_unitary_roundtrip_on_state():
     assert np.max(np.abs(back.data - rho.data)) < 1e-12
 
 
+def test_apply_local_unitary_matches_kron():
+    dims = (2, 3, 4)
+    rng = np.random.default_rng(31)
+    op = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
+    us = random_local_unitary(dims, seed=5)
+    full = np.kron(np.kron(us[0], us[1]), us[2])
+    want = full @ op @ full.conj().T
+    got = apply_local_unitary(op, dims, us)
+    assert got.dims == (24, 24)
+    assert np.max(np.abs(got.data - want)) < 1e-12
+    with pytest.raises(ShapeError):
+        apply_local_unitary(op, dims, us[::-1])  # a 4 x 4 factor on the qubit
+    with pytest.raises(ShapeError):
+        apply_local_unitary(op, dims, us[:2])
+
+
 def test_random_local_unitary_phase_uniformity():
     # first moment of the entry phases vanishes for a Haar ensemble
     total = 0.0 + 0.0j
