@@ -30,6 +30,7 @@ from .invariants import (
     permutation_operator,
     evaluate,
     evaluate_fast,
+    evaluate_many,
     is_real_guaranteed,
     verify_invariance,
     verify_classes,

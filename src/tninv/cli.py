@@ -161,6 +161,7 @@ def cmd_invariants(args) -> CommandResult:
 def cmd_entropy(args) -> CommandResult:
     res = CommandResult(command="entropy")
     data = _load(args.state)
+    n = len(data.dims)
     try:
         keep = sorted({int(s) for s in args.keep.split(",") if s.strip() != ""})
     except ValueError:
@@ -169,37 +170,45 @@ def cmd_entropy(args) -> CommandResult:
         ) from None
     if not keep:
         raise ShapeError("--keep must name at least one subsystem")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ShapeError(f"--keep {args.keep!r} is out of range: subsystems are 0..{n - 1}")
     try:
         alphas = [float(a) for a in args.alpha.split(",")] if args.alpha else [2.0, 3.0]
     except ValueError:
         raise ValueError(f"--alpha takes comma-separated numbers, got {args.alpha!r}") from None
 
-    rho = _density_of(data)
-    reduced = states.partial_trace(rho, data.dims, keep)
-    spec = entropy.Spectrum.from_density(reduced)
+    # The file's kind picks the route; a pure state never becomes rho.
+    if data.kind == "pure":
+        spec = entropy.Spectrum.from_pure(data.tensor, data.dims, keep)
+    else:
+        spec = entropy.Spectrum.from_density(states.partial_trace(data.tensor, data.dims, keep))
 
     svn = entropy.von_neumann(spec)
     res.values["S_vn"] = svn
     res.add(f"S_vn = {_fmt(svn)}")
+    s_alphas = [svn if alpha == 1 else entropy.renyi(spec, alpha) for alpha in alphas]
+
+    # Cross-check integer orders through tr(rho_keep^k), contracted from the
+    # state itself; a cycle | e label needs 2k einsum indices.
+    checked = [a for a in alphas if a == int(a) and a >= 2 and n > len(keep)]
+    orders = [int(a) for a in checked if 2 * a <= invariants.EINSUM_LABELS]
+    labels = [invariants.reduced_power_label(n, keep, k) for k in orders]
+    traces = dict(zip(orders, invariants.evaluate_many(labels, data, data.dims)))
 
     worst, skipped = 0.0, []
-    for alpha in alphas:
-        s_alpha = svn if alpha == 1 else entropy.renyi(spec, alpha)
+    for alpha, s_alpha in zip(alphas, s_alphas):
         key = f"S_{alpha:g}"
         res.values[key] = s_alpha
         line = f"{key} = {_fmt(s_alpha)}"
-        crosscheck = alpha == int(alpha) and alpha >= 2 and len(keep) < len(data.dims)
-        if crosscheck and 2 * alpha > invariants.EINSUM_LABELS:  # cycle | e: 2 alpha labels
+        if alpha in traces:
+            k = int(alpha)
+            dev = abs(entropy.renyi_from_invariant(traces[k].real, k) - s_alpha)
+            worst = max(worst, dev)
+            res.diagnostics[f"crosscheck_dev_{k}"] = dev
+            line += f"  (invariant cross-check dev={_fmt(dev)})"
+        elif alpha in checked:
             skipped.append(alpha)
             line += "  (invariant cross-check skipped: order too high for einsum)"
-        elif crosscheck:
-            t = invariants.reduced_power_label(len(data.dims), keep, int(alpha))
-            val = invariants.evaluate_fast(t, rho, data.dims)
-            s_inv = entropy.renyi_from_invariant(val.real, t.k)
-            dev = abs(s_inv - s_alpha)
-            worst = max(worst, dev)
-            res.diagnostics[f"crosscheck_dev_{t.k}"] = dev
-            line += f"  (invariant cross-check dev={_fmt(dev)})"
         res.add(line)
     if skipped:
         res.diagnostics["crosscheck_skipped"] = skipped

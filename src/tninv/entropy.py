@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import as_operator
+from .states import as_operator, cut_matrix
 
 CLAMP_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -42,6 +42,20 @@ class Spectrum:
     def from_density(cls, rho) -> "Spectrum":
         mat = as_operator(rho)
         return cls(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0))
+
+    @classmethod
+    def from_pure(cls, psi, dims, keep) -> "Spectrum":
+        """Spectrum of a pure state's reduced operator on ``keep``.
+
+        With psi bent across the cut into M (d_keep x d_rest), the reduced
+        operator is M M^H.  M^H M has the same nonzero eigenvalues, so the
+        Gram matrix of the smaller side is diagonalised: keeping every
+        subsystem costs a 1 x 1 matrix, and |psi><psi| is never formed.
+        The zeros this leaves out change no entropy.
+        """
+        mat = cut_matrix(psi, dims, keep)
+        gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
+        return cls.from_density(gram)
 
 
 def renyi(spectrum: Spectrum, alpha: float) -> float:

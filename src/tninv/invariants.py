@@ -6,25 +6,26 @@ subsystem.  Tuples related by relabeling the identical copies (conjugating
 every permutation by the same element) give the same number, so classes
 are enumerated up to simultaneous conjugation.
 
-The value is computed one way in production: :func:`evaluate_fast` and
-:func:`verify_classes` contract the whole network in one ``np.einsum``,
-built by the same fused-leg network builder.  :func:`evaluate` builds
-the k-fold tensor power and the permutation matrix explicitly and is kept
-only as the reference that tests compare against.
+The value is computed one way in production: :func:`evaluate_fast`,
+:func:`evaluate_many` and :func:`verify_classes` contract the whole
+network in one ``np.einsum``, built by the same fused-leg network builder
+from an operator or, for a pure state, from copies of psi and conj(psi).
+:func:`evaluate` builds the k-fold tensor power and the permutation matrix
+explicitly and is kept only as the reference that tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, log, prod
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import perms
 from .decompose import schmidt
 from .tensor import Tensor, ShapeError
-from .states import apply_local_unitary, as_operator, random_local_unitary
+from .states import StateData, apply_local_unitary, as_operator, random_local_unitary
 
 # Most (k!)^n tuples enumerate_invariants visits.  Time grows with the class
 # count; on one core, (3,5) (1.7e6 tuples, 14721 classes) and (4,4) (3.3e5,
@@ -225,6 +226,25 @@ def evaluate(t: PermTuple, rho, dims: Sequence[int]) -> complex:
     return complex(np.einsum("ij,ji->", op, power))
 
 
+class _Operand(NamedTuple):
+    """What a network's copies are cut from: psi (``pure``) or an operator."""
+
+    pure: bool
+    array: np.ndarray
+
+
+def _operand(state, dims: tuple[int, ...]) -> _Operand:
+    """A pure StateData as psi itself; anything else as its square matrix."""
+    if isinstance(state, StateData):
+        if state.kind == "pure":
+            psi = state.tensor.data
+            if psi.size != prod(dims):
+                raise ShapeError(f"state of size {psi.size} does not match dims {dims}")
+            return _Operand(True, psi)
+        state = state.tensor
+    return _Operand(False, as_operator(state, dims))
+
+
 @dataclass(frozen=True)
 class _Network:
     """The fused-leg einsum of one label on one set of subsystem dims.
@@ -233,7 +253,9 @@ class _Network:
     legs are fused into one: the operator's ``dims + dims`` legs are
     transposed by ``axes`` and reshaped to ``fused``.  Over the m fused
     groups, copy c carries row labels sigma_j(c) * m + j and column labels
-    c * m + j; ``subscripts`` holds one rows + cols list per copy.
+    c * m + j; ``subscripts`` holds one rows + cols list per copy.  For a
+    pure state, rho = |psi><psi| splits copy c into psi with its row labels
+    and conj(psi) with its column labels: 2k operands the size of psi.
     """
 
     legs: tuple[int, ...]
@@ -241,9 +263,27 @@ class _Network:
     fused: tuple[int, ...]
     subscripts: tuple[list[int], ...]
 
-    def operands(self, mat: np.ndarray) -> list:
-        op = mat.reshape(self.legs).transpose(self.axes).reshape(self.fused)
-        return [x for sub in self.subscripts for x in (op, sub)] + [[]]
+    def fuse(self, src: _Operand) -> tuple[np.ndarray, ...]:
+        """``src`` with its legs moved into group order and fused.
+
+        Returns the fused operator alone, or psi and conj(psi) fused.
+        """
+        if src.pure:  # psi has the row legs only
+            n, m = len(self.legs) // 2, len(self.fused) // 2
+            ket = src.array.reshape(self.legs[:n]).transpose(self.axes[:n]).reshape(self.fused[:m])
+            return ket, ket.conj()
+        return (src.array.reshape(self.legs).transpose(self.axes).reshape(self.fused),)
+
+    def operands(self, fused: tuple[np.ndarray, ...]) -> list:
+        """Arguments of ``np.einsum`` for what :meth:`fuse` returned."""
+        if len(fused) == 2:  # psi takes each copy's rows, conj(psi) its columns
+            ket, bra = fused
+            m = len(self.fused) // 2
+            return [x for sub in self.subscripts for x in (ket, sub[:m], bra, sub[m:])] + [[]]
+        return [x for sub in self.subscripts for x in (fused[0], sub)] + [[]]
+
+    def contract(self, fused: tuple[np.ndarray, ...], optimize="greedy") -> complex:
+        return complex(np.einsum(*self.operands(fused), optimize=optimize))
 
 
 def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
@@ -269,17 +309,37 @@ def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
     return _Network(dims + dims, axes, fused + fused, subscripts)
 
 
-def evaluate_fast(t: PermTuple, rho, dims: Sequence[int]) -> complex:
+def evaluate_many(tuples: Sequence[PermTuple], state, dims: Sequence[int]) -> list[complex]:
+    """:func:`evaluate_fast` of every tuple, in order.
+
+    Consecutive tuples that group the subsystems alike share one fused
+    operand, so the reduced powers of one cut (:func:`reduced_power_label`
+    at several orders) transpose the operator once.
+    """
+    dims = tuple(int(d) for d in dims)
+    nets = [_network(t, dims) for t in tuples]
+    src = _operand(state, dims)
+    values, key, fused = [], None, None
+    for net in nets:
+        if (net.axes, net.fused) != key:
+            key, fused = (net.axes, net.fused), net.fuse(src)
+        values.append(net.contract(fused))
+    return values
+
+
+def evaluate_fast(t: PermTuple, state, dims: Sequence[int]) -> complex:
     """Invariant value as one planned contraction of the k copies of rho.
 
     Fuses the legs of subsystems that share a permutation and sums the k
     copies in a single ``np.einsum``; never materializes the k-fold tensor
-    power.  Raises ShapeError when the network needs more than the 52
+    power.  ``state`` is an operator, or a StateData: a pure one is
+    contracted as k copies of psi and k of conj(psi), so rho is never
+    formed.  Raises ShapeError when the network needs more than the 52
     index labels einsum has.
     """
     dims = tuple(int(d) for d in dims)
-    operands = _network(t, dims).operands(as_operator(rho, dims))
-    return complex(np.einsum(*operands, optimize="greedy"))
+    net = _network(t, dims)
+    return net.contract(net.fuse(_operand(state, dims)))
 
 
 def reduced_power_label(n: int, keep: Sequence[int], k: int) -> PermTuple:
@@ -349,11 +409,12 @@ def verify_classes(
     """
     dims = tuple(int(d) for d in dims)
     nets = [_network(t, dims) for t in tuples]
-    mat = as_operator(rho, dims)
-    paths = [np.einsum_path(*net.operands(mat), optimize="greedy")[0] for net in nets]
+    src = _operand(rho, dims)
+    paths = [np.einsum_path(*net.operands(net.fuse(src)), optimize="greedy")[0] for net in nets]
 
     def values(r: Tensor) -> list[complex]:
-        return [np.einsum(*net.operands(r.data), optimize=p) for net, p in zip(nets, paths)]
+        rotated = _operand(r, dims)
+        return [net.contract(net.fuse(rotated), optimize=p) for net, p in zip(nets, paths)]
 
     return _max_deviations(values, rho, dims, trials, seed)
 

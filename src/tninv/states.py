@@ -221,6 +221,37 @@ def as_operator(rho, dims=None) -> np.ndarray:
     return arr.reshape(d, d)
 
 
+def _checked_keep(keep: Sequence[int], n: int) -> list[int]:
+    """``keep`` as ascending distinct subsystem positions of an n-subsystem state.
+
+    Raises ShapeError when it is empty or names a position outside 0..n-1;
+    a negative position is refused, not counted from the end.
+    """
+    keep = sorted(set(int(i) for i in keep))
+    if not keep:
+        raise ShapeError("keep must name at least one subsystem")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ShapeError(f"keep {keep} out of range for {n} subsystems (0..{n - 1})")
+    return keep
+
+
+def cut_matrix(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """A pure state's components as the d_keep x d_rest matrix M of a cut.
+
+    Rows run over the subsystems in ``keep`` (ascending), columns over the
+    rest, so the reduced operator on ``keep`` is M M^H.  The result has the
+    size of psi; |psi><psi| is never formed.
+    """
+    dims = tuple(int(d) for d in dims)
+    keep = _checked_keep(keep, len(dims))
+    arr = psi.data if isinstance(psi, Tensor) else np.asarray(psi)
+    if arr.size != prod(dims):
+        raise ShapeError(f"state of size {arr.size} does not match dims {dims}")
+    rest = [i for i in range(len(dims)) if i not in keep]
+    d_keep = prod(dims[i] for i in keep)
+    return arr.reshape(dims).transpose(keep + rest).reshape(d_keep, -1)
+
+
 def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> Tensor:
     """Trace out every subsystem not in ``keep``.
 
@@ -229,11 +260,7 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> Tensor:
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ShapeError("keep must be nonempty")
-    if any(i < 0 or i >= n for i in keep):
-        raise ShapeError(f"keep {keep} out of range for {n} subsystems")
+    keep = _checked_keep(keep, n)
     arr = as_operator(rho, dims).reshape(dims + dims)
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
@@ -252,9 +279,7 @@ def bipartition_density(rho, dims: Sequence[int], keep: Sequence[int]):
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep or any(i < 0 or i >= n for i in keep):
-        raise ShapeError(f"bad keep set {keep} for {n} subsystems")
+    keep = _checked_keep(keep, n)
     rest = [i for i in range(n) if i not in keep]
     order = keep + rest
     arr = as_operator(rho, dims).reshape(dims + dims)

@@ -1,8 +1,11 @@
+import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tninv import invariants
 from tninv import (
     StateData,
     Tensor,
@@ -275,6 +278,118 @@ def test_entropy_unparsable_option_is_named(bell_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: {option} ") and captured.err.count("\n") == 1
         assert repr(text) in captured.err
+
+
+def _pure_and_density_files(tmp_path, dims, seed):
+    psi = random_pure_state(dims, seed=seed)
+    pure, rho = tmp_path / "pure.json", tmp_path / "rho.json"
+    save_state(StateData.pure(psi), pure)
+    save_state(StateData.density(density_from_pure(psi), dims), rho)
+    return psi, str(pure), str(rho)
+
+
+def _entropy_json(capsys, path, *args):
+    assert main(["entropy", path, "--json", *args]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_entropy_pure_and_density_files_agree(tmp_path, capsys):
+    # every nonempty cut of (2, 3, 2, 2), d_keep > d_rest included
+    _, pure, rho = _pure_and_density_files(tmp_path, (2, 3, 2, 2), seed=41)
+    for r in range(1, 5):
+        for keep in itertools.combinations(range(4), r):
+            arg = ",".join(map(str, keep))
+            a = _entropy_json(capsys, pure, "--keep", arg)
+            b = _entropy_json(capsys, rho, "--keep", arg)
+            assert a.keys() == b.keys() and a["exit_code"] == b["exit_code"] == 0
+            for part in ("values", "diagnostics"):
+                assert a[part].keys() == b[part].keys(), keep
+                for key, value in a[part].items():
+                    assert abs(value - b[part][key]) <= 1e-12, (keep, key)
+            assert ("crosscheck_dev_2" in a["diagnostics"]) == (r < 4)
+
+
+def test_entropy_keep_out_of_range_same_message_for_both_kinds(tmp_path, capsys):
+    _, pure, rho = _pure_and_density_files(tmp_path, (2, 3, 2), seed=42)
+    for keep in ("-1", "99", "0,-1"):
+        errs = []
+        for path in (pure, rho):
+            assert main(["entropy", path, "--keep", keep]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"error: --keep {keep!r} ") and "0..2" in errs[0]
+
+
+def test_entropy_repeated_keep_is_one_subsystem(tmp_path, capsys):
+    _, pure, rho = _pure_and_density_files(tmp_path, (2, 3, 2), seed=43)
+    for path in (pure, rho):
+        assert main(["entropy", path, "--keep", "0,0"]) == 0
+        twice = capsys.readouterr().out
+        assert main(["entropy", path, "--keep", "0"]) == 0
+        assert capsys.readouterr().out == twice
+
+
+def test_entropy_keep_all_is_zero_without_crosscheck(tmp_path, capsys):
+    _, pure, rho = _pure_and_density_files(tmp_path, (2, 3, 2), seed=44)
+    for path in (pure, rho):
+        doc = _entropy_json(capsys, path, "--keep", "2,0,1", "--alpha", "2,3,4")
+        assert set(doc["values"]) == {"S_vn", "S_2", "S_3", "S_4"}
+        assert all(abs(v) < 1e-10 for v in doc["values"].values())
+        assert doc["diagnostics"] == {}
+    path = tmp_path / "q10.json"
+    save_state(StateData.pure(random_pure_state((2,) * 10, seed=44)), path)
+    tracemalloc.start()
+    try:
+        assert main(["entropy", str(path), "--keep", ",".join(map(str, range(10)))]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith("S_vn = ")
+    assert peak < 2 * 2**20  # the 1024 x 1024 rho alone is 16 MB
+
+
+def test_entropy_fuses_operator_once_per_keep(tmp_path, capsys, monkeypatch):
+    psi, pure, rho = _pure_and_density_files(tmp_path, (2, 3, 2, 2), seed=45)
+    calls = []
+    fuse = invariants._Network.fuse
+
+    def spy(net, src):
+        calls.append(src.pure)
+        return fuse(net, src)
+
+    monkeypatch.setattr(invariants._Network, "fuse", spy)
+    for path, pure_route in ((rho, False), (pure, True)):
+        calls.clear()
+        # keep 1,3 is not a prefix, so fusing the operator transposes it
+        doc = _entropy_json(capsys, path, "--keep", "1,3", "--alpha", "2,3,4")
+        assert calls == [pure_route]
+        mat = np.transpose(psi.data, (1, 3, 0, 2)).reshape(6, 4)
+        p = np.linalg.svd(mat, compute_uv=False) ** 2
+        for k in (2, 3, 4):
+            want = np.log(np.sum(p**k)) / (1 - k)
+            assert doc["values"][f"S_{k}"] == pytest.approx(want, abs=1e-12)
+            assert doc["diagnostics"][f"crosscheck_dev_{k}"] <= 1e-12
+
+
+def test_entropy_pure_input_never_forms_rho(tmp_path, capsys):
+    psi = random_pure_state((2,) * 12, seed=46)
+    path = tmp_path / "q12.json"
+    save_state(StateData.pure(psi), path)
+    tracemalloc.start()
+    try:
+        rc = main(["entropy", str(path), "--keep", "0,5,11", "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert peak < 16 * 2**20  # its 4096 x 4096 rho alone would be 256 MB
+    mat = np.transpose(psi.data, [0, 5, 11, 1, 2, 3, 4, 6, 7, 8, 9, 10]).reshape(8, 512)
+    p = np.linalg.svd(mat, compute_uv=False) ** 2
+    assert doc["values"]["S_2"] == pytest.approx(-np.log(np.sum(p**2)), abs=1e-10)
+    assert doc["diagnostics"]["crosscheck_dev_3"] <= 1e-9
 
 
 # ------------------------------------------------------------- determinism

@@ -32,6 +32,24 @@ def random_reduced(d, environment, seed):
 # ---------------------------------------------------------------- Spectrum
 
 
+def test_spectrum_from_pure_uses_smaller_side():
+    psi = random_pure_state((2, 3, 2), seed=71)
+    rho = density_from_pure(psi)
+    for keep, rest, size in (([0], [1, 2], 2), ([1, 2], [0], 2), ([1], [0, 2], 3)):
+        spec = Spectrum.from_pure(psi, (2, 3, 2), keep)
+        assert spec.probs.size == size
+        dense = Spectrum.from_density(partial_trace(rho, (2, 3, 2), keep))
+        assert von_neumann(spec) == pytest.approx(von_neumann(dense), abs=1e-12)
+        # the Schmidt spectrum has no rounding-level eigenvalues where d_keep
+        # > d_rest; below order 1 those would move the density route by 1e-8
+        ref = Spectrum(schmidt(psi, (keep, rest)).sigma ** 2)
+        for alpha in (0.5, 2, 3):
+            assert renyi(spec, alpha) == pytest.approx(renyi(ref, alpha), abs=1e-12)
+    whole = Spectrum.from_pure(psi, (2, 3, 2), [0, 1, 2])
+    assert whole.probs.size == 1 and von_neumann(whole) == pytest.approx(0.0, abs=1e-15)
+
+
+
 def test_spectrum_clamps_small_negatives():
     s = Spectrum([1.0, -1e-13, 1e-13])
     assert np.all(s.probs >= 0.0)

@@ -19,6 +19,7 @@ from tninv import (
     enumerate_invariants,
     evaluate,
     evaluate_fast,
+    evaluate_many,
     format_label,
     is_real_guaranteed,
     max_unitary_deviation,
@@ -355,6 +356,48 @@ def test_evaluate_fast_label_limit():
     shared = parse_label("6; " + " | ".join(["(123456)"] * 5 + ["e"] * 5))
     val = evaluate_fast(shared, density_from_pure(psi), (2,) * 10)
     assert abs(val - pure_jk(psi, (list(range(5)), list(range(5, 10))), 6)) < 1e-12
+
+
+def test_evaluate_fast_pure_form_matches_rho_form():
+    psi = random_pure_state((2, 3, 2), seed=61)
+    rho = density_from_pure(psi)
+    # the same state read as 1, 2 and 3 subsystems
+    for dims in ((12,), (2, 6), (2, 3, 2)):
+        pure = StateData.pure(psi, dims)
+        for k in (1, 2, 3):
+            for c in enumerate_invariants(len(dims), k):
+                t = c.representative
+                want = evaluate_fast(t, rho, dims)
+                got = evaluate_fast(t, pure, dims)
+                assert abs(got - want) <= 1e-12 * abs(want), (dims, t.label())
+    pure = StateData.pure(psi)
+    for keep, rest in (([0], [1, 2]), ([1], [0, 2]), ([0, 2], [1]), ([1, 2], [0])):
+        for k in (1, 2, 3):
+            val = evaluate_fast(reduced_power_label(3, keep, k), pure, (2, 3, 2))
+            assert abs(val - pure_jk(psi, (keep, rest), k)) <= 1e-12
+
+
+def test_evaluate_fast_pure_form_checks_size():
+    pure = StateData.pure(random_pure_state((2, 2), seed=62))
+    with pytest.raises(ShapeError):
+        evaluate_fast(PermTuple(2, ((1, 0), (1, 0))), pure, (2, 3))
+
+
+def test_evaluate_many_shares_one_fused_operand_per_grouping(monkeypatch):
+    psi = random_pure_state((2, 3, 2), seed=63)
+    labels = [reduced_power_label(3, [1, 2], k) for k in (2, 3, 4)]
+    labels.append(parse_label("2; e | (12) | e"))  # another grouping
+    fused = []
+    fuse = invariants._Network.fuse
+    monkeypatch.setattr(
+        invariants._Network, "fuse", lambda net, src: fused.append(net.axes) or fuse(net, src)
+    )
+    for state in (density_from_pure(psi), StateData.pure(psi)):
+        fused.clear()
+        values = evaluate_many(labels, state, (2, 3, 2))
+        assert len(fused) == 2 and fused[0] != fused[1]
+        assert values == [evaluate_fast(t, state, (2, 3, 2)) for t in labels]
+    assert evaluate_many([], StateData.pure(psi), (2, 3, 2)) == []
 
 
 def test_permutation_operator_swap():

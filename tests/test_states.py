@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tninv.states import cut_matrix
 from tninv import (
     StateData,
     StateFileError,
@@ -251,6 +252,28 @@ def test_partial_trace_rejects_bad_keep():
         partial_trace(rho, (2, 2), [])
     with pytest.raises(ShapeError):
         partial_trace(rho, (2, 2), [2])
+
+
+def test_cut_matrix_gram_is_reduced_operator():
+    psi = random_pure_state((2, 3, 2), seed=17)
+    rho = density_from_pure(psi)
+    for keep in ([0], [1], [0, 2], [2, 0, 2], [0, 1, 2]):
+        mat = cut_matrix(psi, (2, 3, 2), keep)
+        red = partial_trace(rho, (2, 3, 2), keep)
+        assert mat.shape == (red.dims[0], 12 // red.dims[0])
+        assert np.max(np.abs(mat @ mat.conj().T - red.data)) < 1e-14
+
+
+def test_cut_refuses_negative_and_out_of_range_keep():
+    psi = random_pure_state((2, 2), seed=18)
+    rho = density_from_pure(psi)
+    for keep in ([], [-1], [0, 2]):
+        with pytest.raises(ShapeError):
+            cut_matrix(psi, (2, 2), keep)
+        with pytest.raises(ShapeError):
+            partial_trace(rho, (2, 2), keep)
+        with pytest.raises(ShapeError):
+            bipartition_density(rho, (2, 2), keep)
 
 
 def test_bipartition_density_groups_blocks():
