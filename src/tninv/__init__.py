@@ -20,6 +20,7 @@ from .decompose import (
 from .invariants import (
     PermTuple,
     CanonicalClass,
+    ContractionCost,
     parse_label,
     format_label,
     canonicalize,

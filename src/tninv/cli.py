@@ -108,6 +108,11 @@ def _classes_for(args, n):
     return [c.representative for c in invariants.enumerate_invariants(n, args.k)]
 
 
+def _cost_doc(cost: invariants.ContractionCost) -> dict:
+    """Summed FLOPs and largest intermediate (elements) of the compiled programs."""
+    return {"flops": cost.flops, "largest_intermediate": cost.largest}
+
+
 def cmd_invariants(args) -> CommandResult:
     res = CommandResult(command=f"invariants {args.action}")
 
@@ -133,23 +138,28 @@ def cmd_invariants(args) -> CommandResult:
     rho = _density_of(data)
     tuples = _classes_for(args, len(data.dims))
 
+    cost = invariants.ContractionCost()
     if args.action == "eval":
-        for t in tuples:
-            val = invariants.evaluate_fast(t, rho, data.dims)
-            res.values[t.label()] = _jsonable(val)
-            res.add(f"{t.label()} = {_fmt(val)}")
+        vals = invariants.evaluate_many(tuples, rho, data.dims, cost=cost)
+        res.diagnostics["contraction"] = _cost_doc(cost)
+        for t, val in zip(tuples, vals):
+            label = t.label()
+            res.values[label] = _jsonable(val)
+            res.add(f"{label} = {_fmt(val)}")
         return res
 
     # verify
     devs = invariants.verify_classes(
-        tuples, rho, data.dims, trials=args.trials, seed=args.seed
+        tuples, rho, data.dims, trials=args.trials, seed=args.seed, cost=cost
     )
+    res.diagnostics["contraction"] = _cost_doc(cost)
     worst = 0.0
     for t, dev in zip(tuples, devs):
         worst = max(worst, dev)
         status = "ok" if dev <= VERIFY_THRESHOLD else "FAIL"
-        res.values[t.label()] = dev
-        res.add(f"{t.label()}  deviation={_fmt(dev)}  {status}")
+        label = t.label()
+        res.values[label] = dev
+        res.add(f"{label}  deviation={_fmt(dev)}  {status}")
     res.diagnostics["max_deviation"] = worst
     res.diagnostics["threshold"] = VERIFY_THRESHOLD
     if worst > VERIFY_THRESHOLD:

@@ -40,8 +40,15 @@ class Spectrum:
 
     @classmethod
     def from_density(cls, rho) -> "Spectrum":
+        """Eigenvalues of rho's hermitian part.
+
+        Those within ``CLAMP_TOL`` of zero are rounding noise of a
+        rank-deficient operator and read as 0; kept, each would add
+        p^alpha to the Renyi sums below order 1.
+        """
         mat = as_operator(rho)
-        return cls(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0))
+        p = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+        return cls(np.where(np.abs(p) <= CLAMP_TOL, 0.0, p))
 
     @classmethod
     def from_pure(cls, psi, dims, keep) -> "Spectrum":

@@ -7,9 +7,12 @@ every permutation by the same element) give the same number, so classes
 are enumerated up to simultaneous conjugation.
 
 The value is computed one way in production: :func:`evaluate_fast`,
-:func:`evaluate_many` and :func:`verify_classes` contract the whole
-network in one ``np.einsum``, built by the same fused-leg network builder
-from an operator or, for a pure state, from copies of psi and conj(psi).
+:func:`evaluate_many` and :func:`verify_classes` build each label's
+fused-leg network, from an operator or, for a pure state, from copies of
+psi and conj(psi), and compile it once into a program of traces and
+pairwise matrix products, planned greedily over the network's integer
+labels.  Replaying a program is transposes, reshapes and ``@``; no
+``np.einsum`` call and no per-call planning remain on the value path.
 :func:`evaluate` builds the k-fold tensor power and the permutation matrix
 explicitly and is kept only as the reference that tests compare against.
 """
@@ -31,7 +34,10 @@ from .states import StateData, apply_local_unitary, as_operator, random_local_un
 # count; on one core, (3,5) (1.7e6 tuples, 14721 classes) and (4,4) (3.3e5,
 # 14491) take 0.6 s and 11 MB each, (5,4) (8.0e6, 336465) 16 s and 274 MB.
 MAX_TUPLES = 10**7
-EINSUM_LABELS = 52  # np.einsum names its indices with the letters a-z, A-Z
+# Widest network a label may need: the 52 letters np.einsum once named its
+# indices with.  The compiled programs have no such limit; the cap stays so
+# that which labels the CLI accepts does not change.
+EINSUM_LABELS = 52
 
 
 @dataclass(frozen=True)
@@ -245,9 +251,128 @@ def _operand(state, dims: tuple[int, ...]) -> _Operand:
     return _Operand(False, as_operator(state, dims))
 
 
+class _Trace(NamedTuple):
+    """Sum one term over the labels it carries twice."""
+
+    slot: int
+    axes: tuple[int, ...]  # kept axes, then each twice-carried label's first and second axis
+    shape: tuple[int, int, int]  # (kept, traced, traced) elements
+    out: tuple[int, ...]
+
+
+class _Step(NamedTuple):
+    """Slot ``a`` becomes a @ b over the labels they share; slot ``b`` is freed."""
+
+    a: int
+    b: int
+    axes_a: tuple[int, ...]  # a's kept axes, then its shared ones
+    shape_a: tuple[int, int]  # (m, k)
+    axes_b: tuple[int, ...]  # b's shared axes in a's order, then its kept ones
+    shape_b: tuple[int, int]  # (k, n)
+    out: tuple[int, ...]  # a's kept dims, then b's
+
+
+class _Program(NamedTuple):
+    """A network compiled into traces and pairwise matrix products.
+
+    Slot i starts as ``fused[sources[i]]``.  After the traces and steps,
+    the slots in ``result`` hold one scalar per connected part of the
+    network, and the value is their product.  ``flops`` counts two per
+    multiply-add of every product and one per traced entry; ``largest`` is
+    the element count of the biggest intermediate.
+    """
+
+    sources: tuple[int, ...]
+    traces: tuple[_Trace, ...]
+    steps: tuple[_Step, ...]
+    result: tuple[int, ...]
+    flops: int
+    largest: int
+
+    def contract(self, fused: tuple[np.ndarray, ...]) -> complex:
+        ops = [fused[s] for s in self.sources]
+        for slot, axes, shape, out in self.traces:
+            traced = ops[slot].transpose(axes).reshape(shape).trace(axis1=1, axis2=2)
+            ops[slot] = traced.reshape(out)
+        for a, b, axes_a, shape_a, axes_b, shape_b, out in self.steps:
+            mat_a = ops[a].transpose(axes_a).reshape(shape_a)
+            mat_b = ops[b].transpose(axes_b).reshape(shape_b)
+            ops[a] = (mat_a @ mat_b).reshape(out)
+            ops[b] = None
+        return prod(complex(ops[s]) for s in self.result)
+
+
+def _compile(
+    terms: Sequence[Sequence[int]], size: Sequence[int], sources: tuple[int, ...]
+) -> _Program:
+    """Plan the contraction of ``terms``, each label of which occurs exactly twice.
+
+    Labels that one term carries twice are traced out first.  Then, greedily,
+    of the pairs of terms that share a label, the one whose product grows the
+    network least (output minus input elements, then fewest flops) is
+    contracted.  There is no memory cap, so no pair is ever refused.  Only
+    connected pairs are scanned, and each connected part ends as a scalar
+    that :meth:`_Program.contract` multiplies in.  ``size[x]`` is the
+    dimension of label x.
+    """
+    dim = size.__getitem__
+    labels, numel, traces, steps, flops, largest = [], [], [], [], 0, 0
+    for slot, term in enumerate(terms):
+        if len(set(term)) < len(term):
+            first: dict[int, int] = {}  # label -> axis, for the labels seen once so far
+            twice = []  # (first axis, second axis) of each label carried twice
+            for i, x in enumerate(term):
+                if x in first:
+                    twice.append((first.pop(x), i))
+                else:
+                    first[x] = i
+            out = tuple(map(dim, first))
+            outer, inner = prod(out), prod(size[term[i]] for i, _ in twice)
+            axes = (*first.values(), *(i for i, _ in twice), *(j for _, j in twice))
+            traces.append(_Trace(slot, axes, (outer, inner, inner), out))
+            flops, largest, term = flops + outer * inner, max(largest, outer), list(first)
+        labels.append(list(term))
+        numel.append(prod(map(dim, term)))
+    owner: dict[int, tuple[int, int]] = {}  # label -> the two slots that carry it, ascending
+    for slot, term in enumerate(labels):
+        for x in term:
+            owner[x] = owner.get(x, ()) + (slot,)
+    while owner:
+        shared_size: dict[tuple[int, int], int] = {}  # connected pair -> elements they share
+        for x, pair in owner.items():
+            shared_size[pair] = shared_size.get(pair, 1) * size[x]
+        best = None
+        for (a, b), k in shared_size.items():
+            n = numel[b] // k
+            key = (numel[a] // k * n - numel[a] - numel[b], numel[a] * n)
+            if best is None or key < best[0]:
+                best = (key, a, b, k)
+        _, a, b, k = best
+        la, lb = labels[a], labels[b]
+        shared = [x for x in la if x in lb]
+        kept_a = [x for x in la if x not in lb]
+        kept_b = [x for x in lb if x not in la]
+        m, n = numel[a] // k, numel[b] // k
+        steps.append(_Step(
+            a, b,
+            tuple(map(la.index, kept_a + shared)), (m, k),
+            tuple(map(lb.index, shared + kept_b)), (k, n),
+            tuple(map(dim, kept_a + kept_b)),
+        ))
+        flops, largest = flops + 2 * m * k * n, max(largest, m * n)
+        labels[a], labels[b], numel[a] = kept_a + kept_b, None, m * n
+        for x in shared:
+            del owner[x]
+        for x in kept_b:  # its other holder c now meets slot a instead of b
+            c = sum(owner[x]) - b
+            owner[x] = (a, c) if a < c else (c, a)
+    result = tuple(slot for slot, term in enumerate(labels) if term is not None)
+    return _Program(sources, tuple(traces), tuple(steps), result, flops, largest)
+
+
 @dataclass(frozen=True)
 class _Network:
-    """The fused-leg einsum of one label on one set of subsystem dims.
+    """The fused-leg network of one label on one set of subsystem dims.
 
     Subsystems with the same permutation are wired identically, so their
     legs are fused into one: the operator's ``dims + dims`` legs are
@@ -274,16 +399,19 @@ class _Network:
             return ket, ket.conj()
         return (src.array.reshape(self.legs).transpose(self.axes).reshape(self.fused),)
 
-    def operands(self, fused: tuple[np.ndarray, ...]) -> list:
-        """Arguments of ``np.einsum`` for what :meth:`fuse` returned."""
-        if len(fused) == 2:  # psi takes each copy's rows, conj(psi) its columns
-            ket, bra = fused
-            m = len(self.fused) // 2
-            return [x for sub in self.subscripts for x in (ket, sub[:m], bra, sub[m:])] + [[]]
-        return [x for sub in self.subscripts for x in (fused[0], sub)] + [[]]
+    @property
+    def grouping(self) -> tuple:
+        """Networks with equal groupings fuse their operand identically."""
+        return self.axes, self.fused
 
-    def contract(self, fused: tuple[np.ndarray, ...], optimize="greedy") -> complex:
-        return complex(np.einsum(*self.operands(fused), optimize=optimize))
+    def compile(self, pure: bool) -> _Program:
+        """The program that contracts what :meth:`fuse` returns for this route."""
+        m = len(self.fused) // 2
+        size = [self.fused[x % m] for x in range(len(self.subscripts) * m)]
+        if pure:  # psi takes each copy's rows, conj(psi) its columns
+            terms = [half for sub in self.subscripts for half in (sub[:m], sub[m:])]
+            return _compile(terms, size, (0, 1) * len(self.subscripts))
+        return _compile(self.subscripts, size, (0,) * len(self.subscripts))
 
 
 def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
@@ -309,37 +437,75 @@ def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
     return _Network(dims + dims, axes, fused + fused, subscripts)
 
 
-def evaluate_many(tuples: Sequence[PermTuple], state, dims: Sequence[int]) -> list[complex]:
-    """:func:`evaluate_fast` of every tuple, in order.
+@dataclass
+class ContractionCost:
+    """Summed FLOPs and largest intermediate (elements) of compiled programs."""
 
-    Consecutive tuples that group the subsystems alike share one fused
-    operand, so the reduced powers of one cut (:func:`reduced_power_label`
-    at several orders) transpose the operator once.
-    """
-    dims = tuple(int(d) for d in dims)
+    flops: int = 0
+    largest: int = 0
+
+    def add(self, program: _Program) -> None:
+        self.flops += program.flops
+        self.largest = max(self.largest, program.largest)
+
+
+def _compiled(tuples, dims, pure: bool, cost: ContractionCost | None):
+    """Each tuple's network and program, and an order that groups equal fusings."""
     nets = [_network(t, dims) for t in tuples]
-    src = _operand(state, dims)
-    values, key, fused = [], None, None
-    for net in nets:
-        if (net.axes, net.fused) != key:
-            key, fused = (net.axes, net.fused), net.fuse(src)
-        values.append(net.contract(fused))
+    programs = [net.compile(pure) for net in nets]
+    if cost is not None:
+        for program in programs:
+            cost.add(program)
+    first: dict[tuple, int] = {}
+    for i, net in enumerate(nets):
+        first.setdefault(net.grouping, i)
+    order = sorted(range(len(nets)), key=lambda i: first[nets[i].grouping])
+    return nets, programs, order
+
+
+def _contract_all(nets, programs, order, src: _Operand) -> list[complex]:
+    """Every program's value on ``src``, fused once per grouping.
+
+    The work runs grouping by grouping and the values are scattered back,
+    so one fused operand is alive at a time.
+    """
+    values = [0j] * len(nets)
+    key = fused = None
+    for i in order:
+        net = nets[i]
+        if net.grouping != key:
+            key, fused = net.grouping, None  # drop the old operand before fusing anew
+            fused = net.fuse(src)
+        values[i] = programs[i].contract(fused)
     return values
 
 
-def evaluate_fast(t: PermTuple, state, dims: Sequence[int]) -> complex:
-    """Invariant value as one planned contraction of the k copies of rho.
+def evaluate_many(
+    tuples: Sequence[PermTuple], state, dims: Sequence[int], cost: ContractionCost | None = None
+) -> list[complex]:
+    """:func:`evaluate_fast` of every tuple, in order.
 
-    Fuses the legs of subsystems that share a permutation and sums the k
-    copies in a single ``np.einsum``; never materializes the k-fold tensor
-    power.  ``state`` is an operator, or a StateData: a pure one is
-    contracted as k copies of psi and k of conj(psi), so rho is never
-    formed.  Raises ShapeError when the network needs more than the 52
-    index labels einsum has.
+    Each tuple's program is compiled once.  Tuples that group the
+    subsystems alike share one fused operand, so the reduced powers of one
+    cut (:func:`reduced_power_label` at several orders) transpose the
+    operator once.  A ``cost`` passed in is charged with every program.
     """
     dims = tuple(int(d) for d in dims)
-    net = _network(t, dims)
-    return net.contract(net.fuse(_operand(state, dims)))
+    src = _operand(state, dims)
+    return _contract_all(*_compiled(tuples, dims, src.pure, cost), src)
+
+
+def evaluate_fast(t: PermTuple, state, dims: Sequence[int]) -> complex:
+    """Invariant value as a compiled sequence of pairwise contractions.
+
+    Fuses the legs of subsystems that share a permutation, then contracts
+    the k copies pair by pair as matrix products in a greedily planned
+    order; never materializes the k-fold tensor power.  ``state`` is an
+    operator, or a StateData: a pure one is contracted as k copies of psi
+    and k of conj(psi), so rho is never formed.  Raises ShapeError when
+    the network needs more than ``EINSUM_LABELS`` (52) index labels.
+    """
+    return evaluate_many([t], state, dims)[0]
 
 
 def reduced_power_label(n: int, keep: Sequence[int], k: int) -> PermTuple:
@@ -399,24 +565,26 @@ def max_unitary_deviation(
 
 
 def verify_classes(
-    tuples: Sequence[PermTuple], rho, dims: Sequence[int], trials: int = 20, seed=0
+    tuples: Sequence[PermTuple],
+    rho,
+    dims: Sequence[int],
+    trials: int = 20,
+    seed=0,
+    cost: ContractionCost | None = None,
 ) -> list[float]:
     """:func:`verify_invariance` of every tuple on one set of Haar trials.
 
     Each trial draws its local unitaries and rotates rho once for all the
-    tuples.  Each tuple's network is built, and its einsum path planned,
-    once on the unrotated operator and reused for every trial.
+    tuples.  Each tuple's network and program are built once, for the
+    operator route every trial takes, and replayed on every rotated
+    operator; tuples that group the subsystems alike share one fused
+    operand.  A ``cost`` passed in is charged with every program once.
     """
     dims = tuple(int(d) for d in dims)
-    nets = [_network(t, dims) for t in tuples]
-    src = _operand(rho, dims)
-    paths = [np.einsum_path(*net.operands(net.fuse(src)), optimize="greedy")[0] for net in nets]
-
-    def values(r: Tensor) -> list[complex]:
-        rotated = _operand(r, dims)
-        return [net.contract(net.fuse(rotated), optimize=p) for net, p in zip(nets, paths)]
-
-    return _max_deviations(values, rho, dims, trials, seed)
+    compiled = _compiled(tuples, dims, False, cost)
+    return _max_deviations(
+        lambda r: _contract_all(*compiled, _operand(r, dims)), rho, dims, trials, seed
+    )
 
 
 def verify_invariance(

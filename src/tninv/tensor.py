@@ -2,8 +2,8 @@
 
 A tensor is a dense complex array with an ordered tuple of legs.  Values
 are read-only; operations return new tensors, so values can be shared
-freely between threads.  Contracting networks of tensors is left to
-``np.einsum``; see :func:`tninv.invariants.evaluate_fast`.
+freely between threads.  Invariant networks are contracted by compiled
+programs of matrix products; see :func:`tninv.invariants.evaluate_fast`.
 """
 
 from __future__ import annotations

@@ -176,6 +176,24 @@ def test_invariants_verify_passes(bell_path, capsys):
     assert "max deviation" in capsys.readouterr().out
 
 
+def test_invariants_json_reports_contraction_cost(tmp_path, capsys):
+    path = tmp_path / "rho.json"
+    save_state(StateData.density(Tensor(np.eye(4) / 4), (4,)), path)
+    # "2; e": two self-traces of a 4 x 4 operator (4 + 4); "2; (12)": one
+    # (1 x 16) @ (16 x 1) product (2 * 16); every intermediate is a scalar
+    want = {"flops": 40, "largest_intermediate": 1}
+    human = []
+    for action, extra in (("eval", []), ("verify", ["--trials", "2"])):
+        argv = ["invariants", action, str(path), "-k", "2"] + extra
+        assert main(argv + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["diagnostics"]["contraction"] == want
+        assert main(argv) == 0
+        human.append(capsys.readouterr().out)
+    assert human[0] == "2; e = 1+0j\n2; (12) = 0.25+0j\n"
+    assert "flops" not in human[1] and "contraction" not in human[1]
+
+
 def test_invariants_eval_needs_state(capsys):
     assert main(["invariants", "eval", "-k", "2"]) == 2
 

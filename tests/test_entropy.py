@@ -50,6 +50,18 @@ def test_spectrum_from_pure_uses_smaller_side():
 
 
 
+def test_spectrum_density_route_drops_rounding_eigenvalues():
+    # rho_[1,2] is 6 x 6 of rank 2; its four other eigenvalues are rounding
+    # noise that would each add p^0.5 ~ 1e-8 below order 1
+    psi = random_pure_state((2, 3, 2), seed=71)
+    dense = Spectrum.from_density(partial_trace(density_from_pure(psi), (2, 3, 2), [1, 2]))
+    pure = Spectrum.from_pure(psi, (2, 3, 2), [1, 2])
+    assert np.count_nonzero(dense.probs) == 2
+    for alpha in (0.25, 0.5, 2, 3):
+        assert renyi(dense, alpha) == pytest.approx(renyi(pure, alpha), abs=1e-12)
+    assert renyi(dense, 0.5) == pytest.approx(0.5496887584, abs=1e-10)
+
+
 def test_spectrum_clamps_small_negatives():
     s = Spectrum([1.0, -1e-13, 1e-13])
     assert np.all(s.probs >= 0.0)

@@ -400,6 +400,55 @@ def test_evaluate_many_shares_one_fused_operand_per_grouping(monkeypatch):
     assert evaluate_many([], StateData.pure(psi), (2, 3, 2)) == []
 
 
+def greedy_einsum(t, state, dims):
+    """The compiled network's own operands contracted by ``np.einsum``."""
+    net = invariants._network(t, dims)
+    src = invariants._operand(state, dims)
+    fused, m = net.fuse(src), len(net.fused) // 2
+    if src.pure:
+        ket, bra = fused
+        args = [x for sub in net.subscripts for x in (ket, sub[:m], bra, sub[m:])]
+    else:
+        args = [x for sub in net.subscripts for x in (fused[0], sub)]
+    return complex(np.einsum(*args, [], optimize="greedy"))
+
+
+def test_compiled_program_matches_greedy_einsum():
+    rng = np.random.default_rng(71)
+    for dims in ((3,), (2, 3), (2, 3, 2), (2, 2, 2, 2)):
+        rho = random_density(math.prod(dims), rng)
+        for k in (1, 2, 3):
+            tuples = [c.representative for c in enumerate_invariants(len(dims), k)]
+            for t, got in zip(tuples, evaluate_many(tuples, rho, dims)):
+                want = greedy_einsum(t, rho, dims)
+                assert abs(got - want) <= 1e-12 * abs(want), (dims, t.label())
+    pure = StateData.pure(random_pure_state((2, 3, 2), seed=72))
+    for k in (1, 2, 3):
+        tuples = [c.representative for c in enumerate_invariants(3, k)]
+        for t, got in zip(tuples, evaluate_many(tuples, pure, (2, 3, 2))):
+            want = greedy_einsum(t, pure, (2, 3, 2))
+            assert abs(got - want) <= 1e-12 * abs(want), t.label()
+
+
+@pytest.mark.parametrize("label", ["5; (12345) | (13524)", "6; (123456) | (135)(246)"])
+def test_program_never_falls_back_to_one_naive_loop(label):
+    # every pairwise intermediate here is larger than rho, which a planner
+    # capped at the largest input refuses, leaving a 64^k-term loop
+    t, dims = parse_label(label), (8, 8)
+    rho = random_density(64, np.random.default_rng(73))
+    program = invariants._network(t, dims).compile(pure=False)
+    assert program.largest <= 8**6
+    # oracle: np.einsum along a fixed ring of the copies, no planner involved
+    r = rho.reshape(8, 8, 8, 8)
+    args = []
+    for c in range(t.k):
+        rows = [t.sigmas[s][c] * 2 + s for s in range(2)]
+        args += [r, rows + [c * 2 + s for s in range(2)]]
+    ring = ["einsum_path", (0, 1)] + [(0, t.k - 2 - i) for i in range(t.k - 2)]
+    want = complex(np.einsum(*args, [], optimize=ring))
+    assert abs(evaluate_fast(t, rho, dims) - want) <= 1e-12 * abs(want)
+
+
 def test_permutation_operator_swap():
     t = PermTuple(2, ((1, 0),))
     op = permutation_operator(t, (2,))
@@ -603,7 +652,7 @@ def test_verify_classes_matches_per_class_loop():
 
 
 def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatch):
-    calls = {"draw": 0, "rotate": 0, "plan": 0}
+    calls = {"draw": 0, "rotate": 0, "plan": 0, "einsum": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -615,10 +664,13 @@ def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatc
                         counting("draw", invariants.random_local_unitary))
     monkeypatch.setattr(invariants, "apply_local_unitary",
                         counting("rotate", invariants.apply_local_unitary))
-    monkeypatch.setattr(invariants.np, "einsum_path", counting("plan", np.einsum_path))
+    monkeypatch.setattr(invariants._Network, "compile",
+                        counting("plan", invariants._Network.compile))
+    monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
+    monkeypatch.setattr(np, "einsum_path", counting("einsum", np.einsum_path))
     tuples = [c.representative for c in enumerate_invariants(3, 3)]
     verify_classes(tuples, random_density(8), (2, 2, 2), trials=3, seed=4)
-    assert calls == {"draw": 3, "rotate": 3, "plan": len(tuples)}
+    assert calls == {"draw": 3, "rotate": 3, "plan": len(tuples), "einsum": 0}
 
 
 def _verify_cli(tmp_path, dims, k, *extra):
@@ -646,7 +698,7 @@ def test_verify_cli_json_labels_order_and_keys(tmp_path, capsys):
     assert _verify_cli(tmp_path, (2, 2, 2), 3, "--trials", "2", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert list(doc["values"]) == sorted(labels)
-    assert set(doc["diagnostics"]) == {"max_deviation", "threshold"}
+    assert set(doc["diagnostics"]) == {"contraction", "max_deviation", "threshold"}
     assert doc["diagnostics"]["threshold"] == VERIFY_THRESHOLD
     assert doc["diagnostics"]["max_deviation"] == max(doc["values"].values()) <= 1e-9
     assert doc["exit_code"] == 0 and doc["command"] == "invariants verify"
