@@ -46,8 +46,9 @@ class CommandResult:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.{PRECISION}g}{x.imag:+.{PRECISION}g}j"
+    if isinstance(x, complex):  # an imaginary part below the shown digits is rounding
+        imag = 0.0 if abs(x.imag) < 10.0**-PRECISION * abs(x) else x.imag
+        return f"{x.real:.{PRECISION}g}{imag:+.{PRECISION}g}j"
     return f"{float(x):.{PRECISION}g}"
 
 
@@ -199,9 +200,9 @@ def cmd_entropy(args) -> CommandResult:
     s_alphas = [svn if alpha == 1 else entropy.renyi(spec, alpha) for alpha in alphas]
 
     # Cross-check integer orders through tr(rho_keep^k), contracted from the
-    # state itself; a cycle | e label needs 2k einsum indices.
+    # state itself; a cycle | e label needs 2k of the MAX_LABELS (52) indices.
     checked = [a for a in alphas if a == int(a) and a >= 2 and n > len(keep)]
-    orders = [int(a) for a in checked if 2 * a <= invariants.EINSUM_LABELS]
+    orders = [int(a) for a in checked if 2 * a <= invariants.MAX_LABELS]
     labels = [invariants.reduced_power_label(n, keep, k) for k in orders]
     traces = dict(zip(orders, invariants.evaluate_many(labels, data, data.dims)))
 
@@ -218,7 +219,7 @@ def cmd_entropy(args) -> CommandResult:
             line += f"  (invariant cross-check dev={_fmt(dev)})"
         elif alpha in checked:
             skipped.append(alpha)
-            line += "  (invariant cross-check skipped: order too high for einsum)"
+            line += f"  (invariant cross-check skipped: needs over {invariants.MAX_LABELS} indices)"
         res.add(line)
     if skipped:
         res.diagnostics["crosscheck_skipped"] = skipped

@@ -7,12 +7,14 @@ every permutation by the same element) give the same number, so classes
 are enumerated up to simultaneous conjugation.
 
 The value is computed one way in production: :func:`evaluate_fast`,
-:func:`evaluate_many` and :func:`verify_classes` build each label's
-fused-leg network, from an operator or, for a pure state, from copies of
-psi and conj(psi), and compile it once into a program of traces and
-pairwise matrix products, planned greedily over the network's integer
-labels.  Replaying a program is transposes, reshapes and ``@``; no
-``np.einsum`` call and no per-call planning remain on the value path.
+:func:`evaluate_many` and :func:`verify_classes` plan each call once.
+They build each label's fused-leg network, from an operator or, for a
+pure state, from copies of psi and conj(psi), and compile every distinct
+network of the call once into a program of traces and pairwise matrix
+products, planned greedily over the network's integer labels.  Labels
+that differ only in which subsystems they fuse share a program.
+Replaying a program is transposes, reshapes and ``@``; no ``np.einsum``
+call remains on the value path.
 :func:`evaluate` builds the k-fold tensor power and the permutation matrix
 explicitly and is kept only as the reference that tests compare against.
 """
@@ -34,10 +36,10 @@ from .states import StateData, apply_local_unitary, as_operator, random_local_un
 # count; on one core, (3,5) (1.7e6 tuples, 14721 classes) and (4,4) (3.3e5,
 # 14491) take 0.6 s and 11 MB each, (5,4) (8.0e6, 336465) 16 s and 274 MB.
 MAX_TUPLES = 10**7
-# Widest network a label may need: the 52 letters np.einsum once named its
-# indices with.  The compiled programs have no such limit; the cap stays so
-# that which labels the CLI accepts does not change.
-EINSUM_LABELS = 52
+# Most index labels a network may carry.  The planner itself has no limit;
+# the cap bounds the degree of every label the CLI builds, so an order such
+# as ``entropy --alpha 1e7`` is refused instead of building 10^7 copies.
+MAX_LABELS = 52
 
 
 @dataclass(frozen=True)
@@ -240,15 +242,15 @@ class _Operand(NamedTuple):
 
 
 def _operand(state, dims: tuple[int, ...]) -> _Operand:
-    """A pure StateData as psi itself; anything else as its square matrix."""
+    """A pure StateData as psi, anything else as its operator; one leg per dim."""
     if isinstance(state, StateData):
         if state.kind == "pure":
             psi = state.tensor.data
             if psi.size != prod(dims):
                 raise ShapeError(f"state of size {psi.size} does not match dims {dims}")
-            return _Operand(True, psi)
+            return _Operand(True, psi.reshape(dims))
         state = state.tensor
-    return _Operand(False, as_operator(state, dims))
+    return _Operand(False, as_operator(state, dims).reshape(dims + dims))
 
 
 class _Trace(NamedTuple):
@@ -375,38 +377,34 @@ class _Network:
     """The fused-leg network of one label on one set of subsystem dims.
 
     Subsystems with the same permutation are wired identically, so their
-    legs are fused into one: the operator's ``dims + dims`` legs are
-    transposed by ``axes`` and reshaped to ``fused``.  Over the m fused
-    groups, copy c carries row labels sigma_j(c) * m + j and column labels
-    c * m + j; ``subscripts`` holds one rows + cols list per copy.  For a
-    pure state, rho = |psi><psi| splits copy c into psi with its row labels
-    and conj(psi) with its column labels: 2k operands the size of psi.
+    legs are fused into one: the subsystems are put in group order ``axes``
+    and the legs reshaped to ``fused``, once for the rows and once more for
+    the columns of an operator.  Over the m fused groups, copy c carries
+    row labels sigma_j(c) * m + j and column labels c * m + j;
+    ``subscripts`` holds one rows + cols tuple per copy.  For a pure state,
+    rho = |psi><psi| splits copy c into psi with its row labels and
+    conj(psi) with its column labels: 2k operands the size of psi.
     """
 
-    legs: tuple[int, ...]
     axes: tuple[int, ...]
     fused: tuple[int, ...]
-    subscripts: tuple[list[int], ...]
+    subscripts: tuple[tuple[int, ...], ...]
 
     def fuse(self, src: _Operand) -> tuple[np.ndarray, ...]:
         """``src`` with its legs moved into group order and fused.
 
         Returns the fused operator alone, or psi and conj(psi) fused.
         """
-        if src.pure:  # psi has the row legs only
-            n, m = len(self.legs) // 2, len(self.fused) // 2
-            ket = src.array.reshape(self.legs[:n]).transpose(self.axes[:n]).reshape(self.fused[:m])
+        if src.pure:
+            ket = src.array.transpose(self.axes).reshape(self.fused)
             return ket, ket.conj()
-        return (src.array.reshape(self.legs).transpose(self.axes).reshape(self.fused),)
-
-    @property
-    def grouping(self) -> tuple:
-        """Networks with equal groupings fuse their operand identically."""
-        return self.axes, self.fused
+        n = len(self.axes)
+        axes = self.axes + tuple(n + s for s in self.axes)
+        return (src.array.transpose(axes).reshape(self.fused + self.fused),)
 
     def compile(self, pure: bool) -> _Program:
         """The program that contracts what :meth:`fuse` returns for this route."""
-        m = len(self.fused) // 2
+        m = len(self.fused)
         size = [self.fused[x % m] for x in range(len(self.subscripts) * m)]
         if pure:  # psi takes each copy's rows, conj(psi) its columns
             terms = [half for sub in self.subscripts for half in (sub[:m], sub[m:])]
@@ -422,19 +420,18 @@ def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
     for s, sigma in enumerate(t.sigmas):
         groups.setdefault(sigma, []).append(s)
     m = len(groups)
-    if m * t.k > EINSUM_LABELS:
+    if m * t.k > MAX_LABELS:
         raise ShapeError(
             f"label {t.label()} needs {m * t.k} contraction indices "
-            f"({m} distinct permutations x degree {t.k}); einsum has {EINSUM_LABELS}"
+            f"({m} distinct permutations x degree {t.k}); the limit is {MAX_LABELS}"
         )
-    order = [s for members in groups.values() for s in members]
+    axes = tuple(s for members in groups.values() for s in members)
     fused = tuple(prod(dims[s] for s in members) for members in groups.values())
     subscripts = tuple(
-        [sigma[c] * m + j for j, sigma in enumerate(groups)] + [c * m + j for j in range(m)]
+        tuple(sigma[c] * m + j for j, sigma in enumerate(groups)) + tuple(range(c * m, c * m + m))
         for c in range(t.k)
     )
-    axes = tuple(order + [n + s for s in order])
-    return _Network(dims + dims, axes, fused + fused, subscripts)
+    return _Network(axes, fused, subscripts)
 
 
 @dataclass
@@ -449,34 +446,34 @@ class ContractionCost:
         self.largest = max(self.largest, program.largest)
 
 
-def _compiled(tuples, dims, pure: bool, cost: ContractionCost | None):
-    """Each tuple's network and program, and an order that groups equal fusings."""
-    nets = [_network(t, dims) for t in tuples]
-    programs = [net.compile(pure) for net in nets]
-    if cost is not None:
-        for program in programs:
-            cost.add(program)
-    first: dict[tuple, int] = {}
-    for i, net in enumerate(nets):
-        first.setdefault(net.grouping, i)
-    order = sorted(range(len(nets)), key=lambda i: first[nets[i].grouping])
-    return nets, programs, order
+def _plan(tuples, dims, pure: bool, cost: ContractionCost | None) -> dict:
+    """Each grouping ``(axes, fused)``: its network and ``(position, program)`` per tuple.
 
-
-def _contract_all(nets, programs, order, src: _Operand) -> list[complex]:
-    """Every program's value on ``src``, fused once per grouping.
-
-    The work runs grouping by grouping and the values are scattered back,
-    so one fused operand is alive at a time.
+    A program depends only on the fused dims and the subscripts, so tuples
+    whose networks agree on both share one compile.  A ``cost`` passed in
+    is charged once per tuple.
     """
-    values = [0j] * len(nets)
-    key = fused = None
-    for i in order:
-        net = nets[i]
-        if net.grouping != key:
-            key, fused = net.grouping, None  # drop the old operand before fusing anew
-            fused = net.fuse(src)
-        values[i] = programs[i].contract(fused)
+    plan: dict[tuple, tuple[_Network, list]] = {}
+    programs: dict[tuple, _Program] = {}
+    for i, t in enumerate(tuples):
+        net = _network(t, dims)
+        key = net.fused, net.subscripts
+        if key not in programs:
+            programs[key] = net.compile(pure)
+        if cost is not None:
+            cost.add(programs[key])
+        plan.setdefault((net.axes, net.fused), (net, []))[1].append((i, programs[key]))
+    return plan
+
+
+def _contract_all(plan: dict, src: _Operand, count: int) -> list[complex]:
+    """The ``count`` planned values on ``src``, with one fused operand alive at a time."""
+    values = [0j] * count
+    for net, members in plan.values():
+        fused = net.fuse(src)
+        for i, program in members:
+            values[i] = program.contract(fused)
+        del fused  # before the next grouping is fused
     return values
 
 
@@ -485,14 +482,15 @@ def evaluate_many(
 ) -> list[complex]:
     """:func:`evaluate_fast` of every tuple, in order.
 
-    Each tuple's program is compiled once.  Tuples that group the
-    subsystems alike share one fused operand, so the reduced powers of one
-    cut (:func:`reduced_power_label` at several orders) transpose the
-    operator once.  A ``cost`` passed in is charged with every program.
+    Tuples whose networks match share one compiled program.  Tuples that
+    group the subsystems alike share one fused operand, so the reduced
+    powers of one cut (:func:`reduced_power_label` at several orders)
+    transpose the operator once.  A ``cost`` passed in is charged with
+    every tuple's program.
     """
     dims = tuple(int(d) for d in dims)
     src = _operand(state, dims)
-    return _contract_all(*_compiled(tuples, dims, src.pure, cost), src)
+    return _contract_all(_plan(tuples, dims, src.pure, cost), src, len(tuples))
 
 
 def evaluate_fast(t: PermTuple, state, dims: Sequence[int]) -> complex:
@@ -503,7 +501,7 @@ def evaluate_fast(t: PermTuple, state, dims: Sequence[int]) -> complex:
     order; never materializes the k-fold tensor power.  ``state`` is an
     operator, or a StateData: a pure one is contracted as k copies of psi
     and k of conj(psi), so rho is never formed.  Raises ShapeError when
-    the network needs more than ``EINSUM_LABELS`` (52) index labels.
+    the network needs more than ``MAX_LABELS`` (52) index labels.
     """
     return evaluate_many([t], state, dims)[0]
 
@@ -575,15 +573,15 @@ def verify_classes(
     """:func:`verify_invariance` of every tuple on one set of Haar trials.
 
     Each trial draws its local unitaries and rotates rho once for all the
-    tuples.  Each tuple's network and program are built once, for the
-    operator route every trial takes, and replayed on every rotated
-    operator; tuples that group the subsystems alike share one fused
-    operand.  A ``cost`` passed in is charged with every program once.
+    tuples.  The call is planned once, for the operator route every trial
+    takes, and replayed on every rotated operator: one program per
+    distinct network and one fused operand per grouping.  A ``cost``
+    passed in is charged with every tuple's program once.
     """
     dims = tuple(int(d) for d in dims)
-    compiled = _compiled(tuples, dims, False, cost)
+    plan = _plan(tuples, dims, False, cost)
     return _max_deviations(
-        lambda r: _contract_all(*compiled, _operand(r, dims)), rho, dims, trials, seed
+        lambda r: _contract_all(plan, _operand(r, dims), len(tuples)), rho, dims, trials, seed
     )
 
 

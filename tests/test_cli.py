@@ -194,6 +194,27 @@ def test_invariants_json_reports_contraction_cost(tmp_path, capsys):
     assert "flops" not in human[1] and "contraction" not in human[1]
 
 
+def test_invariants_eval_prints_rounding_imaginary_parts_as_zero(tmp_path, capsys):
+    rng = np.random.default_rng(78)
+    a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+    path = tmp_path / "rho.json"
+    save_state(StateData.density(Tensor(rho), (2, 2, 2)), path)
+    assert main(["invariants", "eval", str(path), "-k", "3", "--json"]) == 0
+    exact = json.loads(capsys.readouterr().out)["values"]
+    assert main(["invariants", "eval", str(path), "-k", "3"]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert set(printed) == set(exact)
+    for c in invariants.enumerate_invariants(3, 3):
+        if invariants.is_real_guaranteed(c.representative):
+            assert printed[c.label()].endswith("+0j"), c.label()
+    # a genuinely complex label keeps its imaginary part; JSON stays exact
+    re, im = exact["3; (23) | (12) | (123)"]
+    assert abs(im) > 1e-4
+    assert complex(printed["3; (23) | (12) | (123)"]) == pytest.approx(complex(re, im), rel=1e-11)
+    assert any(im != 0 for _, im in exact.values())
+
+
 def test_invariants_eval_needs_state(capsys):
     assert main(["invariants", "eval", "-k", "2"]) == 2
 

@@ -8,6 +8,7 @@ import pytest
 
 from tninv import invariants, perms
 from tninv import (
+    ContractionCost,
     PermTuple,
     StateData,
     Tensor,
@@ -404,7 +405,7 @@ def greedy_einsum(t, state, dims):
     """The compiled network's own operands contracted by ``np.einsum``."""
     net = invariants._network(t, dims)
     src = invariants._operand(state, dims)
-    fused, m = net.fuse(src), len(net.fused) // 2
+    fused, m = net.fuse(src), len(net.fused)
     if src.pure:
         ket, bra = fused
         args = [x for sub in net.subscripts for x in (ket, sub[:m], bra, sub[m:])]
@@ -670,7 +671,29 @@ def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatc
     monkeypatch.setattr(np, "einsum_path", counting("einsum", np.einsum_path))
     tuples = [c.representative for c in enumerate_invariants(3, 3)]
     verify_classes(tuples, random_density(8), (2, 2, 2), trials=3, seed=4)
-    assert calls == {"draw": 3, "rotate": 3, "plan": len(tuples), "einsum": 0}
+    # the 49 classes have 41 distinct networks (fused dims and subscripts)
+    assert calls == {"draw": 3, "rotate": 3, "plan": 41, "einsum": 0}
+
+
+@pytest.mark.parametrize("n, k, programs", [(4, 3, 153), (6, 2, 12)])
+def test_each_call_compiles_once_per_distinct_network(n, k, programs, monkeypatch):
+    compiled, compile_ = [], invariants._Network.compile
+
+    def spy(net, pure):
+        compiled.append(net)
+        return compile_(net, pure)
+
+    monkeypatch.setattr(invariants._Network, "compile", spy)
+    dims = (2,) * n
+    tuples = [c.representative for c in enumerate_invariants(n, k)]
+    rho = random_density(2**n, np.random.default_rng(74))
+    for state in (rho, StateData.pure(random_pure_state(dims, seed=75))):
+        compiled.clear()
+        cost = ContractionCost()
+        evaluate_many(tuples, state, dims, cost=cost)
+        assert len(compiled) == len({(net.fused, net.subscripts) for net in compiled}) == programs
+        if state is rho and (n, k) == (4, 3):  # still charged once per class
+            assert cost == ContractionCost(flops=362576, largest=256)
 
 
 def _verify_cli(tmp_path, dims, k, *extra):
