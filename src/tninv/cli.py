@@ -87,12 +87,6 @@ def cmd_factor(args) -> CommandResult:
     return res
 
 
-def _density_of(data: states.StateData):
-    if data.kind == "pure":
-        return states.density_from_pure(data.tensor)
-    return data.tensor
-
-
 def _classes_for(args, n):
     if args.label:
         out = []
@@ -103,7 +97,7 @@ def _classes_for(args, n):
                     f"label {text!r} has {t.n} subsystems, state has {n}"
                 )
             out.append(t)
-        return out
+        return list(dict.fromkeys(out))  # a repeated label is evaluated once
     if args.k is None:
         raise ShapeError("need -k or --label")
     return [c.representative for c in invariants.enumerate_invariants(n, args.k)]
@@ -136,12 +130,12 @@ def cmd_invariants(args) -> CommandResult:
     data = _load(args.state)
     if args.n is not None and args.n != len(data.dims):
         raise ShapeError(f"-n {args.n} but state has {len(data.dims)} subsystems")
-    rho = _density_of(data)
     tuples = _classes_for(args, len(data.dims))
 
+    # The file's kind picks the route; a pure state never becomes rho.
     cost = invariants.ContractionCost()
     if args.action == "eval":
-        vals = invariants.evaluate_many(tuples, rho, data.dims, cost=cost)
+        vals = invariants.evaluate_many(tuples, data, data.dims, cost=cost)
         res.diagnostics["contraction"] = _cost_doc(cost)
         for t, val in zip(tuples, vals):
             label = t.label()
@@ -149,9 +143,10 @@ def cmd_invariants(args) -> CommandResult:
             res.add(f"{label} = {_fmt(val)}")
         return res
 
-    # verify
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     devs = invariants.verify_classes(
-        tuples, rho, data.dims, trials=args.trials, seed=args.seed, cost=cost
+        tuples, data, data.dims, trials=args.trials, seed=args.seed, cost=cost
     )
     res.diagnostics["contraction"] = _cost_doc(cost)
     worst = 0.0

@@ -9,10 +9,11 @@ are enumerated up to simultaneous conjugation.
 The value is computed one way in production: :func:`evaluate_fast`,
 :func:`evaluate_many` and :func:`verify_classes` plan each call once.
 They build each label's fused-leg network, from an operator or, for a
-pure state, from copies of psi and conj(psi), and compile every distinct
-network of the call once into a program of traces and pairwise matrix
-products, planned greedily over the network's integer labels.  Labels
-that differ only in which subsystems they fuse share a program.
+pure state, from copies of psi and conj(psi) (verify rotates psi itself;
+rho is never formed), and compile every distinct network of the call
+once into a program of traces and pairwise matrix products, planned
+greedily over the network's integer labels.  Labels that differ only in
+which subsystems they fuse share a program.
 Replaying a program is transposes, reshapes and ``@``; no ``np.einsum``
 call remains on the value path.
 :func:`evaluate` builds the k-fold tensor power and the permutation matrix
@@ -243,13 +244,11 @@ class _Operand(NamedTuple):
 
 def _operand(state, dims: tuple[int, ...]) -> _Operand:
     """A pure StateData as psi, anything else as its operator; one leg per dim."""
-    if isinstance(state, StateData):
-        if state.kind == "pure":
-            psi = state.tensor.data
-            if psi.size != prod(dims):
-                raise ShapeError(f"state of size {psi.size} does not match dims {dims}")
-            return _Operand(True, psi.reshape(dims))
-        state = state.tensor
+    if isinstance(state, StateData) and state.kind == "pure":
+        psi = state.tensor.data
+        if psi.size != prod(dims):
+            raise ShapeError(f"state of size {psi.size} does not match dims {dims}")
+        return _Operand(True, psi.reshape(dims))
     return _Operand(False, as_operator(state, dims).reshape(dims + dims))
 
 
@@ -529,42 +528,38 @@ def pure_jk(state: Tensor, bipartition, k: int) -> float:
 
 
 def _max_deviations(
-    values_fn: Callable[[Tensor], list], rho, dims: Sequence[int], trials: int, seed
+    values_fn: Callable, state, dims: Sequence[int], trials: int, seed
 ) -> list[float]:
     """Per-entry max relative change of ``values_fn`` under local unitaries.
 
     Trial i draws its unitaries from child i of ``SeedSequence(seed)`` and
-    rotates rho once; every value is taken on that one rotated operator.
+    rotates ``state`` once; every value is taken on that one rotated state.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     dims = tuple(int(d) for d in dims)
-    rho_t = Tensor._wrap(as_operator(rho, dims))
-    bases = [complex(v) for v in values_fn(rho_t)]
+    bases = [complex(v) for v in values_fn(state)]
     scales = [max(abs(b), 1e-300) for b in bases]
     worst = [0.0] * len(bases)
     for child in np.random.SeedSequence(seed).spawn(trials):
         us = random_local_unitary(dims, seed=child)
-        values = values_fn(apply_local_unitary(rho_t, dims, us))
+        values = values_fn(apply_local_unitary(state, dims, us))
         for i, (value, base, scale) in enumerate(zip(values, bases, scales)):
             worst[i] = max(worst[i], abs(complex(value) - base) / scale)
     return worst
 
 
 def max_unitary_deviation(
-    value_fn: Callable[[Tensor], complex],
-    rho,
-    dims: Sequence[int],
-    trials: int = 20,
-    seed=0,
+    value_fn: Callable[[Tensor], complex], rho, dims: Sequence[int], trials: int = 20, seed=0
 ) -> float:
-    """Max relative change of ``value_fn`` under random local unitaries."""
-    return _max_deviations(lambda r: [value_fn(r)], rho, dims, trials, seed)[0]
+    """Max relative change of ``value_fn`` (given operator Tensors) under local unitaries."""
+    rho_t = Tensor._wrap(as_operator(rho, dims))
+    return _max_deviations(lambda r: [value_fn(r)], rho_t, dims, trials, seed)[0]
 
 
 def verify_classes(
     tuples: Sequence[PermTuple],
-    rho,
+    state,
     dims: Sequence[int],
     trials: int = 20,
     seed=0,
@@ -572,21 +567,22 @@ def verify_classes(
 ) -> list[float]:
     """:func:`verify_invariance` of every tuple on one set of Haar trials.
 
-    Each trial draws its local unitaries and rotates rho once for all the
-    tuples.  The call is planned once, for the operator route every trial
-    takes, and replayed on every rotated operator: one program per
-    distinct network and one fused operand per grouping.  A ``cost``
-    passed in is charged with every tuple's program once.
+    ``state`` takes its :func:`evaluate_many` route: a pure StateData stays
+    psi, so rho is never formed.  Each trial draws its local unitaries and
+    rotates that state once for all the tuples.  The call is planned once
+    and replayed on every rotated state: one program per distinct network
+    and one fused operand per grouping.  A ``cost`` passed in is charged
+    with every tuple's program once.
     """
     dims = tuple(int(d) for d in dims)
-    plan = _plan(tuples, dims, False, cost)
+    plan = _plan(tuples, dims, _operand(state, dims).pure, cost)
     return _max_deviations(
-        lambda r: _contract_all(plan, _operand(r, dims), len(tuples)), rho, dims, trials, seed
+        lambda s: _contract_all(plan, _operand(s, dims), len(tuples)), state, dims, trials, seed
     )
 
 
 def verify_invariance(
-    t: PermTuple, rho, dims: Sequence[int], trials: int = 20, seed=0
+    t: PermTuple, state, dims: Sequence[int], trials: int = 20, seed=0
 ) -> float:
     """Empirical invariance check: max relative deviation over Haar trials."""
-    return verify_classes([t], rho, dims, trials=trials, seed=seed)[0]
+    return verify_classes([t], state, dims, trials=trials, seed=seed)[0]

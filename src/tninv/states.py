@@ -208,12 +208,17 @@ def density_from_pure(state: Tensor) -> Tensor:
 def as_operator(rho, dims=None) -> np.ndarray:
     """The square matrix of an operator over the product space.
 
-    ``rho`` is a Tensor or an array of any shape holding d * d components,
-    where d is the product of ``dims`` (or, with ``dims`` absent, the
-    square root of the size).  The result is a view of the input's
-    components whenever numpy can reshape without copying, and keeps their
-    dtype, so real input is not converted to complex.
+    ``rho`` is a density StateData, a Tensor or an array of any shape
+    holding d * d components, where d is the product of ``dims`` (or, with
+    ``dims`` absent, the square root of the size); a pure StateData raises
+    ShapeError, since psi is never read as |psi><psi|.  The result is a view
+    of the input's components whenever numpy can reshape without copying,
+    and keeps their dtype, so real input is not converted to complex.
     """
+    if isinstance(rho, StateData):
+        if rho.kind != "density":
+            raise ShapeError(f"a {rho.kind} state is not read as an operator")
+        rho = rho.tensor
     arr = rho.data if isinstance(rho, Tensor) else np.asarray(rho)
     d = prod(dims) if dims is not None else isqrt(arr.size)
     if arr.size != d * d:
@@ -290,13 +295,14 @@ def bipartition_density(rho, dims: Sequence[int], keep: Sequence[int]):
     return Tensor._wrap(arr.reshape(d, d)), (dk, d // dk)
 
 
-def apply_local_unitary(rho, dims: Sequence[int], unitaries) -> Tensor:
-    """Conjugate a density operator by a tensor product of local unitaries.
+def apply_local_unitary(state, dims: Sequence[int], unitaries):
+    """Rotate a state by a tensor product of local unitaries.
 
     U_s multiplies row leg s alone, one matrix product per subsystem, so
-    the d^n x d^n Kronecker product is never formed: O(n d D^2) instead of
-    O(D^3) for D = prod(dims).  The column legs take the same row pass,
-    through U rho U^H = (U (U rho)^H)^H.
+    the d^n x d^n Kronecker product is never formed.  A pure StateData
+    comes back as the pure StateData U psi, one row pass in O(n d D) for
+    D = prod(dims).  Anything else is read by :func:`as_operator` and comes
+    back as the Tensor U rho U^H = (U (U rho)^H)^H: two passes, O(n d D^2).
     """
     dims = tuple(int(d) for d in dims)
     if len(unitaries) != len(dims):
@@ -306,9 +312,12 @@ def apply_local_unitary(rho, dims: Sequence[int], unitaries) -> Tensor:
             raise ShapeError(f"unitary of shape {np.shape(u)} on a subsystem of dim {d}")
     full = prod(dims)
 
-    def rows_adjoint(mat):  # (U mat)^H, U applied one row leg at a time
+    def rows(mat):  # U mat, U applied one row leg at a time
         for s, u in enumerate(unitaries):
             mat = np.matmul(u, mat.reshape(prod(dims[:s]), dims[s], -1))
-        return np.conjugate(mat.reshape(full, full).T, order="C")
+        return mat.reshape(full, -1)
 
-    return Tensor._wrap(rows_adjoint(rows_adjoint(as_operator(rho, dims))))
+    if isinstance(state, StateData) and state.kind == "pure":
+        return StateData.pure(Tensor._wrap(rows(state.tensor.data)), dims)
+    half = np.conjugate(rows(as_operator(state, dims)).T, order="C")  # (U rho)^H
+    return Tensor._wrap(np.conjugate(rows(half).T, order="C"))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tninv import invariants
+from tninv import invariants, states
 from tninv import (
     StateData,
     Tensor,
@@ -236,6 +236,67 @@ def test_invariants_eval_label_over_einsum_limit(tmp_path, capsys):
     assert main(["invariants", "eval", str(path), "--label", label]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "52" in err and "Traceback" not in err
+
+
+def test_invariants_negative_seed_is_named(bell_path, capsys):
+    assert main(["invariants", "verify", bell_path, "-k", "2", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be a non-negative integer, got -1\n"
+
+
+def test_invariants_repeated_label_is_evaluated_once(tmp_path, capsys):
+    rho = density_from_pure(random_pure_state((2, 2), seed=1))
+    path = str(tmp_path / "rho.json")
+    save_state(StateData.density(rho, (2, 2)), path)
+    once = ["--label", "2; e | (12)"]
+    twice = once + ["--label", "2; e|(12)"]  # the same label, spelled apart
+    for action, extra in (("eval", []), ("verify", ["--trials", "2"])):
+        outs = []
+        for labels in (once, twice):
+            for as_json in ([], ["--json"]):
+                assert main(["invariants", action, path, *labels, *extra, *as_json]) == 0
+                outs.append(capsys.readouterr().out)
+        assert outs[2:] == outs[:2]
+        cost = json.loads(outs[3])["diagnostics"]["contraction"]
+        assert cost == {"flops": 24, "largest_intermediate": 4}
+    assert main(["invariants", "eval", path, *twice]) == 0
+    assert capsys.readouterr().out == "2; e | (12) = 0.702503695902+0j\n"
+
+
+def test_invariants_and_entropy_never_form_rho_for_pure_file(bell_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("density_from_pure called")
+
+    monkeypatch.setattr(states, "density_from_pure", refuse)
+    for argv in (
+        ["invariants", "eval", bell_path, "-k", "3"],
+        ["invariants", "verify", bell_path, "-k", "3", "--trials", "3"],
+        ["entropy", bell_path, "--keep", "0", "--alpha", "2,3"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+
+
+def test_invariants_pure_twelve_qubits_stay_small(tmp_path, capsys):
+    psi = random_pure_state((2,) * 12, seed=47)
+    path = str(tmp_path / "q12.json")
+    save_state(StateData.pure(psi), path)
+    label = "2; " + " | ".join(["(12)"] * 6 + ["e"] * 6)
+    for action, extra in (("eval", []), ("verify", ["--trials", "2"])):
+        tracemalloc.start()
+        try:
+            rc = main(["invariants", action, path, "--label", label, *extra, "--json"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 16 * 2**20, (action, peak)  # its 4096 x 4096 rho alone is 256 MB
+        value = json.loads(capsys.readouterr().out)["values"][label]
+        if action == "eval":
+            want = invariants.pure_jk(psi, (list(range(6)), list(range(6, 12))), 2)
+            assert complex(*value) == pytest.approx(want, rel=1e-12)
+        else:
+            assert value <= 1e-9
 
 
 # ----------------------------------------------------------------- entropy

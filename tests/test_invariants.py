@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tninv import invariants, perms
+from tninv import invariants, perms, states
 from tninv import (
     ContractionCost,
     PermTuple,
@@ -360,10 +360,10 @@ def test_evaluate_fast_label_limit():
 
 
 def test_evaluate_fast_pure_form_matches_rho_form():
-    psi = random_pure_state((2, 3, 2), seed=61)
+    psi = random_pure_state((2, 3, 2, 2), seed=61)
     rho = density_from_pure(psi)
-    # the same state read as 1, 2 and 3 subsystems
-    for dims in ((12,), (2, 6), (2, 3, 2)):
+    # the same state read as 1, 2, 3 and 4 subsystems
+    for dims in ((24,), (2, 12), (2, 3, 4), (2, 3, 2, 2)):
         pure = StateData.pure(psi, dims)
         for k in (1, 2, 3):
             for c in enumerate_invariants(len(dims), k):
@@ -372,9 +372,9 @@ def test_evaluate_fast_pure_form_matches_rho_form():
                 got = evaluate_fast(t, pure, dims)
                 assert abs(got - want) <= 1e-12 * abs(want), (dims, t.label())
     pure = StateData.pure(psi)
-    for keep, rest in (([0], [1, 2]), ([1], [0, 2]), ([0, 2], [1]), ([1, 2], [0])):
+    for keep, rest in (([0], [1, 2, 3]), ([1], [0, 2, 3]), ([0, 2], [1, 3]), ([1, 2, 3], [0])):
         for k in (1, 2, 3):
-            val = evaluate_fast(reduced_power_label(3, keep, k), pure, (2, 3, 2))
+            val = evaluate_fast(reduced_power_label(4, keep, k), pure, (2, 3, 2, 2))
             assert abs(val - pure_jk(psi, (keep, rest), k)) <= 1e-12
 
 
@@ -673,6 +673,28 @@ def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatc
     verify_classes(tuples, random_density(8), (2, 2, 2), trials=3, seed=4)
     # the 49 classes have 41 distinct networks (fused dims and subscripts)
     assert calls == {"draw": 3, "rotate": 3, "plan": 41, "einsum": 0}
+
+
+def test_verify_classes_rotates_psi_and_never_forms_rho(monkeypatch):
+    rotated = []
+    rotate = invariants.apply_local_unitary
+
+    def spy(state, dims, us):
+        rotated.append(state.kind)
+        return rotate(state, dims, us)
+
+    def refuse(*args):
+        raise AssertionError("density_from_pure called")
+
+    monkeypatch.setattr(invariants, "apply_local_unitary", spy)
+    monkeypatch.setattr(states, "density_from_pure", refuse)
+    for dims in ((6,), (2, 3), (2, 3, 2), (3, 2, 2)):
+        pure = StateData.pure(random_pure_state(dims, seed=sum(dims)))
+        tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(len(dims), k)]
+        rotated.clear()
+        devs = verify_classes(tuples, pure, dims, trials=3, seed=29)
+        assert len(devs) == len(tuples) and max(devs) <= 1e-9, dims
+        assert rotated == ["pure"] * 3
 
 
 @pytest.mark.parametrize("n, k, programs", [(4, 3, 153), (6, 2, 12)])

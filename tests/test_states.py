@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tninv.states import cut_matrix
+from tninv.states import as_operator, cut_matrix
 from tninv import (
     StateData,
     StateFileError,
@@ -190,6 +190,32 @@ def test_apply_local_unitary_matches_kron():
         apply_local_unitary(op, dims, us[::-1])  # a 4 x 4 factor on the qubit
     with pytest.raises(ShapeError):
         apply_local_unitary(op, dims, us[:2])
+
+
+def test_apply_local_unitary_rotates_pure_state_data():
+    dims = (2, 3, 4)
+    psi = random_pure_state(dims, seed=32)
+    us = random_local_unitary(dims, seed=33)
+    got = apply_local_unitary(StateData.pure(psi), dims, us)
+    assert got.kind == "pure" and got.dims == dims
+    want = apply_local_unitary(density_from_pure(psi), dims, us)
+    assert np.max(np.abs(density_from_pure(got.tensor).data - want.data)) < 1e-12
+    # the same state given as an operator StateData takes the operator route
+    rotated = apply_local_unitary(StateData.density(density_from_pure(psi), dims), dims, us)
+    assert np.array_equal(rotated.data, want.data)
+    with pytest.raises(ShapeError):
+        apply_local_unitary(StateData.pure(psi), dims, us[::-1])
+    with pytest.raises(ShapeError):
+        apply_local_unitary(StateData.pure(psi), dims, us[:2])
+
+
+def test_as_operator_reads_density_state_data_only():
+    psi = random_pure_state((2, 3), seed=34)
+    rho = density_from_pure(psi)
+    mat = as_operator(StateData.density(rho, (2, 3)), (2, 3))
+    assert mat.shape == (6, 6) and np.array_equal(mat, rho.data)
+    with pytest.raises(ShapeError, match="pure state is not read as an operator"):
+        as_operator(StateData.pure(psi), (2, 3))
 
 
 def test_random_local_unitary_phase_uniformity():
