@@ -33,7 +33,6 @@ from .invariants import (
     evaluate_fast,
     evaluate_many,
     is_real_guaranteed,
-    verify_invariance,
     verify_classes,
     max_unitary_deviation,
     pure_jk,
@@ -41,7 +40,6 @@ from .invariants import (
 )
 from .entropy import (
     Spectrum,
-    CharPolyCoeffs,
     CharPolyRelation,
     renyi,
     von_neumann,

@@ -116,15 +116,16 @@ def cmd_invariants(args) -> CommandResult:
             raise ShapeError("list needs both -n and -k")
         classes = invariants.enumerate_invariants(args.n, args.k)
         res.values["count"] = len(classes)
-        res.values["labels"] = [c.label() for c in classes]
-        for c in classes:
+        res.values["labels"] = labels = [c.label() for c in classes]
+        for c, label in zip(classes, labels):
             tags = []
-            if len(c.components) > 1:
-                tags.append(f"components={len(c.components)}")
+            parts = len(invariants.connected_components(c.representative))
+            if parts > 1:
+                tags.append(f"components={parts}")
             if invariants.is_real_guaranteed(c.representative):
                 tags.append("real")
             tag = (" [" + ", ".join(tags) + "]") if tags else ""
-            res.add(f"{c.label()}  orbit={c.orbit_size}{tag}")
+            res.add(f"{label}  orbit={c.orbit_size}{tag}")
         return res
 
     data = _load(args.state)
@@ -183,12 +184,7 @@ def cmd_entropy(args) -> CommandResult:
     except ValueError:
         raise ValueError(f"--alpha takes comma-separated numbers, got {args.alpha!r}") from None
 
-    # The file's kind picks the route; a pure state never becomes rho.
-    if data.kind == "pure":
-        spec = entropy.Spectrum.from_pure(data.tensor, data.dims, keep)
-    else:
-        spec = entropy.Spectrum.from_density(states.partial_trace(data.tensor, data.dims, keep))
-
+    spec = entropy.Spectrum.from_state(data, keep)  # a pure state never becomes rho
     svn = entropy.von_neumann(spec)
     res.values["S_vn"] = svn
     res.add(f"S_vn = {_fmt(svn)}")
@@ -260,8 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = None  # built on the first call to main and reused
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.cmd == "factor":
             res = cmd_factor(args)

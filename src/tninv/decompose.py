@@ -9,7 +9,6 @@ vectors are the singular values across each cut.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -29,7 +28,8 @@ class SVDFactors:
     u is dim(B) x dim(B) unitary, v is dim(A) x dim(A) unitary, sigma holds
     the min(dim A, dim B) singular values in non-increasing order.  q is
     the rectangular dimension changer with 1's on the diagonal; it is the
-    identity (and ``q_needed`` false) for square input.
+    identity (and ``q_needed`` false) for square input.  ``q``, ``q_needed``
+    and ``sigma_matrix`` illustrate the paper's diagrammatic SVD, U Q Sigma V.
     """
 
     u: np.ndarray
@@ -82,7 +82,6 @@ class SchmidtForm:
     left_basis: np.ndarray
     right_basis: np.ndarray
     rank: int
-    group_dims: tuple[tuple[int, ...], tuple[int, ...]]
 
     def reconstruct_matrix(self) -> np.ndarray:
         return self.left_basis @ np.diag(self.sigma) @ self.right_basis.T
@@ -109,16 +108,7 @@ def schmidt(state: Tensor, bipartition) -> SchmidtForm:
         raise ShapeError("both bipartition groups must be nonempty")
     mat = group_legs(state, (list(ga), list(gb))).data
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = _count_rank(s)
-    dims_a = tuple(state.dims[i] for i in ga)
-    dims_b = tuple(state.dims[i] for i in gb)
-    return SchmidtForm(
-        sigma=s,
-        left_basis=u,
-        right_basis=vh.T,
-        rank=rank,
-        group_dims=(dims_a, dims_b),
-    )
+    return SchmidtForm(sigma=s, left_basis=u, right_basis=vh.T, rank=_count_rank(s))
 
 
 def _count_rank(s: np.ndarray) -> int:

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import as_operator, cut_matrix
+from .states import StateData, _checked_keep, as_operator, partial_trace
+from .tensor import group_legs
 
 CLAMP_TOL = 1e-12
 SUM_TOL = 1e-9
@@ -51,16 +52,22 @@ class Spectrum:
         return cls(np.where(np.abs(p) <= CLAMP_TOL, 0.0, p))
 
     @classmethod
-    def from_pure(cls, psi, dims, keep) -> "Spectrum":
-        """Spectrum of a pure state's reduced operator on ``keep``.
+    def from_state(cls, state: StateData, keep) -> "Spectrum":
+        """Spectrum of a state's reduced operator on ``keep``.
 
-        With psi bent across the cut into M (d_keep x d_rest), the reduced
-        operator is M M^H.  M^H M has the same nonzero eigenvalues, so the
-        Gram matrix of the smaller side is diagonalised: keeping every
-        subsystem costs a 1 x 1 matrix, and |psi><psi| is never formed.
-        The zeros this leaves out change no entropy.
+        A density state is traced down with :func:`partial_trace`.  A pure
+        state is bent across the cut into M (d_keep x d_rest), whose
+        reduced operator is M M^H.  M^H M has the same nonzero eigenvalues,
+        so the Gram matrix of the smaller side is diagonalised: keeping
+        every subsystem costs a 1 x 1 matrix, and |psi><psi| is never
+        formed.  The zeros this leaves out change no entropy.
         """
-        mat = cut_matrix(psi, dims, keep)
+        keep = _checked_keep(keep, len(state.dims))
+        if state.kind != "pure":
+            return cls.from_density(partial_trace(state.tensor, state.dims, keep))
+        rest = [i for i in range(len(state.dims)) if i not in keep]
+        bent = group_legs(state.tensor, (keep, rest)).data
+        mat = bent.reshape(len(bent), -1)  # (D, 1) when every subsystem is kept
         gram = mat @ mat.conj().T if mat.shape[0] <= mat.shape[1] else mat.conj().T @ mat
         return cls.from_density(gram)
 
@@ -105,20 +112,14 @@ def renyi_from_invariant(value: float, alpha: int) -> float:
 
 
 @dataclass
-class CharPolyCoeffs:
-    """Trailing coefficients of the monic characteristic polynomial.
+class CharPolyRelation:
+    """Trailing coefficients of the monic characteristic polynomial, and residuals.
 
-    ``coeffs[i]`` multiplies lambda**(dim - 1 - i); the leading 1 is
-    implicit.
+    ``coeffs[i]`` multiplies lambda**(d - 1 - i) for d = ``len(coeffs)``;
+    the leading 1 is implicit.
     """
 
-    dim: int
     coeffs: np.ndarray
-
-
-@dataclass
-class CharPolyRelation:
-    coeffs: CharPolyCoeffs
     residual: float        # entropy form, via exp(-(k-1) S_k)
     trace_residual: float  # trace form, via matrix powers
 
@@ -144,7 +145,7 @@ def char_poly_relation(rho) -> CharPolyRelation:
 
     if n == 1:
         residual = abs(tr + float(coeffs[0]))
-        return CharPolyRelation(CharPolyCoeffs(n, coeffs), residual, residual)
+        return CharPolyRelation(coeffs, residual, residual)
 
     spec = Spectrum(evals)
     total = coeffs[n - 2] * tr + n * coeffs[n - 1]
@@ -161,7 +162,7 @@ def char_poly_relation(rho) -> CharPolyRelation:
         t_total += c * float(np.trace(power).real)
     trace_residual = abs(float(t_total))
 
-    return CharPolyRelation(CharPolyCoeffs(n, coeffs), residual, trace_residual)
+    return CharPolyRelation(coeffs, residual, trace_residual)
 
 
 def schmidt_from_jk(jvals) -> np.ndarray:

@@ -162,7 +162,6 @@ class CanonicalClass:
 
     representative: PermTuple
     orbit_size: int
-    components: tuple[tuple[int, ...], ...]
 
     def label(self) -> str:
         return self.representative.label()
@@ -193,7 +192,7 @@ def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
         marks[orbit] = 1
         rep = PermTuple(k, tuple(sk[int(d)] for d in digits))
         size = radix // int(np.count_nonzero(orbit == code))  # orbit-stabilizer
-        classes.append(CanonicalClass(rep, size, connected_components(rep)))
+        classes.append(CanonicalClass(rep, size))
         code = seen.find(0, code)
     return classes
 
@@ -565,7 +564,7 @@ def verify_classes(
     seed=0,
     cost: ContractionCost | None = None,
 ) -> list[float]:
-    """:func:`verify_invariance` of every tuple on one set of Haar trials.
+    """Empirical invariance check: each tuple's max relative deviation over Haar trials.
 
     ``state`` takes its :func:`evaluate_many` route: a pure StateData stays
     psi, so rho is never formed.  Each trial draws its local unitaries and
@@ -580,9 +579,3 @@ def verify_classes(
         lambda s: _contract_all(plan, _operand(s, dims), len(tuples)), state, dims, trials, seed
     )
 
-
-def verify_invariance(
-    t: PermTuple, state, dims: Sequence[int], trials: int = 20, seed=0
-) -> float:
-    """Empirical invariance check: max relative deviation over Haar trials."""
-    return verify_classes([t], state, dims, trials=trials, seed=seed)[0]

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, ShapeError
+from .tensor import Tensor, ShapeError, group_legs
 
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9  # also bounds how far a pure state's squared norm may be off 1
@@ -240,23 +240,6 @@ def _checked_keep(keep: Sequence[int], n: int) -> list[int]:
     return keep
 
 
-def cut_matrix(psi, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """A pure state's components as the d_keep x d_rest matrix M of a cut.
-
-    Rows run over the subsystems in ``keep`` (ascending), columns over the
-    rest, so the reduced operator on ``keep`` is M M^H.  The result has the
-    size of psi; |psi><psi| is never formed.
-    """
-    dims = tuple(int(d) for d in dims)
-    keep = _checked_keep(keep, len(dims))
-    arr = psi.data if isinstance(psi, Tensor) else np.asarray(psi)
-    if arr.size != prod(dims):
-        raise ShapeError(f"state of size {arr.size} does not match dims {dims}")
-    rest = [i for i in range(len(dims)) if i not in keep]
-    d_keep = prod(dims[i] for i in keep)
-    return arr.reshape(dims).transpose(keep + rest).reshape(d_keep, -1)
-
-
 def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> Tensor:
     """Trace out every subsystem not in ``keep``.
 
@@ -285,14 +268,11 @@ def bipartition_density(rho, dims: Sequence[int], keep: Sequence[int]):
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     keep = _checked_keep(keep, n)
-    rest = [i for i in range(n) if i not in keep]
-    order = keep + rest
+    order = keep + [i for i in range(n) if i not in keep]
     arr = as_operator(rho, dims).reshape(dims + dims)
-    perm = order + [n + i for i in order]
-    arr = np.transpose(arr, perm)
-    d = prod(dims)
+    mat = group_legs(arr, (order, [n + i for i in order]))
     dk = prod(dims[i] for i in keep)
-    return Tensor._wrap(arr.reshape(d, d)), (dk, d // dk)
+    return mat, (dk, mat.dims[0] // dk)
 
 
 def apply_local_unitary(state, dims: Sequence[int], unitaries):

@@ -75,20 +75,19 @@ class Tensor:
         return f"Tensor(dims={self.dims})"
 
 
-def group_legs(a: Tensor, split: tuple[Sequence[int], Sequence[int]]) -> Tensor:
-    """Fuse the legs of ``a`` into at most two fat legs.
+def group_legs(a, split: tuple[Sequence[int], Sequence[int]]) -> Tensor:
+    """Fuse the legs of ``a`` (a Tensor or an array) into at most two fat legs.
 
     ``split`` is a pair of ordered leg groups that together cover every leg
     exactly once.  The result has one leg per non-empty group, of dimension
     equal to the product of the group's dimensions; components follow
     row-major index arithmetic within each group, so reshaping to the
-    moved legs' dimensions undoes it.
+    moved legs' dimensions undoes it.  Every two-way cut in tninv bends here.
     """
+    arr = a.data if isinstance(a, Tensor) else np.asarray(a)
     g1, g2 = [list(g) for g in split]
-    if sorted(g1 + g2) != list(range(a.nlegs)):
-        raise ShapeError(f"split {split} is not a partition of {a.nlegs} legs")
-    moved = np.transpose(a.data, g1 + g2)
-    shape = tuple(
-        prod(a.dims[i] for i in g) for g in (g1, g2) if g
-    )
+    if sorted(g1 + g2) != list(range(arr.ndim)):
+        raise ShapeError(f"split {split} is not a partition of {arr.ndim} legs")
+    moved = np.transpose(arr, g1 + g2)
+    shape = tuple(prod(arr.shape[i] for i in g) for g in (g1, g2) if g)
     return Tensor._wrap(moved.reshape(shape))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tninv import invariants, states
+from tninv import cli, invariants, states
 from tninv import (
     StateData,
     Tensor,
@@ -149,6 +149,19 @@ def test_invariants_list_n1_k2(capsys):
     out = capsys.readouterr().out
     assert "2; e" in out
     assert "2; (12)" in out
+
+
+def test_invariants_list_formats_each_label_once(capsys, monkeypatch):
+    calls = []
+    fmt = invariants.format_label
+    monkeypatch.setattr(invariants, "format_label", lambda t: calls.append(t) or fmt(t))
+    count = len(invariants.enumerate_invariants(2, 3))
+    assert main(["invariants", "list", "-n", "2", "-k", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(calls) == len(lines) == count
+    assert [line.split("  ")[0] for line in lines] == [fmt(t) for t in calls]
+    assert main(["invariants", "list", "-n", "2", "-k", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"]["labels"] == [fmt(t) for t in calls[count:]]
 
 
 def test_invariants_list_too_many_tuples_exits_2(capsys):
@@ -503,3 +516,19 @@ def test_output_deterministic(bell_path, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_labels(bell_path, capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert main(["invariants", "eval", bell_path, "--label", "2; e | e"]) == 0
+    first = capsys.readouterr().out
+    assert main(["invariants", "eval", bell_path, "--label", "2; (12) | e"]) == 0
+    second = capsys.readouterr().out
+    assert main(["entropy", bell_path, "--keep", "0"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert first.splitlines() == ["2; e | e = 1+0j"]
+    assert [line.split(" = ")[0] for line in second.splitlines()] == ["2; (12) | e"]

@@ -3,6 +3,7 @@ import pytest
 
 from tninv import (
     Spectrum,
+    StateData,
     char_poly_relation,
     renyi,
     renyi_from_invariant,
@@ -36,7 +37,7 @@ def test_spectrum_from_pure_uses_smaller_side():
     psi = random_pure_state((2, 3, 2), seed=71)
     rho = density_from_pure(psi)
     for keep, rest, size in (([0], [1, 2], 2), ([1, 2], [0], 2), ([1], [0, 2], 3)):
-        spec = Spectrum.from_pure(psi, (2, 3, 2), keep)
+        spec = Spectrum.from_state(StateData.pure(psi), keep)
         assert spec.probs.size == size
         dense = Spectrum.from_density(partial_trace(rho, (2, 3, 2), keep))
         assert von_neumann(spec) == pytest.approx(von_neumann(dense), abs=1e-12)
@@ -45,7 +46,7 @@ def test_spectrum_from_pure_uses_smaller_side():
         ref = Spectrum(schmidt(psi, (keep, rest)).sigma ** 2)
         for alpha in (0.5, 2, 3):
             assert renyi(spec, alpha) == pytest.approx(renyi(ref, alpha), abs=1e-12)
-    whole = Spectrum.from_pure(psi, (2, 3, 2), [0, 1, 2])
+    whole = Spectrum.from_state(StateData.pure(psi), [0, 1, 2])
     assert whole.probs.size == 1 and von_neumann(whole) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -55,7 +56,7 @@ def test_spectrum_density_route_drops_rounding_eigenvalues():
     # noise that would each add p^0.5 ~ 1e-8 below order 1
     psi = random_pure_state((2, 3, 2), seed=71)
     dense = Spectrum.from_density(partial_trace(density_from_pure(psi), (2, 3, 2), [1, 2]))
-    pure = Spectrum.from_pure(psi, (2, 3, 2), [1, 2])
+    pure = Spectrum.from_state(StateData.pure(psi), [1, 2])
     assert np.count_nonzero(dense.probs) == 2
     for alpha in (0.25, 0.5, 2, 3):
         assert renyi(dense, alpha) == pytest.approx(renyi(pure, alpha), abs=1e-12)
@@ -206,7 +207,7 @@ def test_renyi_from_invariant_matches_spectrum():
 
 def test_char_poly_maximally_mixed_qubit():
     rel = char_poly_relation(np.eye(2) / 2)
-    a, b = rel.coeffs.coeffs
+    a, b = rel.coeffs
     assert a == pytest.approx(-1.0, abs=1e-12)
     assert b == pytest.approx(0.25, abs=1e-12)
     assert rel.residual == pytest.approx(0.0, abs=1e-14)

@@ -29,7 +29,6 @@ from tninv import (
     pure_jk,
     reduced_power_label,
     verify_classes,
-    verify_invariance,
     random_pure_state,
     density_from_pure,
     save_state,
@@ -583,7 +582,7 @@ def test_not_real_guaranteed_example_is_genuinely_complex():
     val = evaluate_fast(t, rho, (2, 2, 2))
     assert abs(val.imag) > 1e-6  # takes truly complex values
     # yet it is still an LU invariant
-    assert verify_invariance(t, rho, (2, 2, 2), trials=5, seed=1) < 1e-9
+    assert verify_classes([t], rho, (2, 2, 2), trials=5, seed=1)[0] < 1e-9
 
 
 def test_real_guaranteed_classes_have_real_values():
@@ -604,24 +603,22 @@ def test_real_guaranteed_classes_have_real_values():
 def test_verify_identity_tuple():
     rho = random_density(4)
     t = PermTuple(2, ((0, 1), (0, 1)))
-    assert verify_invariance(t, rho, (2, 2), trials=5, seed=0) <= 1e-12
+    assert verify_classes([t], rho, (2, 2), trials=5, seed=0)[0] <= 1e-12
 
 
 def test_verify_all_bipartite_classes():
     rho = random_density(4)
     for k in (1, 2, 3):
         for cls in enumerate_invariants(2, k):
-            dev = verify_invariance(
-                cls.representative, rho, (2, 2), trials=50, seed=17
-            )
+            [dev] = verify_classes([cls.representative], rho, (2, 2), trials=50, seed=17)
             assert dev <= 1e-9, cls.label()
 
 
 def test_verify_reproducible():
     rho = random_density(4)
     t = parse_label("2; (12) | (12)")
-    d1 = verify_invariance(t, rho, (2, 2), trials=7, seed=3)
-    d2 = verify_invariance(t, rho, (2, 2), trials=7, seed=3)
+    d1 = verify_classes([t], rho, (2, 2), trials=7, seed=3)
+    d2 = verify_classes([t], rho, (2, 2), trials=7, seed=3)
     assert d1 == d2
 
 

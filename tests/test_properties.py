@@ -1,5 +1,6 @@
 """Property tests: the pure-state entropy route against the density route,
-one planned call of many labels against each label on its own, and the
+one planned call of many labels against each label on its own, LU
+invariance, the component product rule, state-file round trips, and the
 CLI's state loader on arbitrary and near-valid JSON."""
 
 import contextlib
@@ -17,17 +18,23 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from tninv import perms  # noqa: E402
 from tninv.cli import main  # noqa: E402
 from tninv import (  # noqa: E402
+    PermTuple,
     Spectrum,
     StateData,
+    Tensor,
+    component_subtuples,
     conjugate_tuple,
     density_from_pure,
     enumerate_invariants,
     evaluate_fast,
     evaluate_many,
+    load_state,
     partial_trace,
     random_pure_state,
     reduced_power_label,
     renyi,
+    save_state,
+    verify_classes,
     von_neumann,
 )
 
@@ -45,7 +52,7 @@ def test_pure_route_matches_density_route(case):
     dims, keep, seed = case
     psi = random_pure_state(dims, seed=seed)
     rho = density_from_pure(psi)
-    pure = Spectrum.from_pure(psi, dims, keep)
+    pure = Spectrum.from_state(StateData.pure(psi), keep)
     dense = Spectrum.from_density(partial_trace(rho, dims, keep))
     assert von_neumann(pure) == pytest.approx(von_neumann(dense), abs=1e-12)
     for k in (2, 3):
@@ -80,6 +87,62 @@ def test_planned_batch_matches_each_label_alone(case):
         got = evaluate_many(picks + relabelled, state, dims)
         for want, value in zip(got, got[len(picks):]):
             assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def random_density(dims, seed):
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a @ a.conj().T / np.trace(a @ a.conj().T)
+
+
+@st.composite
+def class_samples(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    k = draw(st.integers(1, 3))
+    reps = st.sampled_from([c.representative for c in enumerate_invariants(len(dims), k)])
+    return dims, draw(st.lists(reps, min_size=1, max_size=4)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(class_samples())
+def test_classes_are_lu_invariant_on_both_routes(case):
+    dims, tuples, seed = case
+    pure = StateData.pure(random_pure_state(dims, seed=seed))
+    rho = StateData.density(Tensor(random_density(dims, seed)), dims)
+    for state in (pure, rho):
+        assert max(verify_classes(tuples, state, dims, trials=3, seed=seed)) <= 1e-9
+
+
+@st.composite
+def any_tuples(draw):
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    k = draw(st.integers(1, 4))
+    sigmas = draw(st.lists(st.permutations(range(k)), min_size=len(dims), max_size=len(dims)))
+    return dims, PermTuple(k, tuple(map(tuple, sigmas))), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(any_tuples())
+def test_value_is_product_over_components(case):
+    dims, t, seed = case
+    rho = random_density(dims, seed)
+    want = evaluate_fast(t, rho, dims)
+    got = np.prod([evaluate_fast(c, rho, dims) for c in component_subtuples(t)])
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1))
+def test_state_files_round_trip_bitwise(dims, seed):
+    psi = random_pure_state(dims, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        for state in (StateData.pure(psi), StateData.density(density_from_pure(psi), dims)):
+            save_state(state, path)
+            back = load_state(path)
+            assert (back.kind, back.dims) == (state.kind, state.dims)
+            assert back.tensor.data.tobytes() == state.tensor.data.tobytes()
 
 
 json_values = st.recursive(

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tninv.states import as_operator, cut_matrix
+from tninv.states import as_operator
 from tninv import (
+    Spectrum,
     StateData,
     StateFileError,
     Tensor,
@@ -13,6 +14,7 @@ from tninv import (
     apply_local_unitary,
     bipartition_density,
     density_from_pure,
+    group_legs,
     load_state,
     partial_trace,
     random_local_unitary,
@@ -284,18 +286,24 @@ def test_cut_matrix_gram_is_reduced_operator():
     psi = random_pure_state((2, 3, 2), seed=17)
     rho = density_from_pure(psi)
     for keep in ([0], [1], [0, 2], [2, 0, 2], [0, 1, 2]):
-        mat = cut_matrix(psi, (2, 3, 2), keep)
+        kept = sorted(set(keep))
+        bent = group_legs(psi, (kept, [i for i in range(3) if i not in kept])).data
         red = partial_trace(rho, (2, 3, 2), keep)
+        mat = bent.reshape(red.dims[0], -1)
         assert mat.shape == (red.dims[0], 12 // red.dims[0])
         assert np.max(np.abs(mat @ mat.conj().T - red.data)) < 1e-14
+        nonzero = np.sort(Spectrum.from_state(StateData.pure(psi), keep).probs)[::-1]
+        want = np.sort(np.linalg.eigvalsh(red.data))[::-1][: nonzero.size]
+        assert np.max(np.abs(nonzero - want)) < 1e-14
 
 
 def test_cut_refuses_negative_and_out_of_range_keep():
     psi = random_pure_state((2, 2), seed=18)
     rho = density_from_pure(psi)
     for keep in ([], [-1], [0, 2]):
-        with pytest.raises(ShapeError):
-            cut_matrix(psi, (2, 2), keep)
+        for state in (StateData.pure(psi), StateData.density(rho, (2, 2))):
+            with pytest.raises(ShapeError):
+                Spectrum.from_state(state, keep)
         with pytest.raises(ShapeError):
             partial_trace(rho, (2, 2), keep)
         with pytest.raises(ShapeError):

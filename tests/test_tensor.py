@@ -59,6 +59,7 @@ def test_group_index_arithmetic():
             for k in range(2):
                 for l in range(2):
                     assert m[2 * i + j, 2 * k + l] == arr[i, j, k, l]
+    assert np.array_equal(group_legs(arr, ([0, 1], [2, 3])).data, m)  # an array bends alike
 
 
 def test_group_all_legs_vectorizes():
