@@ -117,6 +117,8 @@ def cmd_invariants(args) -> CommandResult:
         classes = invariants.enumerate_invariants(args.n, args.k)
         res.values["count"] = len(classes)
         res.values["labels"] = labels = [c.label() for c in classes]
+        if args.json:  # the tags below only feed the human lines
+            return res
         for c, label in zip(classes, labels):
             tags = []
             parts = len(invariants.connected_components(c.representative))

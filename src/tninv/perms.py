@@ -133,8 +133,14 @@ def parse_perm(text: str, k: int) -> tuple[int, ...]:
     return from_cycles(k, cycs)
 
 
-def format_perm(p) -> str:
-    """1-based cycle notation; ``e`` for the identity."""
+# S_1 to S_6, the degrees that enumeration reaches, have 873 elements.
+@functools.lru_cache(maxsize=1024)
+def format_perm(p: tuple[int, ...]) -> str:
+    """1-based cycle notation; ``e`` for the identity.
+
+    Memoised per permutation tuple; labels reach degree ``MAX_LABELS`` (52)
+    in ``tninv.invariants``, so the memo is bounded.
+    """
     cycs = cycles(p)
     if not cycs:
         return "e"

@@ -164,6 +164,77 @@ def test_invariants_list_formats_each_label_once(capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["values"]["labels"] == [fmt(t) for t in calls[count:]]
 
 
+# The human output of `tninv invariants list -n 3 -k 3`, pinned byte for byte.
+LIST_3_3 = (
+    "3; e | e | e  orbit=1 [components=3, real]\n"
+    "3; e | e | (23)  orbit=3 [components=2, real]\n"
+    "3; e | e | (123)  orbit=2 [real]\n"
+    "3; e | (23) | e  orbit=3 [components=2, real]\n"
+    "3; e | (23) | (23)  orbit=3 [components=2, real]\n"
+    "3; e | (23) | (12)  orbit=6 [real]\n"
+    "3; e | (23) | (123)  orbit=6 [real]\n"
+    "3; e | (123) | e  orbit=2 [real]\n"
+    "3; e | (123) | (23)  orbit=6 [real]\n"
+    "3; e | (123) | (123)  orbit=2 [real]\n"
+    "3; e | (123) | (132)  orbit=2 [real]\n"
+    "3; (23) | e | e  orbit=3 [components=2, real]\n"
+    "3; (23) | e | (23)  orbit=3 [components=2, real]\n"
+    "3; (23) | e | (12)  orbit=6 [real]\n"
+    "3; (23) | e | (123)  orbit=6 [real]\n"
+    "3; (23) | (23) | e  orbit=3 [components=2, real]\n"
+    "3; (23) | (23) | (23)  orbit=3 [components=2, real]\n"
+    "3; (23) | (23) | (12)  orbit=6 [real]\n"
+    "3; (23) | (23) | (123)  orbit=6 [real]\n"
+    "3; (23) | (12) | e  orbit=6 [real]\n"
+    "3; (23) | (12) | (23)  orbit=6 [real]\n"
+    "3; (23) | (12) | (12)  orbit=6 [real]\n"
+    "3; (23) | (12) | (123)  orbit=6\n"
+    "3; (23) | (12) | (132)  orbit=6\n"
+    "3; (23) | (12) | (13)  orbit=6 [real]\n"
+    "3; (23) | (123) | e  orbit=6 [real]\n"
+    "3; (23) | (123) | (23)  orbit=6 [real]\n"
+    "3; (23) | (123) | (12)  orbit=6\n"
+    "3; (23) | (123) | (123)  orbit=6 [real]\n"
+    "3; (23) | (123) | (132)  orbit=6 [real]\n"
+    "3; (23) | (123) | (13)  orbit=6\n"
+    "3; (123) | e | e  orbit=2 [real]\n"
+    "3; (123) | e | (23)  orbit=6 [real]\n"
+    "3; (123) | e | (123)  orbit=2 [real]\n"
+    "3; (123) | e | (132)  orbit=2 [real]\n"
+    "3; (123) | (23) | e  orbit=6 [real]\n"
+    "3; (123) | (23) | (23)  orbit=6 [real]\n"
+    "3; (123) | (23) | (12)  orbit=6\n"
+    "3; (123) | (23) | (123)  orbit=6 [real]\n"
+    "3; (123) | (23) | (132)  orbit=6 [real]\n"
+    "3; (123) | (23) | (13)  orbit=6\n"
+    "3; (123) | (123) | e  orbit=2 [real]\n"
+    "3; (123) | (123) | (23)  orbit=6 [real]\n"
+    "3; (123) | (123) | (123)  orbit=2 [real]\n"
+    "3; (123) | (123) | (132)  orbit=2 [real]\n"
+    "3; (123) | (132) | e  orbit=2 [real]\n"
+    "3; (123) | (132) | (23)  orbit=6 [real]\n"
+    "3; (123) | (132) | (123)  orbit=2 [real]\n"
+    "3; (123) | (132) | (132)  orbit=2 [real]\n"
+)
+
+
+def test_invariants_list_human_output_is_unchanged(capsys):
+    assert main(["invariants", "list", "-n", "3", "-k", "3"]) == 0
+    assert capsys.readouterr().out == LIST_3_3
+
+
+def test_invariants_list_json_builds_no_tags(capsys, monkeypatch):
+    def refuse(t):
+        raise AssertionError("a tag was computed for --json")
+
+    monkeypatch.setattr(invariants, "connected_components", refuse)
+    monkeypatch.setattr(invariants, "is_real_guaranteed", refuse)
+    assert main(["invariants", "list", "-n", "3", "-k", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["values"]["count"] == 49
+    assert doc["values"]["labels"] == [line.split("  ")[0] for line in LIST_3_3.splitlines()]
+
+
 def test_invariants_list_too_many_tuples_exits_2(capsys):
     assert main(["invariants", "list", "-n", "9", "-k", "6"]) == 2
     err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -436,7 +438,8 @@ def test_program_never_falls_back_to_one_naive_loop(label):
     # capped at the largest input refuses, leaving a 64^k-term loop
     t, dims = parse_label(label), (8, 8)
     rho = random_density(64, np.random.default_rng(73))
-    program = invariants._network(t, dims).compile(pure=False)
+    net = invariants._network(t, dims)
+    program = invariants._program(net.fused, net.subscripts, False)
     assert program.largest <= 8**6
     # oracle: np.einsum along a fixed ring of the copies, no planner involved
     r = rho.reshape(8, 8, 8, 8)
@@ -649,7 +652,19 @@ def test_verify_classes_matches_per_class_loop():
         assert dev <= 1e-9, t.label()
 
 
+def clear_memos():
+    """Empty the per-process plan memos, so the next call plans cold."""
+    invariants._network.cache_clear()
+    invariants._program.cache_clear()
+    invariants._ENUMERATIONS.clear()
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatch):
+    clear_memos()
     calls = {"draw": 0, "rotate": 0, "plan": 0, "einsum": 0}
 
     def counting(key, fn):
@@ -662,14 +677,17 @@ def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatc
                         counting("draw", invariants.random_local_unitary))
     monkeypatch.setattr(invariants, "apply_local_unitary",
                         counting("rotate", invariants.apply_local_unitary))
-    monkeypatch.setattr(invariants._Network, "compile",
-                        counting("plan", invariants._Network.compile))
+    monkeypatch.setattr(invariants, "_compile", counting("plan", invariants._compile))
     monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
     monkeypatch.setattr(np, "einsum_path", counting("einsum", np.einsum_path))
     tuples = [c.representative for c in enumerate_invariants(3, 3)]
-    verify_classes(tuples, random_density(8), (2, 2, 2), trials=3, seed=4)
+    rho = random_density(8)
+    cold = verify_classes(tuples, rho, (2, 2, 2), trials=3, seed=4)
     # the 49 classes have 41 distinct networks (fused dims and subscripts)
     assert calls == {"draw": 3, "rotate": 3, "plan": 41, "einsum": 0}
+    warm = verify_classes(tuples, rho, (2, 2, 2), trials=3, seed=4)
+    assert calls == {"draw": 6, "rotate": 6, "plan": 41, "einsum": 0}
+    assert same_bits(warm, cold)
 
 
 def test_verify_classes_rotates_psi_and_never_forms_rho(monkeypatch):
@@ -696,23 +714,86 @@ def test_verify_classes_rotates_psi_and_never_forms_rho(monkeypatch):
 
 @pytest.mark.parametrize("n, k, programs", [(4, 3, 153), (6, 2, 12)])
 def test_each_call_compiles_once_per_distinct_network(n, k, programs, monkeypatch):
-    compiled, compile_ = [], invariants._Network.compile
+    compiled, compile_ = [], invariants._compile
 
-    def spy(net, pure):
-        compiled.append(net)
-        return compile_(net, pure)
+    def spy(terms, size, sources):
+        compiled.append((tuple(map(tuple, terms)), tuple(size), sources))
+        return compile_(terms, size, sources)
 
-    monkeypatch.setattr(invariants._Network, "compile", spy)
+    monkeypatch.setattr(invariants, "_compile", spy)
     dims = (2,) * n
     tuples = [c.representative for c in enumerate_invariants(n, k)]
     rho = random_density(2**n, np.random.default_rng(74))
     for state in (rho, StateData.pure(random_pure_state(dims, seed=75))):
+        clear_memos()
         compiled.clear()
         cost = ContractionCost()
-        evaluate_many(tuples, state, dims, cost=cost)
-        assert len(compiled) == len({(net.fused, net.subscripts) for net in compiled}) == programs
+        cold = evaluate_many(tuples, state, dims, cost=cost)
+        assert len(compiled) == len(set(compiled)) == programs
         if state is rho and (n, k) == (4, 3):  # still charged once per class
             assert cost == ContractionCost(flops=362576, largest=256)
+        compiled.clear()
+        warm_cost = ContractionCost()
+        warm = evaluate_many(tuples, state, dims, cost=warm_cost)
+        assert compiled == [] and warm_cost == cost and same_bits(warm, cold)
+
+
+def test_enumeration_memo_hands_out_fresh_lists():
+    clear_memos()
+    first = enumerate_invariants(3, 3)
+    want = list(first)
+    first.reverse()
+    first.append(None)
+    assert enumerate_invariants(3, 3) == want
+
+
+def test_enumeration_memo_keeps_only_small_recent_enumerations(monkeypatch):
+    assert invariants.MEMO_CLASSES == 4096 and invariants.MEMO_ENUMERATIONS == 8
+    clear_memos()
+    assert len(enumerate_invariants(5, 3)) == 1393
+    assert len(enumerate_invariants(6, 3)) == 8051
+    assert set(invariants._ENUMERATIONS) == {(5, 3)}
+    monkeypatch.setattr(invariants, "MEMO_CLASSES", 49)
+    enumerate_invariants(3, 3)  # 49 classes: kept
+    enumerate_invariants(4, 3)  # 251: not kept
+    assert set(invariants._ENUMERATIONS) == {(5, 3), (3, 3)}
+    for n in range(1, 8):  # one class each; the oldest entries make room
+        enumerate_invariants(n, 1)
+    assert list(invariants._ENUMERATIONS) == [(3, 3)] + [(n, 1) for n in range(1, 8)]
+
+
+def test_memos_hold_under_concurrent_callers():
+    sizes = [(n, k) for n in range(1, 4) for k in (2, 3)] + [(n, 1) for n in range(1, 25)]
+    want = {nk: enumerate_invariants(*nk) for nk in sizes}
+    rho = random_density(8, np.random.default_rng(76))
+    values = evaluate_many([c.representative for c in want[3, 3]], rho, (2, 2, 2))
+    clear_memos()
+    errors = []
+
+    def worker(offset):
+        try:
+            for i in range(200):
+                nk = sizes[(i + offset) % len(sizes)]
+                if enumerate_invariants(*nk) != want[nk]:
+                    errors.append(nk)
+            tuples = [c.representative for c in enumerate_invariants(3, 3)]
+            if not same_bits(evaluate_many(tuples, rho, (2, 2, 2)), values):
+                errors.append("values")
+        except Exception as exc:  # a lost update surfaces here as KeyError
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(invariants._ENUMERATIONS) <= invariants.MEMO_ENUMERATIONS
 
 
 def _verify_cli(tmp_path, dims, k, *extra):

@@ -1,7 +1,8 @@
 """Property tests: the pure-state entropy route against the density route,
 one planned call of many labels against each label on its own, LU
-invariance, the component product rule, state-file round trips, and the
-CLI's state loader on arbitrary and near-valid JSON."""
+invariance, the component product rule, invariance under relabelling the
+copies, label and state-file round trips, and the CLI's state loader on
+arbitrary and near-valid JSON."""
 
 import contextlib
 import io
@@ -22,13 +23,16 @@ from tninv import (  # noqa: E402
     Spectrum,
     StateData,
     Tensor,
+    canonicalize,
     component_subtuples,
     conjugate_tuple,
     density_from_pure,
     enumerate_invariants,
     evaluate_fast,
     evaluate_many,
+    format_label,
     load_state,
+    parse_label,
     partial_trace,
     random_pure_state,
     reduced_power_label,
@@ -130,6 +134,32 @@ def test_value_is_product_over_components(case):
     want = evaluate_fast(t, rho, dims)
     got = np.prod([evaluate_fast(c, rho, dims) for c in component_subtuples(t)])
     assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(any_tuples(), st.data())
+def test_relabelling_the_copies_changes_nothing(case, data):
+    dims, t, seed = case
+    relabelled = conjugate_tuple(t, data.draw(st.permutations(range(t.k))))
+    assert canonicalize(relabelled) == canonicalize(t)
+    rho = StateData.density(Tensor(random_density(dims, seed)), dims)
+    for state in (rho, StateData.pure(random_pure_state(dims, seed=seed))):
+        want = evaluate_fast(t, state, dims)
+        assert abs(evaluate_fast(relabelled, state, dims) - want) <= 1e-12 * abs(want)
+
+
+@st.composite
+def any_labels(draw):
+    k = draw(st.integers(1, 12))  # past 9, cycle points are separated by spaces
+    n = draw(st.integers(1, 4))
+    sigmas = draw(st.lists(st.permutations(range(k)), min_size=n, max_size=n))
+    return PermTuple(k, tuple(map(tuple, sigmas)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(any_labels())
+def test_labels_round_trip(t):
+    assert parse_label(format_label(t)) == t
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
