@@ -16,6 +16,26 @@ network's integer labels.  Labels that differ only in which subsystems
 they fuse share a program.
 Replaying a program is transposes, reshapes and ``@``; no ``np.einsum``
 call remains on the value path.
+
+Every program acts on a stack of states: axis 0 of each operand is a
+batch, kept first by every transpose and led by -1 in every reshape, all
+fixed when the program is compiled, and ``@`` broadcasts over it.
+:func:`evaluate_many` replays a stack of one.  :func:`verify_classes`
+stacks the unrotated state and its Haar-rotated copies and replays each
+program once per chunk of ``max(1, BATCH_BYTES // size)`` rows.  Size is
+the bytes, as complex128, of the widest row any array of the chunk has:
+psi or the operator, the largest intermediate of the call's programs, or
+the values of all its labels.  ``BATCH_BYTES`` (128 KiB) thus bounds each
+array a chunk makes: the states, their stack, a grouping's fused copies,
+each intermediate and the values.  A chunk holds a few of them at once,
+so a verify call's memory is a small multiple of ``BATCH_BYTES``, or of
+one row when a row is larger, whatever the trial count.  Measured with
+tracemalloc over the k <= 3 classes of psi and operators of 2 to 10
+qubits or up to 8 x 8, a call peaks at 0.2-1.2 MB, against 0.07-0.5 MB
+replaying one trial at a time.  Batching pays for small operands, where
+Python overhead per step sets the cost.  For a 64 x 64 operator the
+transposed copies dominate, and batch-first stacks of them cost more
+than separate ones, so the budget keeps such operators at two rows.
 :func:`evaluate` builds the k-fold tensor power and the permutation matrix
 explicitly and is kept only as the reference that tests compare against.
 
@@ -23,7 +43,9 @@ A label's grouping and program depend only on the label, the dims and
 the route, and a program only on the fused dims, the subscripts and the
 route, never on the state.  Both are memoised per process on exactly
 those keys, at most ``MEMO_ENTRIES`` (4096) of each; a label entry holds
-its shared program, so a warm call makes one lookup per label.  Measured
+its shared program, so a warm call makes one lookup per label.  Only a
+call's first ``MEMO_ENTRIES`` labels go through the label memo, so a
+repeated call over more labels still hits that many.  Measured
 with tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
 a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
 if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants` keeps the last
@@ -64,6 +86,9 @@ MAX_LABELS = 52
 MEMO_ENTRIES = 4096
 MEMO_CLASSES = 4096
 MEMO_ENUMERATIONS = 8
+# Bytes of states that verify_classes stacks into one batch of Haar trials;
+# see the module docstring.
+BATCH_BYTES = 128 * 1024
 
 
 @dataclass(frozen=True)
@@ -299,11 +324,15 @@ def _operand(state, dims: tuple[int, ...]) -> _Operand:
 
 
 class _Trace(NamedTuple):
-    """Sum one term over the labels it carries twice."""
+    """Sum one term over the labels it carries twice.
+
+    Every axis tuple and shape here and in :class:`_Step` leads with the
+    batch: axis 0 stays first and each reshape target starts with -1.
+    """
 
     slot: int
-    axes: tuple[int, ...]  # kept axes, then each twice-carried label's first and second axis
-    shape: tuple[int, int, int]  # (kept, traced, traced) elements
+    axes: tuple[int, ...]  # batch, kept axes, then each twice-carried label's two axes
+    shape: tuple[int, int, int, int]  # (-1, kept, traced, traced) elements
     out: tuple[int, ...]
 
 
@@ -312,21 +341,22 @@ class _Step(NamedTuple):
 
     a: int
     b: int
-    axes_a: tuple[int, ...]  # a's kept axes, then its shared ones
-    shape_a: tuple[int, int]  # (m, k)
-    axes_b: tuple[int, ...]  # b's shared axes in a's order, then its kept ones
-    shape_b: tuple[int, int]  # (k, n)
-    out: tuple[int, ...]  # a's kept dims, then b's
+    axes_a: tuple[int, ...]  # batch, a's kept axes, then its shared ones
+    shape_a: tuple[int, int, int]  # (-1, m, k)
+    axes_b: tuple[int, ...]  # batch, b's shared axes in a's order, then its kept ones
+    shape_b: tuple[int, int, int]  # (-1, k, n)
+    out: tuple[int, ...]  # -1, a's kept dims, then b's
 
 
 class _Program(NamedTuple):
     """A network compiled into traces and pairwise matrix products.
 
-    Slot i starts as ``fused[sources[i]]``.  After the traces and steps,
-    the slots in ``result`` hold one scalar per connected part of the
-    network, and the value is their product.  ``flops`` counts two per
-    multiply-add of every product and one per traced entry; ``largest`` is
-    the element count of the biggest intermediate.
+    Slot i starts as ``fused[sources[i]]``, a stack of operands on batch
+    axis 0.  After the traces and steps, the slots in ``result`` hold one
+    value per row for each connected part of the network, and the values
+    are their product.  ``flops`` counts two per multiply-add of every
+    product and one per traced entry; ``largest`` is the element count of
+    the biggest intermediate.  Both are per row.
     """
 
     sources: tuple[int, ...]
@@ -336,17 +366,17 @@ class _Program(NamedTuple):
     flops: int
     largest: int
 
-    def contract(self, fused: tuple[np.ndarray, ...]) -> complex:
+    def contract(self, fused: tuple[np.ndarray, ...]) -> np.ndarray:
         ops = [fused[s] for s in self.sources]
         for slot, axes, shape, out in self.traces:
-            traced = ops[slot].transpose(axes).reshape(shape).trace(axis1=1, axis2=2)
+            traced = ops[slot].transpose(axes).reshape(shape).trace(axis1=2, axis2=3)
             ops[slot] = traced.reshape(out)
         for a, b, axes_a, shape_a, axes_b, shape_b, out in self.steps:
             mat_a = ops[a].transpose(axes_a).reshape(shape_a)
             mat_b = ops[b].transpose(axes_b).reshape(shape_b)
             ops[a] = (mat_a @ mat_b).reshape(out)
             ops[b] = None
-        return prod(complex(ops[s]) for s in self.result)
+        return prod(ops[s] for s in self.result)
 
 
 def _compile(
@@ -359,8 +389,9 @@ def _compile(
     network least (output minus input elements, then fewest flops) is
     contracted.  There is no memory cap, so no pair is ever refused.  Only
     connected pairs are scanned, and each connected part ends as a scalar
-    that :meth:`_Program.contract` multiplies in.  ``size[x]`` is the
-    dimension of label x.
+    per row that :meth:`_Program.contract` multiplies in.  ``size[x]`` is
+    the dimension of label x; axis 0 of every term is the batch, which no
+    label names.
     """
     dim = size.__getitem__
     labels, numel, traces, steps, flops, largest = [], [], [], [], 0, 0
@@ -376,7 +407,9 @@ def _compile(
             out = tuple(map(dim, first))
             outer, inner = prod(out), prod(size[term[i]] for i, _ in twice)
             axes = (*first.values(), *(i for i, _ in twice), *(j for _, j in twice))
-            traces.append(_Trace(slot, axes, (outer, inner, inner), out))
+            traces.append(_Trace(
+                slot, (0, *(1 + i for i in axes)), (-1, outer, inner, inner), (-1, *out)
+            ))
             flops, largest, term = flops + outer * inner, max(largest, outer), list(first)
         labels.append(list(term))
         numel.append(prod(map(dim, term)))
@@ -402,9 +435,9 @@ def _compile(
         m, n = numel[a] // k, numel[b] // k
         steps.append(_Step(
             a, b,
-            tuple(map(la.index, kept_a + shared)), (m, k),
-            tuple(map(lb.index, shared + kept_b)), (k, n),
-            tuple(map(dim, kept_a + kept_b)),
+            (0, *(1 + la.index(x) for x in kept_a + shared)), (-1, m, k),
+            (0, *(1 + lb.index(x) for x in shared + kept_b)), (-1, k, n),
+            (-1, *map(dim, kept_a + kept_b)),
         ))
         flops, largest = flops + 2 * m * k * n, max(largest, m * n)
         labels[a], labels[b], numel[a] = kept_a + kept_b, None, m * n
@@ -418,13 +451,17 @@ def _compile(
 
 
 def _fuse(src: _Operand, axes: tuple[int, ...], fused: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """The operator, or psi and conj(psi), with legs put in order ``axes`` and fused."""
+    """The stacked operators, or psi and conj(psi), with legs put in order ``axes`` and fused.
+
+    ``src.array`` carries the batch on axis 0, and so does every result.
+    """
+    lead = (0, *(1 + s for s in axes))
     if src.pure:
-        ket = src.array.transpose(axes).reshape(fused)
+        ket = src.array.transpose(lead).reshape(-1, *fused)
         return ket, ket.conj()
     n = len(axes)
-    both = axes + tuple(n + s for s in axes)
-    return (src.array.transpose(both).reshape(fused + fused),)
+    both = lead + tuple(1 + n + s for s in axes)
+    return (src.array.transpose(both).reshape(-1, *fused, *fused),)
 
 
 @functools.lru_cache(maxsize=MEMO_ENTRIES)
@@ -490,19 +527,26 @@ def _plan(tuples, dims, pure: bool, cost: ContractionCost | None) -> dict:
 
     Tuples whose networks agree on the fused dims and the subscripts share
     one memoised program.  A ``cost`` passed in is charged once per tuple.
+    Only the first ``MEMO_ENTRIES`` tuples go through the label memo: past
+    that, a scan in class order would evict each entry before it came round
+    again, so a repeated call would hit none.
     """
     plan: dict[tuple, list] = {}
     for i, t in enumerate(tuples):
-        grouping, program = _network(t, dims, pure)
+        network = _network if i < MEMO_ENTRIES else _network.__wrapped__
+        grouping, program = network(t, dims, pure)
         if cost is not None:
             cost.add(program)
         plan.setdefault(grouping, []).append((i, program))
     return plan
 
 
-def _contract_all(plan: dict, src: _Operand, count: int) -> list[complex]:
-    """The ``count`` planned values on ``src``, with one fused operand alive at a time."""
-    values = [0j] * count
+def _contract_all(plan: dict, src: _Operand, count: int) -> np.ndarray:
+    """The ``count`` planned values on each row of ``src``, one fused operand alive at a time.
+
+    Row i of the result holds tuple i's values, one per row of the stack.
+    """
+    values = np.empty((count, len(src.array)), dtype=np.complex128)
     for grouping, members in plan.items():
         fused = _fuse(src, *grouping)
         for i, program in members:
@@ -523,8 +567,9 @@ def evaluate_many(
     every tuple's program.
     """
     dims = tuple(int(d) for d in dims)
-    src = _operand(state, dims)
-    return _contract_all(_plan(tuples, dims, src.pure, cost), src, len(tuples))
+    pure, array = _operand(state, dims)
+    plan = _plan(tuples, dims, pure, cost)
+    return _contract_all(plan, _Operand(pure, array[None]), len(tuples))[:, 0].tolist()
 
 
 def evaluate_fast(t: PermTuple, state, dims: Sequence[int]) -> complex:
@@ -562,25 +607,46 @@ def pure_jk(state: Tensor, bipartition, k: int) -> float:
     return float(np.sum(form.sigma ** (2 * k)))
 
 
-def _max_deviations(
-    values_fn: Callable, state, dims: Sequence[int], trials: int, seed
-) -> list[float]:
-    """Per-entry max relative change of ``values_fn`` under local unitaries.
+def _batch_rows(elements: int) -> int:
+    """Rows in one chunk of trials whose arrays hold at most ``elements`` complex entries a row."""
+    return max(1, BATCH_BYTES // (np.dtype(np.complex128).itemsize * elements))
 
-    Trial i draws its unitaries from child i of ``SeedSequence(seed)`` and
-    rotates ``state`` once; every value is taken on that one rotated state.
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| as Python's ``abs`` rounds it (``hypot``); ``np.abs`` differs in the last bit."""
+    return np.hypot(z.real, z.imag)
+
+
+def _max_deviations(
+    values_of: Callable, rows: int, state, dims: tuple[int, ...], trials: int, seed
+) -> np.ndarray:
+    """Per-entry max relative change of ``values_of`` under local unitaries.
+
+    ``values_of(states)`` gives one row per entry and one column per state.
+    It is called once per chunk of at most ``rows`` states: ``state``
+    itself leads the first chunk and gives the base values, and the
+    rotated states follow in trial order.  Trial i draws its unitaries from
+    child i of ``SeedSequence(seed)`` and rotates ``state`` once.  The
+    children are spawned one chunk at a time, so memory does not grow with
+    ``trials``.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dims = tuple(int(d) for d in dims)
-    bases = [complex(v) for v in values_fn(state)]
-    scales = [max(abs(b), 1e-300) for b in bases]
-    worst = [0.0] * len(bases)
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        us = random_local_unitary(dims, seed=child)
-        values = values_fn(apply_local_unitary(state, dims, us))
-        for i, (value, base, scale) in enumerate(zip(values, bases, scales)):
-            worst[i] = max(worst[i], abs(complex(value) - base) / scale)
+    parent = np.random.SeedSequence(seed)
+    chunk, left, worst = [state], trials, None
+    while left or chunk:
+        take = min(rows - len(chunk), left)
+        for child in parent.spawn(take):
+            us = random_local_unitary(dims, seed=child)
+            chunk.append(apply_local_unitary(state, dims, us))
+        left -= take
+        values = values_of(chunk)
+        if worst is None:
+            bases, values = values[:, :1], values[:, 1:]
+            scales = np.maximum(_modulus(bases), 1e-300)
+            worst = np.zeros(len(bases))
+        worst = np.maximum(worst, (_modulus(values - bases) / scales).max(axis=1, initial=0.0))
+        chunk = []
     return worst
 
 
@@ -588,8 +654,13 @@ def max_unitary_deviation(
     value_fn: Callable[[Tensor], complex], rho, dims: Sequence[int], trials: int = 20, seed=0
 ) -> float:
     """Max relative change of ``value_fn`` (given operator Tensors) under local unitaries."""
+    dims = tuple(int(d) for d in dims)
     rho_t = Tensor._wrap(as_operator(rho, dims))
-    return _max_deviations(lambda r: [value_fn(r)], rho_t, dims, trials, seed)[0]
+    [worst] = _max_deviations(
+        lambda states: np.array([[value_fn(r) for r in states]]),
+        _batch_rows(rho_t.data.size), rho_t, dims, trials, seed,
+    )
+    return float(worst)
 
 
 def verify_classes(
@@ -604,14 +675,28 @@ def verify_classes(
 
     ``state`` takes its :func:`evaluate_many` route: a pure StateData stays
     psi, so rho is never formed.  Each trial draws its local unitaries and
-    rotates that state once for all the tuples.  The call is planned once
-    and replayed on every rotated state: one program per distinct network
-    and one fused operand per grouping.  A ``cost`` passed in is charged
-    with every tuple's program once.
+    rotates that state once for all the tuples.  The call is planned once.
+    The unrotated state and the rotated ones are stacked on a batch axis,
+    the unrotated state in row 0 and trial i in row i, and cut into chunks
+    of ``max(1, BATCH_BYTES // size)`` rows.  Size is the bytes of the widest
+    row of any array in a chunk: psi or the operator, the largest
+    intermediate of the tuples' programs, or one value per tuple.  Each chunk
+    is fused once per grouping and every program replays once per chunk, not
+    once per trial.  Memory follows the chunk, not the trial count: a small
+    multiple of ``BATCH_BYTES``, or of one row when a row is larger; the
+    module docstring gives measured peaks.  Trial seeds are spawned one chunk
+    at a time.  The deviations do not depend on the chunk size, bit for bit.
+    A ``cost`` passed in is charged with every tuple's program once.
     """
     dims = tuple(int(d) for d in dims)
-    plan = _plan(tuples, dims, _operand(state, dims).pure, cost)
-    return _max_deviations(
-        lambda s: _contract_all(plan, _operand(s, dims), len(tuples)), state, dims, trials, seed
-    )
+    src = _operand(state, dims)
+    plan = _plan(tuples, dims, src.pure, cost)
+    largest = max((p.largest for members in plan.values() for _, p in members), default=0)
+
+    def values_of(states):
+        stack = np.stack([_operand(s, dims).array for s in states])
+        return _contract_all(plan, _Operand(src.pure, stack), len(tuples))
+
+    rows = _batch_rows(max(src.array.size, largest, len(tuples)))
+    return _max_deviations(values_of, rows, state, dims, trials, seed).tolist()
 

@@ -36,6 +36,7 @@ from tninv import (
     save_state,
 )
 from tninv.cli import VERIFY_THRESHOLD, main
+from tninv.states import apply_local_unitary, random_local_unitary
 
 RNG = np.random.default_rng(991)
 
@@ -796,6 +797,131 @@ def test_warm_calls_look_up_no_program():
         after = invariants._network.cache_info()
         assert (after.hits - labels.hits, after.misses) == (2 * len(tuples), labels.misses)
         assert same_bits(warm[0], cold[0]) and same_bits(warm[1], cold[1])
+
+
+def test_repeated_call_over_more_labels_than_the_memo_hits_a_full_memo():
+    clear_memos()
+    dims = (2,) * 6
+    tuples = [c.representative for c in enumerate_invariants(6, 3)]
+    assert len(tuples) == 8051 > invariants.MEMO_ENTRIES
+    invariants._plan(tuples, dims, False, None)
+    first = invariants._network.cache_info()
+    assert first.currsize == invariants.MEMO_ENTRIES
+    invariants._plan(tuples, dims, False, None)
+    second = invariants._network.cache_info()
+    assert second.currsize == invariants.MEMO_ENTRIES
+    assert (second.hits - first.hits, second.misses) == (invariants.MEMO_ENTRIES, first.misses)
+
+
+def _row_bytes(tuples, state, dims) -> int:
+    """Bytes of the widest row in a chunk of verify: the state, an intermediate or the values."""
+    cost = ContractionCost()
+    evaluate_many(tuples, state, dims, cost=cost)
+    return 16 * max(invariants._operand(state, dims).array.size, cost.largest, len(tuples))
+
+
+@pytest.mark.parametrize("dims_set", [
+    ((2,), (2, 2), (2, 2, 2), (2, 2, 2, 2)),
+    ((3,), (3, 2), (2, 3, 2), (2, 2, 3, 2)),
+])
+def test_chunk_size_changes_no_bit(dims_set, monkeypatch):
+    rng, trials, seed = np.random.default_rng(81), 4, 82
+    seen, contract_all = [], invariants._contract_all  # values, one column per stacked state
+
+    def spy(plan, src, count):
+        seen.append(contract_all(plan, src, count))
+        return seen[-1]
+
+    monkeypatch.setattr(invariants, "_contract_all", spy)
+    for dims in dims_set:
+        tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(len(dims), k)]
+        pure = StateData.pure(random_pure_state(dims, seed=len(dims)))
+        for state in (random_density(math.prod(dims), rng), pure):
+            size = _row_bytes(tuples, state, dims)
+            devs, values = [], []
+            for rows in (1, 2, trials + 1):  # a chunk of one row, two, and every row
+                monkeypatch.setattr(invariants, "BATCH_BYTES", rows * size)
+                seen.clear()
+                devs.append(verify_classes(tuples, state, dims, trials=trials, seed=seed))
+                assert [v.shape[1] for v in seen[:-1]] == [rows] * (len(seen) - 1)
+                values.append(np.hstack(seen))
+            assert same_bits(devs[0], devs[1]) and same_bits(devs[0], devs[2]), dims
+            assert same_bits(values[0], values[1]) and same_bits(values[0], values[2]), dims
+            # column 0 is the state itself, column i trial i, as evaluate_many gives them
+            rotated = [state] + [
+                apply_local_unitary(state, dims, random_local_unitary(dims, seed=child))
+                for child in np.random.SeedSequence(seed).spawn(trials)
+            ]
+            alone = [evaluate_many(tuples, s, dims) for s in rotated]
+            assert same_bits(np.array(alone).T, values[0]), dims
+            assert max(devs[0]) <= 1e-9, dims
+
+
+def _spy_replay_rows(monkeypatch) -> list:
+    """The rows of the stack each ``_Program.contract`` call is given, in call order."""
+    rows_seen, contract = [], invariants._Program.contract
+
+    def spy(program, fused):
+        rows_seen.append(len(fused[0]))
+        return contract(program, fused)
+
+    monkeypatch.setattr(invariants._Program, "contract", spy)
+    return rows_seen
+
+
+def test_each_program_replays_once_per_chunk(monkeypatch):
+    rows_seen = _spy_replay_rows(monkeypatch)
+    dims = (2, 2, 2)
+    tuples = [c.representative for c in enumerate_invariants(3, 3)]
+    rho = random_density(8, np.random.default_rng(83))
+    verify_classes(tuples, rho, dims, trials=20, seed=84)
+    # 21 states of 1 KB fit one chunk: one replay per program, not 21
+    assert rows_seen == [21] * len(tuples)
+    monkeypatch.setattr(invariants, "BATCH_BYTES", 3 * _row_bytes(tuples, rho, dims))
+    rows_seen.clear()
+    verify_classes(tuples, rho, dims, trials=7, seed=84)
+    assert sorted(rows_seen) == sorted([3, 3, 2] * len(tuples))
+
+
+def test_batch_budget_counts_the_widest_row(monkeypatch):
+    rows_seen = _spy_replay_rows(monkeypatch)
+    dims = (2,) * 6
+    t = parse_label("6; (16425) | (1546)(23) | e | (165)(24) | (13624) | (235)")
+    pure = StateData.pure(random_pure_state(dims, seed=87))
+    _, program = invariants._network(t, dims, True)
+    assert program.largest == 64 * 64  # 64 times psi
+    [dev] = verify_classes([t], pure, dims, trials=20, seed=88)
+    assert dev <= 1e-9 and sum(rows_seen) == 21
+    assert max(rows_seen) * 16 * program.largest <= invariants.BATCH_BYTES
+    # 251 values a row outgrow the 16 entries of psi and of every intermediate
+    dims = (2,) * 4
+    tuples = [c.representative for c in enumerate_invariants(4, 3)]
+    pure = StateData.pure(random_pure_state(dims, seed=89))
+    rows_seen.clear()
+    assert max(verify_classes(tuples, pure, dims, trials=40, seed=90)) <= 1e-9
+    assert sum(rows_seen) == 41 * len(tuples)
+    assert max(rows_seen) * 16 * len(tuples) <= invariants.BATCH_BYTES
+
+
+def test_verify_peak_memory_does_not_grow_from_20_to_2000_trials():
+    dims = (4, 8)
+    rho = random_density(32, np.random.default_rng(85))
+    tuples = [parse_label("2; (12) | e")]
+    # a chunk fills before 20 trials, so a longer run adds only chunks
+    assert invariants.BATCH_BYTES // _row_bytes(tuples, rho, dims) < 20
+    # warm the plan memo, and the caches that numpy and the interpreter grow
+    # once, by about 0.2 MB, over a process's first few thousand Haar draws
+    verify_classes(tuples, rho, dims, trials=2000)
+    peaks = {}
+    for trials in (20, 2000):
+        tracemalloc.start()
+        try:
+            [dev] = verify_classes(tuples, rho, dims, trials=trials, seed=86)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dev <= 1e-9
+    assert peaks[2000] - peaks[20] < 64 * 1024
 
 
 def test_enumeration_memo_hands_out_fresh_lists():
