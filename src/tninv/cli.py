@@ -182,7 +182,7 @@ def cmd_entropy(args) -> CommandResult:
     if keep[0] < 0 or keep[-1] >= n:
         raise ShapeError(f"--keep {args.keep!r} is out of range: subsystems are 0..{n - 1}")
     try:
-        alphas = [float(a) for a in args.alpha.split(",")] if args.alpha else [2.0, 3.0]
+        alphas = [float(a) for a in args.alpha.split(",")]
     except ValueError:
         raise ValueError(f"--alpha takes comma-separated numbers, got {args.alpha!r}") from None
 

@@ -21,21 +21,24 @@ Every program acts on a stack of states: axis 0 of each operand is a
 batch, kept first by every transpose and led by -1 in every reshape, all
 fixed when the program is compiled, and ``@`` broadcasts over it.
 :func:`evaluate_many` replays a stack of one.  :func:`verify_classes`
-stacks the unrotated state and its Haar-rotated copies and replays each
-program once per chunk of ``max(1, BATCH_BYTES // size)`` rows.  Size is
+is the one verify loop: it writes the unrotated state and its rotated
+copies into one stack of ``max(1, BATCH_BYTES // size)`` rows, at most
+trials + 1, and replays each program once per chunk of rows.  Size is
 the bytes, as complex128, of the widest row any array of the chunk has:
 psi or the operator, the largest intermediate of the call's programs, or
 the values of all its labels.  ``BATCH_BYTES`` (128 KiB) thus bounds each
-array a chunk makes: the states, their stack, a grouping's fused copies,
-each intermediate and the values.  A chunk holds a few of them at once,
-so a verify call's memory is a small multiple of ``BATCH_BYTES``, or of
-one row when a row is larger, whatever the trial count.  Measured with
-tracemalloc over the k <= 3 classes of psi and operators of 2 to 10
-qubits or up to 8 x 8, a call peaks at 0.2-1.2 MB, against 0.07-0.5 MB
-replaying one trial at a time.  Batching pays for small operands, where
-Python overhead per step sets the cost.  For a 64 x 64 operator the
-transposed copies dominate, and batch-first stacks of them cost more
-than separate ones, so the budget keeps such operators at two rows.
+array a chunk makes: the stack, a grouping's fused copies, each
+intermediate and the values.  A chunk holds a few of them at once, so a
+verify call's memory is a small multiple of ``BATCH_BYTES``, or of one
+row when a row is larger, whatever the trial count.  Measured with
+tracemalloc over the k <= 3 classes (k <= 2 past 6 qubits) of psi and
+operators of 2 to 10 qubits or up to 8 x 8, 20 trials peak at 0.03-1.5
+MB.  Batching pays for small operands, where Python overhead per step
+sets the cost.  For a 64 x 64 operator the transposed copies dominate,
+and batch-first stacks of them cost more than separate ones, so the
+budget keeps such operators at two rows.  Its oracle,
+:func:`max_unitary_deviation`, takes one trial at a time and shares only
+the draw and the rotation with it.
 :func:`evaluate` builds the k-fold tensor power and the permutation matrix
 explicitly and is kept only as the reference that tests compare against.
 
@@ -63,7 +66,7 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from math import prod
+from math import isnan, prod
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -79,8 +82,9 @@ from .states import StateData, apply_local_unitary, as_operator, random_local_un
 MAX_CLASSES = 400_000
 MAX_SUBSYSTEMS = 32
 # Most index labels a network may carry.  The planner itself has no limit;
-# the cap bounds the degree of every label the CLI builds, so an order such
-# as ``entropy --alpha 1e7`` is refused instead of building 10^7 copies.
+# the cap bounds the degree of every label the CLI builds or parses, so an
+# order such as ``entropy --alpha 1e7`` or a label ``1000000000; e`` is
+# refused instead of building 10^7 copies or a 10^9-point permutation.
 MAX_LABELS = 52
 # Memo bounds; see the module docstring for the memory they retain.
 MEMO_ENTRIES = 4096
@@ -121,7 +125,7 @@ def parse_label(text: str) -> PermTuple:
     """Parse ``k; cycles | cycles | ...`` into a PermTuple.
 
     Cycle terms use 1-based parenthesized cycle notation with ``e`` for the
-    identity; whitespace is insignificant.
+    identity; whitespace is insignificant; a degree over ``MAX_LABELS`` is refused.
     """
     head, sep, tail = text.partition(";")
     if not sep:
@@ -130,6 +134,8 @@ def parse_label(text: str) -> PermTuple:
         k = int(head.strip())
     except ValueError:
         raise ValueError(f"bad degree {head.strip()!r} in label {text!r}") from None
+    if k > MAX_LABELS:  # before parse_perm builds a k-element permutation
+        raise ValueError(f"label {text!r} has degree {k}, above the limit of {MAX_LABELS}")
     terms = tail.split("|")
     if not terms or not tail.strip():
         raise ValueError(f"label {text!r} has no permutation terms")
@@ -617,50 +623,31 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _max_deviations(
-    values_of: Callable, rows: int, state, dims: tuple[int, ...], trials: int, seed
-) -> np.ndarray:
-    """Per-entry max relative change of ``values_of`` under local unitaries.
-
-    ``values_of(states)`` gives one row per entry and one column per state.
-    It is called once per chunk of at most ``rows`` states: ``state``
-    itself leads the first chunk and gives the base values, and the
-    rotated states follow in trial order.  Trial i draws its unitaries from
-    child i of ``SeedSequence(seed)`` and rotates ``state`` once.  The
-    children are spawned one chunk at a time, so memory does not grow with
-    ``trials``.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    parent = np.random.SeedSequence(seed)
-    chunk, left, worst = [state], trials, None
-    while left or chunk:
-        take = min(rows - len(chunk), left)
-        for child in parent.spawn(take):
-            us = random_local_unitary(dims, seed=child)
-            chunk.append(apply_local_unitary(state, dims, us))
-        left -= take
-        values = values_of(chunk)
-        if worst is None:
-            bases, values = values[:, :1], values[:, 1:]
-            scales = np.maximum(_modulus(bases), 1e-300)
-            worst = np.zeros(len(bases))
-        worst = np.maximum(worst, (_modulus(values - bases) / scales).max(axis=1, initial=0.0))
-        chunk = []
-    return worst
-
-
 def max_unitary_deviation(
     value_fn: Callable[[Tensor], complex], rho, dims: Sequence[int], trials: int = 20, seed=0
 ) -> float:
-    """Max relative change of ``value_fn`` (given operator Tensors) under local unitaries."""
+    """Max relative change of ``value_fn`` (given operator Tensors) under local unitaries.
+
+    The oracle that :func:`verify_classes` is checked against: one trial at
+    a time, with nothing in common but the draw and the rotation.  Trial i
+    draws its unitaries from child i of ``SeedSequence(seed)``, spawned one
+    at a time, so memory does not grow with ``trials``.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     dims = tuple(int(d) for d in dims)
     rho_t = Tensor._wrap(as_operator(rho, dims))
-    [worst] = _max_deviations(
-        lambda states: np.array([[value_fn(r) for r in states]]),
-        _batch_rows(rho_t.data.size), rho_t, dims, trials, seed,
-    )
-    return float(worst)
+    base = value_fn(rho_t)
+    scale = max(abs(base), 1e-300)
+    parent, worst = np.random.SeedSequence(seed), 0.0
+    for _ in range(trials):
+        [child] = parent.spawn(1)
+        rotated = apply_local_unitary(rho_t, dims, random_local_unitary(dims, seed=child))
+        dev = abs(value_fn(rotated) - base) / scale
+        if isnan(dev):  # max() would drop it
+            return dev
+        worst = max(worst, dev)
+    return worst
 
 
 def verify_classes(
@@ -676,27 +663,38 @@ def verify_classes(
     ``state`` takes its :func:`evaluate_many` route: a pure StateData stays
     psi, so rho is never formed.  Each trial draws its local unitaries and
     rotates that state once for all the tuples.  The call is planned once.
-    The unrotated state and the rotated ones are stacked on a batch axis,
-    the unrotated state in row 0 and trial i in row i, and cut into chunks
-    of ``max(1, BATCH_BYTES // size)`` rows.  Size is the bytes of the widest
-    row of any array in a chunk: psi or the operator, the largest
-    intermediate of the tuples' programs, or one value per tuple.  Each chunk
-    is fused once per grouping and every program replays once per chunk, not
-    once per trial.  Memory follows the chunk, not the trial count: a small
-    multiple of ``BATCH_BYTES``, or of one row when a row is larger; the
-    module docstring gives measured peaks.  Trial seeds are spawned one chunk
-    at a time.  The deviations do not depend on the chunk size, bit for bit.
+    One stack of ``max(1, BATCH_BYTES // size)`` rows, at most trials + 1,
+    holds a chunk: the unrotated state in row 0 of the first, then the
+    rotated states in trial order.  Size is the bytes of the widest row of
+    any array in a chunk: psi or the operator, the largest intermediate of
+    the tuples' programs, or one value per tuple.  Each chunk is fused once
+    per grouping and every program replays once per chunk.  Memory follows
+    the chunk, not the trial count; the module docstring gives measured
+    peaks.  Trial i draws from child i of ``SeedSequence(seed)``, spawned a
+    chunk at a time.  The deviations do not depend on the chunk size; for an
+    operator they equal :func:`max_unitary_deviation` of :func:`evaluate_fast`
+    bit for bit.
     A ``cost`` passed in is charged with every tuple's program once.
     """
     dims = tuple(int(d) for d in dims)
     src = _operand(state, dims)
     plan = _plan(tuples, dims, src.pure, cost)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     largest = max((p.largest for members in plan.values() for _, p in members), default=0)
-
-    def values_of(states):
-        stack = np.stack([_operand(s, dims).array for s in states])
-        return _contract_all(plan, _Operand(src.pure, stack), len(tuples))
-
-    rows = _batch_rows(max(src.array.size, largest, len(tuples)))
-    return _max_deviations(values_of, rows, state, dims, trials, seed).tolist()
-
+    rows = min(_batch_rows(max(src.array.size, largest, len(tuples))), trials + 1)
+    stack = np.empty((rows, *src.array.shape), dtype=np.complex128)
+    stack[0], start, left = src.array, 1, trials
+    parent, worst = np.random.SeedSequence(seed), np.zeros(len(tuples))
+    while left:
+        take = min(rows - start, left)
+        for row, child in enumerate(parent.spawn(take), start):
+            us = random_local_unitary(dims, seed=child)
+            stack[row] = _operand(apply_local_unitary(state, dims, us), dims).array
+        values = _contract_all(plan, _Operand(src.pure, stack[:start + take]), len(tuples))
+        if start:  # the first chunk: row 0 holds the unrotated state
+            bases, values = values[:, :1], values[:, 1:]
+            scales = np.maximum(_modulus(bases), 1e-300)
+        worst = np.maximum(worst, (_modulus(values - bases) / scales).max(axis=1, initial=0.0))
+        start, left = 0, left - take
+    return worst.tolist()

@@ -338,6 +338,17 @@ def test_invariants_bad_label(bell_path, capsys):
     assert main(["invariants", "eval", bell_path, "--label", "nope"]) == 2
 
 
+def test_invariants_label_degree_is_refused_before_parsing(bell_path, capsys):
+    # the identity permutation of degree 10^9 alone would take about 90 GB
+    for action in ("eval", "verify"):
+        start = time.perf_counter()
+        assert main(["invariants", action, bell_path, "--label", "1000000000; e | e"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: label '1000000000; e | e' has degree 1000000000,")
+
+
 def test_invariants_label_subsystem_mismatch(bell_path, capsys):
     assert main(["invariants", "eval", bell_path, "--label", "2; (12)"]) == 2
 
@@ -486,7 +497,7 @@ def test_entropy_alpha_past_einsum_limit_skips_crosscheck(tmp_path, capsys):
 
 
 def test_entropy_unparsable_option_is_named(bell_path, capsys):
-    for option, text in (("--keep", "a"), ("--keep", "0.5"), ("--alpha", "2,,3")):
+    for option, text in (("--keep", "a"), ("--keep", "0.5"), ("--alpha", "2,,3"), ("--alpha", "")):
         args = ["entropy", bell_path, "--keep", "0", option, text]
         assert main(args) == 2
         captured = capsys.readouterr()

@@ -682,18 +682,34 @@ def test_non_invariant_control_detected():
     assert dev > 1e-6
 
 
-def test_verify_classes_matches_per_class_loop():
-    dims = (2, 3, 2)
-    rho = random_density(12, np.random.default_rng(232))
-    tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(3, k)]
-    devs = verify_classes(tuples, rho, dims, trials=4, seed=23)
-    assert len(devs) == len(tuples) == 1 + 8 + 49
-    for t, dev in zip(tuples, devs):
-        want = max_unitary_deviation(
-            lambda r: evaluate_fast(t, r, dims), rho, dims, trials=4, seed=23
-        )
-        assert abs(dev - want) <= 1e-12, t.label()
-        assert dev <= 1e-9, t.label()
+def test_both_invariance_checks_refuse_no_trials_and_keep_nan():
+    rho = random_density(4)
+    t = parse_label("2; (12) | e")
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            verify_classes([t], rho, (2, 2), trials=trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            max_unitary_deviation(lambda r: 1j, rho, (2, 2), trials=trials)
+    assert math.isnan(max_unitary_deviation(lambda r: complex("nan"), rho, (2, 2), trials=3))
+
+
+def test_verify_classes_matches_per_class_loop(monkeypatch):
+    # the oracle shares only the draw and the rotation, so any fault of the
+    # chunked loop shows as a changed bit, at every chunk size
+    for dims, count in (((2, 3, 2), 1 + 8 + 49), ((2, 2, 2, 2), 1 + 16 + 251), ((4, 4), 1 + 4 + 11)):
+        rho = random_density(math.prod(dims), np.random.default_rng(232))
+        tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(len(dims), k)]
+        assert len(tuples) == count
+        want = [
+            max_unitary_deviation(lambda r: evaluate_fast(t, r, dims), rho, dims, trials=4, seed=23)
+            for t in tuples
+        ]
+        assert 0 < max(want) <= 1e-9, dims
+        size = _row_bytes(tuples, rho, dims)
+        for budget in (invariants.BATCH_BYTES, size, 2 * size):  # every row, then 1 and 2 a chunk
+            monkeypatch.setattr(invariants, "BATCH_BYTES", budget)
+            devs = verify_classes(tuples, rho, dims, trials=4, seed=23)
+            assert same_bits(devs, want), (dims, budget)
 
 
 def clear_memos():
