@@ -1,25 +1,38 @@
 """State and chain files, random generation, and partial traces.
 
 This module owns the file formats: UTF-8 JSON with each complex component
-a ``[real, imag]`` pair, so doubles round-trip bit-exactly.  A state file
-has ``kind`` (``pure`` or ``density``), ``dims`` and ``data`` (a flat list
-for pure states, rows for density operators); see :func:`save_chain` for chains.
+a ``[real, imag]`` pair, so doubles round-trip bit-exactly.  orjson is the
+one codec: it writes compact JSON and reads any standard JSON writer's
+output.  A state file has ``kind`` (``pure`` or ``density``), ``dims`` and
+``data`` (a flat list for pure states, rows for density operators); see
+:func:`save_chain` for chains.
 """
 
 from __future__ import annotations
 
-import json
+import re
+import reprlib
 from dataclasses import dataclass
 from math import isqrt, prod
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .tensor import Tensor, ShapeError, group_legs
 
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9  # also bounds how far a pure state's squared norm may be off 1
 PSD_TOL = 1e-9  # most negative eigenvalue a density operator may have
+# orjson 3.8 builds nested arrays and objects by recursion on the C stack,
+# about 160 bytes a level, and crashes the process instead of raising past
+# some 50000 levels of objects (on an 8 MB stack).  A state file nests 4 deep.
+MAX_DEPTH = 10_000
+
+_ESCAPE = re.compile(rb"\\.")
+_STRING = re.compile(rb'"[^"]*"')  # once escapes are gone
+_NOT_MARKS = bytes(set(range(256)) - set(b'[{]}"'))
+_NESTING = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")  # +1 and -1 as int8
 
 
 class StateFileError(ValueError):
@@ -54,14 +67,14 @@ class StateData:
         return cls("density", dims, Tensor._wrap(tensor.data.reshape(d, d)))
 
 
-def _encode(arr: np.ndarray) -> list:
-    """``arr`` as nested lists with a ``[real, imag]`` pair per component."""
-    return np.stack([arr.real, arr.imag], -1).tolist()
+def _encode(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as float64 with a trailing ``[real, imag]`` axis per component."""
+    return np.stack([arr.real, arr.imag], -1)
 
 
 def _write_json(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
 
 
 def save_state(state: StateData, path) -> None:
@@ -105,6 +118,22 @@ def _decode(entries, shape: tuple[int, ...]) -> np.ndarray:
     return arr.view(np.complex128).reshape(shape)
 
 
+def _too_deep(raw: bytes) -> bool:
+    """Whether the arrays and objects of a JSON text nest past ``MAX_DEPTH``.
+
+    A text with at most ``MAX_DEPTH`` opening brackets cannot; otherwise the
+    brackets outside strings are summed.  The sum is exact for valid JSON,
+    the only text orjson builds objects from: it refuses anything else first.
+    """
+    opening = (np.frombuffer(raw, np.uint8) | 0x20) == ord("{")  # '[' or '{'
+    if np.count_nonzero(opening) <= MAX_DEPTH:
+        return False
+    if b"\\" in raw:
+        raw = _ESCAPE.sub(b"", raw)
+    marks = _STRING.sub(b"", raw.translate(None, _NOT_MARKS)).translate(_NESTING, b'"')
+    return int(np.frombuffer(marks, np.int8).cumsum(dtype=np.int64).max(initial=0)) > MAX_DEPTH
+
+
 def _is_dim(d) -> bool:
     if isinstance(d, float):
         return d.is_integer() and d >= 1
@@ -120,9 +149,12 @@ def load_state(path) -> StateData:
     of unit trace.  Anything else raises StateFileError.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, RecursionError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        if _too_deep(raw):
+            raise StateFileError(f"{path} nests arrays or objects deeper than {MAX_DEPTH}")
+        doc = orjson.loads(raw)
+    except (OSError, orjson.JSONDecodeError) as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
 
     if not isinstance(doc, dict):
@@ -132,12 +164,12 @@ def load_state(path) -> StateData:
             raise StateFileError(f"missing field {field!r} in {path}")
     kind = doc["kind"]
     if kind not in ("pure", "density"):
-        raise StateFileError(f"unknown kind {kind!r}")
+        raise StateFileError(f"unknown kind {reprlib.repr(kind)}")  # bounded: kind may nest deep
     for field in ("dims", "data"):
         if not isinstance(doc[field], list):
             raise StateFileError(f"field {field!r} is not a list in {path}")
     if not doc["dims"] or not all(_is_dim(d) for d in doc["dims"]):
-        raise StateFileError(f"dims must be positive integers, got {doc['dims']!r}")
+        raise StateFileError(f"dims must be positive integers, got {reprlib.repr(doc['dims'])}")
     dims = tuple(int(d) for d in doc["dims"])
     d = prod(dims)
 

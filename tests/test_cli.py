@@ -1,11 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import tninv
 from tninv import cli, invariants, states
 from tninv import (
     StateData,
@@ -127,13 +131,35 @@ def test_corrupt_file_fails_loudly(tmp_path, capsys):
 
 
 def test_malformed_state_file_exits_2(tmp_path, capsys):
-    for i, text in enumerate(["3", '{"kind": "pure", "dims": [2], "data": 5}',
-                              '{"kind": "pure", "dims": [2], "data": [[NaN, 0], [0, 0]]}']):
+    pure = '{"kind": "pure", "dims": [2], "data": %s}'
+    for i, text in enumerate(["3", pure % "5", pure % "[[NaN, 0], [0, 0]]",
+                              pure % "[[Infinity, 0], [0, 0]]", pure % "[[1, -Infinity], [0, 0]]",
+                              pure % "[[1e400, 0], [0, 0]]",
+                              pure % ("[" * 100_000 + "]" * 100_000),
+                              '{"kind": %s, "dims": [2], "data": []}' % ("[" * 5000 + "]" * 5000)]):
         path = tmp_path / f"bad{i}.json"
         path.write_text(text)
         assert main(["entropy", str(path), "--keep", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_state_file_nested_past_the_parser_stack_exits_2(tmp_path):
+    # orjson 3.8 recurses once per level and crashes the process past about
+    # 50000 levels of objects; a child process keeps a crash to this test
+    src = os.path.dirname(os.path.dirname(tninv.__file__))
+    run = "import sys; from tninv.cli import main; sys.exit(main(sys.argv[1:]))"
+    pure = '{"kind": "pure", "dims": [1], "data": %s, "x": %s}'
+    for i, text in enumerate([pure % ('[[1, 0]]', '{"":' * 200_000 + "0" + "}" * 200_000),
+                              pure % ("[" * 300_000 + "]" * 300_000, "0")]):
+        path = tmp_path / f"deep{i}.json"
+        path.write_text(text)
+        proc = subprocess.run([sys.executable, "-c", run, "entropy", str(path), "--keep", "0"],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=60, check=False)
+        assert proc.returncode == 2, proc.returncode
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert "deeper than" in proc.stderr
 
 
 def test_factor_bad_truncation_flag(product4_path, capsys):

@@ -2,9 +2,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
-from tninv.states import as_operator
+from tninv.states import MAX_DEPTH, _decode, as_operator
 from tninv import (
     Spectrum,
     StateData,
@@ -16,9 +17,11 @@ from tninv import (
     density_from_pure,
     group_legs,
     load_state,
+    mps_factor,
     partial_trace,
     random_local_unitary,
     random_pure_state,
+    save_chain,
     save_state,
 )
 
@@ -53,6 +56,90 @@ def test_saved_bell_state_matches_readme(tmp_path):
     path = tmp_path / "bell.json"
     save_state(StateData.pure(bell), path)
     assert path.read_text(encoding="utf-8") == example
+
+
+def bits(arr) -> bytes:
+    return np.ascontiguousarray(arr).tobytes()
+
+
+# Components a shortest-repr writer must spell exactly: signed zero, the
+# smallest subnormal, the smallest normal and the largest subnormal, values
+# near the top of the range, and values that need all 17 digits.
+EDGES = [-0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+         1.7976931348623157e308, -9.999999999999999e307, 1e308,
+         0.30000000000000004, 1.0000000000000002, 1e-05, 1.2345678901234567e-7]
+
+
+def edge_operators():
+    """A pure state and a density operator whose components include EDGES.
+
+    The huge edges cannot sit in a state that passes the loader's norm and
+    trace checks, so each kind also comes with an unvalidated array of all
+    of them.
+    """
+    small = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                      1e-05, 1.2345678901234567e-7, 0.30000000000000004, -0.0])
+    psi = small[:4] + 1j * small[4:]
+    psi = np.append(psi, np.sqrt(1 - np.vdot(psi, psi).real) + -0.0j)
+    diag = np.array([0.30000000000000004, 5e-324, 2.2250738585072014e-308, 1e-05])
+    rho = np.diag(np.append(diag, 1 - diag.sum())) + -0.0j
+    rho[0, 1], rho[1, 0] = 1e-7 + 5e-324j, 1e-7 - 5e-324j
+    raw = np.array(EDGES[::2]) + 1j * np.array(EDGES[1::2] + [-0.0])
+    return [StateData.pure(Tensor(psi)), StateData.density(Tensor(rho), (5,)),
+            StateData.pure(Tensor(raw)), StateData.density(Tensor(np.diag(raw)), (6,))]
+
+
+def test_edge_components_round_trip_bitwise(tmp_path):
+    path = tmp_path / "edge.json"
+    for i, state in enumerate(edge_operators()):
+        save_state(state, path)
+        want = state.tensor.data
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert bits(np.array(doc["data"]).view(np.complex128).reshape(want.shape)) == bits(want)
+        assert bits(_decode(orjson.loads(path.read_bytes())["data"], want.shape)) == bits(want)
+        if i < 2:  # the two that are valid states
+            assert bits(load_state(path).tensor.data) == bits(want)
+
+
+def test_random_doubles_round_trip_through_both_codecs(tmp_path):
+    # random bit patterns cover every exponent, subnormals and both zeros
+    rng = np.random.default_rng(2024)
+    comps = rng.integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    comps = np.append(comps[np.isfinite(comps)], [0.0, -0.0, 5e-324, -5e-324])
+    comps = comps[: comps.size // 2 * 2].view(np.complex128)
+    path = tmp_path / "raw.json"
+    save_state(StateData.pure(Tensor(comps)), path)  # unvalidated: only the codec
+    stdlib = np.array(json.loads(path.read_text(encoding="utf-8"))["data"])
+    assert bits(stdlib.view(np.complex128).ravel()) == bits(comps)
+    path.write_text(json.dumps({"data": np.stack([comps.real, comps.imag], -1).tolist()}))
+    assert bits(_decode(orjson.loads(path.read_bytes())["data"], comps.shape)) == bits(comps)
+
+
+def test_chain_file_reads_bitwise_with_stdlib_json(tmp_path):
+    chain = mps_factor(random_pure_state((2, 3, 2, 2), seed=11))
+    path = tmp_path / "chain.json"
+    save_chain(chain, path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["kind"] == "mps"
+    assert doc["site_shapes"] == [list(site.dims) for site in chain.sites]
+    for site, stored in zip(chain.sites, doc["sites"]):
+        arr = np.array(stored).view(np.complex128).reshape(site.dims)
+        assert bits(arr) == bits(site.data)
+    for sigma, stored in zip(chain.bond_sigmas, doc["bond_sigmas"]):
+        assert bits(np.array(stored)) == bits(sigma)
+
+
+def test_stdlib_json_file_loads_to_the_same_bits(tmp_path):
+    for state in edge_operators()[:2] + [StateData.pure(random_pure_state((2, 3), seed=4))]:
+        arr = state.tensor.data.reshape(-1) if state.kind == "pure" else state.tensor.data
+        doc = {"kind": state.kind, "dims": list(state.dims),
+               "data": np.stack([arr.real, arr.imag], -1).tolist()}
+        theirs, ours = tmp_path / "stdlib.json", tmp_path / "ours.json"
+        theirs.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        save_state(state, ours)
+        assert theirs.read_bytes() != ours.read_bytes()  # spaces, and 1e-05 for 0.00001
+        assert bits(load_state(theirs).tensor.data) == bits(load_state(ours).tensor.data)
+        assert bits(load_state(theirs).tensor.data) == bits(state.tensor.data)
 
 
 def test_load_rejects_wrong_trace(tmp_path):
@@ -127,12 +214,35 @@ def test_load_rejects_garbage(tmp_path):
         json.dumps({"kind": "pure", "dims": [1], "data": [[1.0, {"im": 0.0}]]}),
         '{"kind": "pure", "dims": [1], "data": [[1%s, 0]]}' % ("0" * 400),
         "[" * 100_000 + "]" * 100_000,
+        '{"kind": "pure", "dims": [1], "data": [[NaN, 0.0]]}',
+        '{"kind": "pure", "dims": [1], "data": [[Infinity, 0.0]]}',
+        '{"kind": "pure", "dims": [1], "data": [[1.0, -Infinity]]}',
+        '{"kind": "pure", "dims": [1], "data": [[1e400, 0.0]]}',
+        '{"kind": "pure", "dims": [1], "data": %s}' % ("[" * 100_000 + "]" * 100_000),
+        '{"kind": %s, "dims": [1], "data": [[1.0, 0.0]]}' % ("[" * 5000 + "]" * 5000),
+        '{"kind": "pure", "dims": [1, %s], "data": [[1.0, 0.0]]}' % ("[" * 5000 + "]" * 5000),
     ]
     for i, text in enumerate(bad):
         path = tmp_path / f"bad{i}.json"
         path.write_text(text)
         with pytest.raises(StateFileError):
             load_state(path)
+    # orjson parses a nesting this deep, and np.array refuses it as data
+    deep = "[" * 1000 + "]" * 1000
+    assert orjson.loads(deep) is not None and 1000 < MAX_DEPTH
+    path.write_text('{"kind": "pure", "dims": [1], "data": %s}' % deep)
+    with pytest.raises(StateFileError, match=r"\[real, imag\] pairs"):
+        load_state(path)
+    # past MAX_DEPTH the file is refused before it is parsed, outside strings only
+    for depth, ok in ((MAX_DEPTH, True), (MAX_DEPTH + 1, False)):
+        nested = "[" * (depth - 1) + "]" * (depth - 1)
+        path.write_text('{"kind": "pure", "dims": [1], "data": [[1.0, 0.0]], "x%s": %s}'
+                        % ("[\\\"" * MAX_DEPTH, nested))
+        if ok:
+            assert load_state(path).dims == (1,)
+        else:
+            with pytest.raises(StateFileError, match="deeper than"):
+                load_state(path)
 
 
 # --------------------------------------------------------------- generators
