@@ -11,7 +11,6 @@ output.  A state file has ``kind`` (``pure`` or ``density``), ``dims`` and
 from __future__ import annotations
 
 import re
-import reprlib
 from dataclasses import dataclass
 from math import isqrt, prod
 from typing import Sequence
@@ -25,9 +24,11 @@ HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9  # also bounds how far a pure state's squared norm may be off 1
 PSD_TOL = 1e-9  # most negative eigenvalue a density operator may have
 # orjson 3.8 builds nested arrays and objects by recursion on the C stack,
-# about 160 bytes a level, and crashes the process instead of raising past
-# some 50000 levels of objects (on an 8 MB stack).  A state file nests 4 deep.
-MAX_DEPTH = 10_000
+# about 160 bytes a level, and crashes the process instead of raising once
+# the stack runs out: past some 50000 levels of objects on an 8 MB stack, far
+# sooner on a small thread stack.  A state file nests 4 deep, and stdlib json
+# refused past about 1000 levels (RecursionError).
+MAX_DEPTH = 512
 
 _ESCAPE = re.compile(rb"\\.")
 _STRING = re.compile(rb'"[^"]*"')  # once escapes are gone
@@ -99,7 +100,7 @@ def save_chain(chain, path) -> None:
         "bond_dims": [int(c) for c in chain.bond_dims],
         "sites": [_encode(s.data.reshape(-1, s.dims[2])) for s in chain.sites],
         "site_shapes": [list(s.dims) for s in chain.sites],
-        "bond_sigmas": [[float(x) for x in v] for v in chain.bond_sigmas],
+        "bond_sigmas": list(chain.bond_sigmas),
     }
     _write_json(doc, path)
 
@@ -121,13 +122,10 @@ def _decode(entries, shape: tuple[int, ...]) -> np.ndarray:
 def _too_deep(raw: bytes) -> bool:
     """Whether the arrays and objects of a JSON text nest past ``MAX_DEPTH``.
 
-    A text with at most ``MAX_DEPTH`` opening brackets cannot; otherwise the
-    brackets outside strings are summed.  The sum is exact for valid JSON,
-    the only text orjson builds objects from: it refuses anything else first.
+    The brackets outside strings are summed.  The running sum is exact for
+    valid JSON, the only text orjson builds objects from: it refuses anything
+    else first.
     """
-    opening = (np.frombuffer(raw, np.uint8) | 0x20) == ord("{")  # '[' or '{'
-    if np.count_nonzero(opening) <= MAX_DEPTH:
-        return False
     if b"\\" in raw:
         raw = _ESCAPE.sub(b"", raw)
     marks = _STRING.sub(b"", raw.translate(None, _NOT_MARKS)).translate(_NESTING, b'"')
@@ -164,12 +162,12 @@ def load_state(path) -> StateData:
             raise StateFileError(f"missing field {field!r} in {path}")
     kind = doc["kind"]
     if kind not in ("pure", "density"):
-        raise StateFileError(f"unknown kind {reprlib.repr(kind)}")  # bounded: kind may nest deep
+        raise StateFileError(f"unknown kind {kind!r}")
     for field in ("dims", "data"):
         if not isinstance(doc[field], list):
             raise StateFileError(f"field {field!r} is not a list in {path}")
     if not doc["dims"] or not all(_is_dim(d) for d in doc["dims"]):
-        raise StateFileError(f"dims must be positive integers, got {reprlib.repr(doc['dims'])}")
+        raise StateFileError(f"dims must be positive integers, got {doc['dims']!r}")
     dims = tuple(int(d) for d in doc["dims"])
     d = prod(dims)
 

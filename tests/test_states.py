@@ -227,9 +227,17 @@ def test_load_rejects_garbage(tmp_path):
         path.write_text(text)
         with pytest.raises(StateFileError):
             load_state(path)
+    # as deep as MAX_DEPTH allows, the messages quote kind and dims in full
+    for text, message in (('{"kind": %s, "dims": [1], "data": [[1.0, 0.0]]}'
+                           % ("[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1)), "unknown kind"),
+                          ('{"kind": "pure", "dims": [1, %s], "data": [[1.0, 0.0]]}'
+                           % ("[" * (MAX_DEPTH - 2) + "]" * (MAX_DEPTH - 2)), "dims must be")):
+        path.write_text(text)
+        with pytest.raises(StateFileError, match=message):
+            load_state(path)
     # orjson parses a nesting this deep, and np.array refuses it as data
-    deep = "[" * 1000 + "]" * 1000
-    assert orjson.loads(deep) is not None and 1000 < MAX_DEPTH
+    deep = "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1)
+    assert orjson.loads(deep) is not None
     path.write_text('{"kind": "pure", "dims": [1], "data": %s}' % deep)
     with pytest.raises(StateFileError, match=r"\[real, imag\] pairs"):
         load_state(path)
