@@ -9,7 +9,6 @@ from .decompose import (
     schmidt,
     mps_factor,
     mps_reconstruct,
-    mps_truncate,
     classify_topology,
     verify_isometry,
     fidelity,

@@ -171,14 +171,6 @@ class MPSChain:
     def bond_dims(self) -> tuple[int, ...]:
         return tuple(t.dims[2] for t in self.sites[:-1])
 
-    def norm(self) -> float:
-        """State norm via the transfer contraction."""
-        env = np.ones((1, 1), dtype=np.complex128)
-        for site in self.sites:
-            a = site.data
-            env = np.einsum("ab,aic,bid->cd", env, a.conj(), a)
-        return float(np.sqrt(abs(env[0, 0].real)))
-
 
 def mps_factor(
     state: Tensor,
@@ -245,44 +237,6 @@ def mps_reconstruct(chain: MPSChain) -> Tensor:
     for site in chain.sites[1:]:
         acc = np.tensordot(acc, site.data, axes=([acc.ndim - 1], [0]))
     return Tensor._wrap(acc[..., 0])
-
-
-def mps_truncate(
-    chain: MPSChain,
-    max_chi: int | None = None,
-    sigma_cutoff: float | None = None,
-) -> tuple[MPSChain, float]:
-    """Truncate every bond of a chain and renormalize the state.
-
-    Returns the truncated chain and an accumulated fidelity-loss bound:
-    the sum over bonds of 1 - (kept weight) / (total weight) computed from
-    the recorded bond vectors.
-    """
-    _check_policy(max_chi, sigma_cutoff)
-    sites = [t.data.copy() for t in chain.sites]
-    bond_sigmas = [s.copy() for s in chain.bond_sigmas]
-    loss = 0.0
-    for b, s in enumerate(bond_sigmas):
-        chi = _apply_policy(s, len(s), max_chi, sigma_cutoff)
-        if chi == len(s):
-            continue
-        total = float(np.sum(s**2))
-        kept = float(np.sum(s[:chi] ** 2))
-        if total > 0.0:
-            loss += 1.0 - kept / total
-        sites[b] = sites[b][:, :, :chi]
-        sites[b + 1] = sites[b + 1][:chi, :, :]
-        bond_sigmas[b] = s[:chi]
-    out = MPSChain(
-        sites=[Tensor._wrap(a) for a in sites],
-        bond_sigmas=bond_sigmas,
-        phys_dims=chain.phys_dims,
-    )
-    nrm = out.norm()
-    if nrm > 0.0:
-        last = out.sites[-1].data / nrm
-        out.sites[-1] = Tensor._wrap(last)
-    return out, loss
 
 
 def verify_isometry(site: Tensor, direction: str = "left") -> float:

@@ -15,7 +15,15 @@ of traces and pairwise matrix products, planned greedily over the
 network's integer labels.  Labels that differ only in which subsystems
 they fuse share a program.
 Replaying a program is transposes, reshapes and ``@``; no ``np.einsum``
-call remains on the value path.
+call remains on the value path.  Each self-trace acts on a fused operand,
+and a fixed point shared by several copies or labels draws the same loop,
+so one dict of partial traces lives beside each grouping's fused operand
+and is dropped with it: each distinct trace is computed once per grouping
+and reused by every program that needs it.  The same op on the same array
+gives the same bits, so sharing changes no value.  On density input most
+traces repeat (608 traces, 68 distinct, over the 251 degree-3 classes of
+2 x 2 x 2 x 2); psi terms carry none.  Products are not shared: on density
+input no two are alike.
 
 Every program acts on a stack of states: axis 0 of each operand is a
 batch, kept first by every transpose and led by -1 in every reshape, all
@@ -28,12 +36,14 @@ the bytes, as complex128, of the widest row any array of the chunk has:
 psi or the operator, the largest intermediate of the call's programs, or
 the values of all its labels.  ``BATCH_BYTES`` (128 KiB) thus bounds each
 array a chunk makes: the stack, a grouping's fused copies, each
-intermediate and the values.  A chunk holds a few of them at once, so a
-verify call's memory is a small multiple of ``BATCH_BYTES``, or of one
-row when a row is larger, whatever the trial count.  Measured with
-tracemalloc over the k <= 3 classes (k <= 2 past 6 qubits) of psi and
-operators of 2 to 10 qubits or up to 8 x 8, 20 trials peak at 0.03-1.5
-MB.  Batching pays for small operands, where Python overhead per step
+intermediate, each kept trace and the values.  A chunk holds a few of
+them at once, so a verify call's memory is a small multiple of
+``BATCH_BYTES``, or of one row when a row is larger, whatever the trial
+count.  Measured with tracemalloc over the k <= 3 classes (k <= 2 past 6
+qubits), 20 trials peak at 0.03-1.6 MB for psi of 2 to 10 qubits and of
+8 x 8, and at 0.04-0.87 MB for operators of 2 to 5 qubits, 3 x 3 x 3,
+4 x 4 x 4 and 8 x 8; the kept traces add at most 0.03 MB (0.54 to 0.56 MB
+on 2 x 2 x 2 x 2).  Batching pays for small operands, where Python overhead per step
 sets the cost.  For a 64 x 64 operator the transposed copies dominate,
 and batch-first stacks of them cost more than separate ones, so the
 budget keeps such operators at two rows.  Its oracle,
@@ -372,11 +382,22 @@ class _Program(NamedTuple):
     flops: int
     largest: int
 
-    def contract(self, fused: tuple[np.ndarray, ...]) -> np.ndarray:
+    def contract(self, fused: tuple[np.ndarray, ...], traced: dict) -> np.ndarray:
+        """The values of every row of ``fused``.
+
+        ``traced`` holds the partial traces of ``fused`` computed so far,
+        keyed by ``(source, axes, shape, out)``; each trace missing from it
+        is computed and added.  Every trace acts on a source operand, so a
+        kept trace has the bits a recomputed one would have.
+        """
         ops = [fused[s] for s in self.sources]
         for slot, axes, shape, out in self.traces:
-            traced = ops[slot].transpose(axes).reshape(shape).trace(axis1=2, axis2=3)
-            ops[slot] = traced.reshape(out)
+            key = (self.sources[slot], axes, shape, out)
+            part = traced.get(key)
+            if part is None:
+                part = ops[slot].transpose(axes).reshape(shape).trace(axis1=2, axis2=3)
+                part = traced[key] = part.reshape(out)
+            ops[slot] = part
         for a, b, axes_a, shape_a, axes_b, shape_b, out in self.steps:
             mat_a = ops[a].transpose(axes_a).reshape(shape_a)
             mat_b = ops[b].transpose(axes_b).reshape(shape_b)
@@ -518,7 +539,12 @@ def _network(t: PermTuple, dims: tuple[int, ...], pure: bool) -> tuple[tuple, _P
 
 @dataclass
 class ContractionCost:
-    """Summed FLOPs and largest intermediate (elements) of compiled programs."""
+    """Summed FLOPs and largest intermediate (elements) of compiled programs.
+
+    ``flops`` is the planned sum over labels: a self-trace that several
+    labels share is counted in each, though the replay computes it once per
+    grouping, so it bounds the replayed work from above.
+    """
 
     flops: int = 0
     largest: int = 0
@@ -551,13 +577,15 @@ def _contract_all(plan: dict, src: _Operand, count: int) -> np.ndarray:
     """The ``count`` planned values on each row of ``src``, one fused operand alive at a time.
 
     Row i of the result holds tuple i's values, one per row of the stack.
+    The partial traces of a fused operand live and die with it, so each
+    distinct one is computed once per grouping.
     """
     values = np.empty((count, len(src.array)), dtype=np.complex128)
     for grouping, members in plan.items():
-        fused = _fuse(src, *grouping)
+        fused, traced = _fuse(src, *grouping), {}
         for i, program in members:
-            values[i] = program.contract(fused)
-        del fused  # before the next grouping is fused
+            values[i] = program.contract(fused, traced)
+        del fused, traced  # before the next grouping is fused
     return values
 
 

@@ -9,7 +9,6 @@ from tninv import (
     schmidt,
     mps_factor,
     mps_reconstruct,
-    mps_truncate,
     classify_topology,
     verify_isometry,
     fidelity,
@@ -228,13 +227,9 @@ def test_mps_bad_policy():
     psi = random_pure_state((2, 2), seed=1)
     with pytest.raises(ValueError):
         mps_factor(psi, max_chi=0)
-    with pytest.raises(ValueError):
-        mps_truncate(mps_factor(psi), max_chi=0)
     for cutoff in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="sigma_cutoff"):
             mps_factor(psi, sigma_cutoff=cutoff)
-        with pytest.raises(ValueError, match="sigma_cutoff"):
-            mps_truncate(mps_factor(psi), sigma_cutoff=cutoff)
 
 
 def test_mps_zero_sigma_bond_is_inert():
@@ -249,58 +244,26 @@ def test_mps_zero_sigma_bond_is_inert():
         bond_sigmas=[np.array([1.0, 0.0])],
     )
     full = mps_reconstruct(chain)
-    truncated, _ = mps_truncate(chain, max_chi=1)
-    assert np.allclose(mps_reconstruct(truncated).data, full.data, atol=1e-12)
+    assert np.array_equal(full.data, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 # -------------------------------------------------------------- truncation
 
 
-def test_truncate_cutoff_zero_is_noop():
-    psi = random_pure_state((2,) * 4, seed=41)
-    chain = mps_factor(psi)
-    out, loss = mps_truncate(chain, sigma_cutoff=0.0)
-    assert loss == 0.0
-    assert np.max(np.abs(mps_reconstruct(out).data - mps_reconstruct(chain).data)) < 1e-12
-
-
-def test_truncate_bell_to_chi_one():
+def test_mps_factor_truncation_keeps_chain_left_canonical():
     bell = Tensor(np.array([[1, 0], [0, 1]]) / np.sqrt(2))
-    chain = mps_factor(bell)
-    out, loss = mps_truncate(chain, max_chi=1)
-    assert out.bond_dims == (1,)
-    assert abs(loss - 0.5) < 1e-12
-    assert abs(fidelity(bell, mps_reconstruct(out)) - 0.5) < 1e-12
-
-
-def chain_overlap(a, b):
-    """Independent transfer-matrix overlap <a|b> of two chains."""
-    env = np.ones((1, 1), dtype=complex)
-    for sa, sb in zip(a.sites, b.sites):
-        env = np.einsum("ab,aic,bid->cd", env, sa.data.conj(), sb.data)
-    return complex(env[0, 0])
-
-
-def test_truncate_fidelity_matches_overlap_oracle():
-    psi = random_pure_state((2,) * 5, seed=55)
-    chain = mps_factor(psi)
-    out, _ = mps_truncate(chain, max_chi=2)
-    rebuilt = mps_reconstruct(out)
-    fid_direct = fidelity(psi, rebuilt)
-    ov = chain_overlap(chain, out)
-    norm_out = out.norm()
-    fid_transfer = abs(ov) ** 2 / norm_out**2
-    assert abs(fid_direct - fid_transfer) < 1e-10
-    assert abs(norm_out - 1.0) < 1e-10  # truncation renormalizes
-
-
-def test_truncate_monotone_in_chi():
+    chain = mps_factor(bell, max_chi=1)
+    assert chain.bond_dims == (1,)
+    assert abs(fidelity(bell, mps_reconstruct(chain)) - 0.5) < 1e-12
     psi = random_pure_state((2,) * 5, seed=66)
-    chain = mps_factor(psi)
+    exact = mps_reconstruct(mps_factor(psi, sigma_cutoff=0.0)).data
+    assert np.max(np.abs(exact - psi.data)) < 1e-12
     fids = []
     for chi in (4, 3, 2, 1):
-        out, _ = mps_truncate(chain, max_chi=chi)
-        fids.append(fidelity(psi, mps_reconstruct(out)))
+        chain = mps_factor(psi, max_chi=chi)
+        assert max(chain.bond_dims) <= chi
+        assert all(verify_isometry(site, "left") <= 1e-10 for site in chain.sites[:-1])
+        fids.append(fidelity(psi, mps_reconstruct(chain)))
     assert all(fids[i] >= fids[i + 1] - 1e-12 for i in range(len(fids) - 1))
 
 

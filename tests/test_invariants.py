@@ -877,9 +877,9 @@ def _spy_replay_rows(monkeypatch) -> list:
     """The rows of the stack each ``_Program.contract`` call is given, in call order."""
     rows_seen, contract = [], invariants._Program.contract
 
-    def spy(program, fused):
+    def spy(program, fused, traced):
         rows_seen.append(len(fused[0]))
-        return contract(program, fused)
+        return contract(program, fused, traced)
 
     monkeypatch.setattr(invariants._Program, "contract", spy)
     return rows_seen
@@ -917,6 +917,67 @@ def test_batch_budget_counts_the_widest_row(monkeypatch):
     assert max(verify_classes(tuples, pure, dims, trials=40, seed=90)) <= 1e-9
     assert sum(rows_seen) == 41 * len(tuples)
     assert max(rows_seen) * 16 * len(tuples) <= invariants.BATCH_BYTES
+
+
+@pytest.mark.parametrize("dims, k, traces, distinct", [
+    ((2, 2, 2, 2), 3, 608, 68),
+    ((2, 2, 2), 3, 106, 16),
+])
+def test_each_distinct_trace_replays_once_per_grouping(dims, k, traces, distinct, monkeypatch):
+    memos, planned, contract = [], [], invariants._Program.contract
+
+    def spy(program, fused, traced):
+        if not any(memo is traced for memo in memos):
+            memos.append(traced)
+        planned.append(len(program.traces))
+        return contract(program, fused, traced)
+
+    monkeypatch.setattr(invariants._Program, "contract", spy)
+    tuples = [c.representative for c in enumerate_invariants(len(dims), k)]
+    rho = random_density(math.prod(dims), np.random.default_rng(91))
+    pure = StateData.pure(random_pure_state(dims, seed=92))
+    for state, want in ((rho, (traces, distinct)), (pure, (0, 0))):
+        memos.clear()
+        planned.clear()
+        evaluate_many(tuples, state, dims)
+        # every trace a memo holds was computed once, on this call
+        assert (sum(planned), sum(map(len, memos))) == want, state is pure
+
+
+class _KeepsNothing(dict):
+    """A trace memo that stores nothing, so every program computes its own traces."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_shared_traces_change_no_bit(monkeypatch):
+    trials, seed = 4, 93
+    seen, contract_all, contract = [], invariants._contract_all, invariants._Program.contract
+
+    def spy(plan, src, count):
+        seen.append(contract_all(plan, src, count))
+        return seen[-1]
+
+    def unshared(program, fused, traced):
+        return contract(program, fused, _KeepsNothing())
+
+    monkeypatch.setattr(invariants, "_contract_all", spy)
+    for dims in ((2, 3, 2), (2, 2, 2, 2), (4, 4)):
+        rho = random_density(math.prod(dims), np.random.default_rng(94))
+        tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(len(dims), k)]
+        size = _row_bytes(tuples, rho, dims)
+        for rows in (1, 2, trials + 1):  # a chunk of one row, two, and every row
+            monkeypatch.setattr(invariants, "BATCH_BYTES", rows * size)
+            runs = []
+            for replay in (contract, unshared):
+                monkeypatch.setattr(invariants._Program, "contract", replay)
+                seen.clear()
+                devs = verify_classes(tuples, rho, dims, trials=trials, seed=seed)
+                runs.append((devs, np.hstack(seen)))
+            (shared_devs, shared), (alone_devs, alone) = runs
+            assert shared.shape == (len(tuples), trials + 1)
+            assert same_bits(shared, alone) and same_bits(shared_devs, alone_devs), (dims, rows)
 
 
 def test_verify_peak_memory_does_not_grow_from_20_to_2000_trials():
