@@ -76,13 +76,16 @@ def cmd_factor(args) -> CommandResult:
     res.values["bond_dims"] = [int(c) for c in chain.bond_dims]
     res.values["bond_sigmas"] = [[float(s) for s in v] for v in chain.bond_sigmas]
     res.values["fidelity"] = fid
+    if args.out:
+        states.save_chain(chain, args.out)
+    if args.json:  # every singular value below only feeds the human lines
+        return res
     for b, sig in enumerate(chain.bond_sigmas):
         res.add(
             f"bond {b}: chi={len(sig)} sigma=" + " ".join(_fmt(s) for s in sig)
         )
     res.add(f"fidelity: {_fmt(fid)}")
     if args.out:
-        states.save_chain(chain, args.out)
         res.add(f"chain written to {args.out}")
     return res
 
@@ -143,7 +146,8 @@ def cmd_invariants(args) -> CommandResult:
         for t, val in zip(tuples, vals):
             label = t.label()
             res.values[label] = _jsonable(val)
-            res.add(f"{label} = {_fmt(val)}")
+            if not args.json:
+                res.add(f"{label} = {_fmt(val)}")
         return res
 
     if args.seed < 0:
@@ -155,15 +159,17 @@ def cmd_invariants(args) -> CommandResult:
     worst = 0.0
     for t, dev in zip(tuples, devs):
         worst = max(worst, dev)
-        status = "ok" if dev <= VERIFY_THRESHOLD else "FAIL"
         label = t.label()
         res.values[label] = dev
-        res.add(f"{label}  deviation={_fmt(dev)}  {status}")
+        if not args.json:
+            status = "ok" if dev <= VERIFY_THRESHOLD else "FAIL"
+            res.add(f"{label}  deviation={_fmt(dev)}  {status}")
     res.diagnostics["max_deviation"] = worst
     res.diagnostics["threshold"] = VERIFY_THRESHOLD
     if worst > VERIFY_THRESHOLD:
         res.exit_code = 1
-    res.add(f"max deviation: {_fmt(worst)}")
+    if not args.json:
+        res.add(f"max deviation: {_fmt(worst)}")
     return res
 
 

@@ -3,7 +3,9 @@
 A state tensor is cut into two leg groups, bent into a linear map, and
 factored with the SVD; iterating the cut from left to right produces a
 matrix product chain whose internal tensors are isometries and whose bond
-vectors are the singular values across each cut.
+vectors are the singular values across each cut.  A cut with fewer rows
+than columns is factored through the triangle of a QR of its adjoint, so
+the sweep never builds the long orthogonal factor of a wide matrix.
 """
 
 from __future__ import annotations
@@ -180,9 +182,14 @@ def mps_factor(
     """Factor a state into a left-canonical matrix product chain.
 
     Sweeps left to right, cutting one physical leg at a time and applying
-    the SVD across the cut.  With no truncation policy the chain
-    reconstructs the state exactly (up to float noise) and every site but
-    the last is a left isometry.
+    the SVD across the cut.  A wide cut M (m rows, n > m columns) is not
+    handed to the SVD whole: the m x m triangle R of the QR of M^dagger
+    gives M = R^dagger Q^dagger, the SVD of R^dagger gives the site u and
+    the bond vector s, and the remainder is u^dagger M, which is
+    diag(s) V^dagger of the SVD of M.  Square and tall cuts take the plain
+    thin SVD.  With no truncation policy the chain reconstructs the state
+    exactly (up to float noise) and every site but the last is a left
+    isometry.
 
     Parameters
     ----------
@@ -193,10 +200,18 @@ def mps_factor(
     sigma_cutoff : float, optional
         Drop singular values <= this absolute cutoff (at least one is
         always kept).
+
+    Raises
+    ------
+    ValueError
+        If the state has a NaN or infinite component, or the policy is
+        invalid.
     """
     if state.nlegs < 2:
         raise ShapeError("need at least two legs to factor")
     _check_policy(max_chi, sigma_cutoff)
+    if not np.all(np.isfinite(state.data)):
+        raise ValueError("input state has non-finite components")
     dims = state.dims
     n = len(dims)
     sites: list[Tensor] = []
@@ -205,12 +220,18 @@ def mps_factor(
     r = 1
     for i in range(n - 1):
         mat = work.reshape(r * dims[i], -1)
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        wide = mat.shape[0] < mat.shape[1]
+        if wide:  # mat = R^dagger Q^dagger, and R^dagger has mat's u and s
+            tri = np.linalg.qr(mat.conj().T, mode="r")
+            u, s, _ = np.linalg.svd(tri.conj().T)
+        else:
+            u, s, vh = np.linalg.svd(mat, full_matrices=False)
         chi = max(_count_rank(s), 1)
         chi = _apply_policy(s, chi, max_chi, sigma_cutoff)
-        sites.append(Tensor._wrap(u[:, :chi].reshape(r, dims[i], chi)))
+        site = u[:, :chi]
+        sites.append(Tensor._wrap(site.reshape(r, dims[i], chi)))
         bond_sigmas.append(s[:chi].copy())
-        work = s[:chi, None] * vh[:chi]
+        work = site.conj().T @ mat if wide else s[:chi, None] * vh[:chi]
         r = chi
     sites.append(Tensor._wrap(work.reshape(r, dims[n - 1], 1)))
     return MPSChain(sites=sites, bond_sigmas=bond_sigmas, phys_dims=dims)

@@ -415,6 +415,75 @@ def test_invariants_repeated_label_is_evaluated_once(tmp_path, capsys):
     assert capsys.readouterr().out == "2; e | (12) = 0.702503695902+0j\n"
 
 
+def _doc(command, values, diagnostics=None, exit_code=0):
+    doc = {"command": command, "values": values, "diagnostics": diagnostics or {},
+           "exit_code": exit_code}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_factor_output_is_pinned_in_both_modes(ghz5_path, product4_path, tmp_path, capsys):
+    out = str(tmp_path / "chain.json")
+    assert main(["factor", ghz5_path, "--out", out]) == 0
+    bonds = "".join(
+        f"bond {b}: chi=2 sigma=0.707106781187 0.707106781187\n" for b in range(4)
+    )
+    assert capsys.readouterr().out == bonds + f"fidelity: 1\nchain written to {out}\n"
+    assert main(["factor", product4_path, "--json"]) == 0
+    want = {"bond_dims": [1, 1, 1], "bond_sigmas": [[1.0]] * 3, "fidelity": 1.0}
+    assert capsys.readouterr().out == _doc("factor", want)
+
+
+def test_invariants_eval_output_is_pinned_in_both_modes(tmp_path, capsys):
+    path = str(tmp_path / "mixed.json")
+    save_state(StateData.density(Tensor(np.eye(4) / 4), (4,)), path)
+    assert main(["invariants", "eval", path, "-k", "2"]) == 0
+    assert capsys.readouterr().out == "2; e = 1+0j\n2; (12) = 0.25+0j\n"
+    assert main(["invariants", "eval", path, "-k", "2", "--json"]) == 0
+    cost = {"contraction": {"flops": 40, "largest_intermediate": 1}}
+    want = {"2; e": [1.0, 0.0], "2; (12)": [0.25, 0.0]}
+    assert capsys.readouterr().out == _doc("invariants eval", want, cost)
+
+
+def test_invariants_verify_output_is_pinned_in_both_modes(bell_path, capsys, monkeypatch):
+    # fixed deviations, one of them past the threshold, pin the formatting
+    devs = [2e-09, 3.5e-08, 0.0, 1.25e-10]
+    monkeypatch.setattr(invariants, "verify_classes", lambda tuples, *a, **kw: devs)
+    argv = ["invariants", "verify", bell_path, "-k", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "2; e | e  deviation=2e-09  ok\n"
+        "2; e | (12)  deviation=3.5e-08  FAIL\n"
+        "2; (12) | e  deviation=0  ok\n"
+        "2; (12) | (12)  deviation=1.25e-10  ok\n"
+        "max deviation: 3.5e-08\n"
+    )
+    assert main(argv + ["--json"]) == 1
+    labels = ["2; e | e", "2; e | (12)", "2; (12) | e", "2; (12) | (12)"]
+    diagnostics = {
+        "contraction": {"flops": 0, "largest_intermediate": 0},
+        "max_deviation": 3.5e-08,
+        "threshold": cli.VERIFY_THRESHOLD,
+    }
+    want = _doc("invariants verify", dict(zip(labels, devs)), diagnostics, exit_code=1)
+    assert capsys.readouterr().out == want
+
+
+def test_json_formats_no_human_lines(ghz5_path, bell_path, tmp_path, capsys, monkeypatch):
+    def refuse(x):
+        raise AssertionError("a human line was formatted for --json")
+
+    monkeypatch.setattr(cli, "_fmt", refuse)
+    out = str(tmp_path / "chain.json")
+    for argv in (
+        ["factor", ghz5_path, "--out", out],
+        ["factor", ghz5_path, "--truncate-chi", "1"],
+        ["invariants", "eval", bell_path, "-k", "2"],
+        ["invariants", "verify", bell_path, "-k", "2", "--trials", "2"],
+    ):
+        assert main(argv + ["--json"]) == 0, argv
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 0
+
+
 def test_invariants_and_entropy_never_form_rho_for_pure_file(bell_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("density_from_pure called")

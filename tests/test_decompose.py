@@ -18,6 +18,7 @@ from tninv import (
     MAXIMALLY_ENTANGLED,
     GENERIC,
 )
+from tninv.decompose import RANK_TOL
 
 RNG = np.random.default_rng(7)
 
@@ -265,6 +266,84 @@ def test_mps_factor_truncation_keeps_chain_left_canonical():
         assert all(verify_isometry(site, "left") <= 1e-10 for site in chain.sites[:-1])
         fids.append(fidelity(psi, mps_reconstruct(chain)))
     assert all(fids[i] >= fids[i + 1] - 1e-12 for i in range(len(fids) - 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mps_factor_refuses_non_finite_input(bad):
+    # the first cut is wide for (2, 8) and tall for (8, 2): either way the
+    # state is refused before any factorization
+    for dims in ((2, 8), (8, 2)):
+        data = random_pure_state(dims, seed=5).data.copy()
+        data[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mps_factor(Tensor(data))
+
+
+# ------------------------------------------------------------------ routes
+
+
+def _reference_sweep(psi, max_chi=None, sigma_cutoff=None):
+    """The left-to-right sweep with the plain thin SVD at every cut."""
+    dims = psi.dims
+    sites, sigmas, shapes = [], [], []
+    work, r = psi.data, 1
+    for d in dims[:-1]:
+        mat = work.reshape(r * d, -1)
+        shapes.append(mat.shape)
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        chi = max(int(np.count_nonzero(s > RANK_TOL * s[0])), 1)
+        if sigma_cutoff is not None:
+            chi = min(chi, max(int(np.count_nonzero(s > sigma_cutoff)), 1))
+        if max_chi is not None:
+            chi = min(chi, max_chi)
+        sites.append(u[:, :chi].reshape(r, d, chi))
+        sigmas.append(s[:chi])
+        work, r = s[:chi, None] * vh[:chi], chi
+    sites.append(work.reshape(r, dims[-1], 1))
+    return sites, sigmas, shapes
+
+
+def _ghz(n):
+    ket = np.zeros((2,) * n)
+    ket[(0,) * n] = ket[(1,) * n] = 1 / np.sqrt(2)
+    return Tensor(ket)
+
+
+def _product(n):
+    ket = np.zeros((2,) * n)
+    ket[(0, 1) * (n // 2) + (0,) * (n % 2)] = 1.0
+    return Tensor(ket)
+
+
+ROUTE_DIMS = [(2,) * 10, (2, 3, 2, 3), (3, 3, 3, 3), (4, 2, 5), (1, 2, 3), (3, 1, 2)]
+ROUTE_STATES = [random_pure_state(d, seed=90 + i) for i, d in enumerate(ROUTE_DIMS)]
+ROUTE_STATES += [_ghz(3), _ghz(7), _product(4), _product(7)]
+POLICIES = [{}, {"max_chi": 2}, {"sigma_cutoff": 0.1}]
+
+
+def test_mps_routes_agree_with_the_plain_svd_sweep():
+    cuts = set()
+    for psi in ROUTE_STATES:
+        for policy in POLICIES:
+            chain = mps_factor(psi, **policy)
+            sites, sigmas, shapes = _reference_sweep(psi, **policy)
+            cuts.update(np.sign(m - n) for m, n in shapes)
+            assert chain.bond_dims == tuple(s.shape[2] for s in sites[:-1]), (psi.dims, policy)
+            for got, want in zip(chain.bond_sigmas, sigmas):
+                assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+            for site in chain.sites[:-1]:
+                assert verify_isometry(site) <= 1e-13
+            ref = mps_reconstruct(MPSChain([Tensor(s) for s in sites], sigmas))
+            got = fidelity(psi, mps_reconstruct(chain))
+            assert abs(got - fidelity(psi, ref)) <= 1e-12, (psi.dims, policy)
+    assert cuts == {-1, 0, 1}  # wide, square and tall cuts were all taken
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_mps_chi_is_the_exact_rank_on_ghz_and_product_states(policy):
+    for n in (3, 7):
+        assert mps_factor(_ghz(n), **policy).bond_dims == (2,) * (n - 1)
+        assert mps_factor(_product(n), **policy).bond_dims == (1,) * (n - 1)
 
 
 # ---------------------------------------------------------------- isometry
