@@ -9,6 +9,7 @@ threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -264,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_parser = None  # built on the first call to main and reused
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and reused."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.cmd == "factor":
             res = cmd_factor(args)

@@ -10,7 +10,7 @@ the sweep never builds the long orthogonal factor of a wide matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,18 +149,13 @@ class MPSChain:
 
     sites: list[Tensor]
     bond_sigmas: list[np.ndarray]
-    phys_dims: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if not self.sites:
             raise ShapeError("chain needs at least one site")
-        if not self.phys_dims:
-            self.phys_dims = tuple(t.dims[1] for t in self.sites)
         for i, t in enumerate(self.sites):
             if t.nlegs != 3:
                 raise ShapeError(f"site {i} has {t.nlegs} legs, want 3")
-            if t.dims[1] != self.phys_dims[i]:
-                raise ShapeError(f"site {i} physical dimension mismatch")
         if self.sites[0].dims[0] != 1 or self.sites[-1].dims[2] != 1:
             raise ShapeError("boundary bonds must have dimension 1")
         for i in range(len(self.sites) - 1):
@@ -168,6 +163,10 @@ class MPSChain:
                 raise ShapeError(f"bond mismatch between sites {i} and {i + 1}")
         if len(self.bond_sigmas) != len(self.sites) - 1:
             raise ShapeError("need one bond vector per internal bond")
+
+    @property
+    def phys_dims(self) -> tuple[int, ...]:
+        return tuple(t.dims[1] for t in self.sites)
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
@@ -234,7 +233,7 @@ def mps_factor(
         work = site.conj().T @ mat if wide else s[:chi, None] * vh[:chi]
         r = chi
     sites.append(Tensor._wrap(work.reshape(r, dims[n - 1], 1)))
-    return MPSChain(sites=sites, bond_sigmas=bond_sigmas, phys_dims=dims)
+    return MPSChain(sites=sites, bond_sigmas=bond_sigmas)
 
 
 def _check_policy(max_chi, sigma_cutoff):

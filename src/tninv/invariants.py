@@ -4,7 +4,9 @@ A degree-k invariant of an n-subsystem operator rho is the trace of k
 copies of rho wired together by one permutation of the copies per
 subsystem.  Tuples related by relabeling the identical copies (conjugating
 every permutation by the same element) give the same number, so classes
-are enumerated up to simultaneous conjugation.
+are enumerated up to simultaneous conjugation.  S_k is listed once, in
+:func:`tninv.perms.conjugation_table`: enumeration, :func:`canonicalize`,
+:func:`conjugate_tuple` and :func:`is_real_guaranteed` all read it.
 
 The value is computed one way in production: :func:`evaluate_fast`,
 :func:`evaluate_many` and :func:`verify_classes` plan each call once.
@@ -61,20 +63,19 @@ call's first ``MEMO_ENTRIES`` labels go through the label memo, so a
 repeated call over more labels still hits that many.  Measured
 with tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
 a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
-if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants` keeps the last
-``MEMO_ENUMERATIONS`` (8) enumerations that have at most ``MEMO_CLASSES``
-(4096) classes.  A class takes 0.5-1 KB, so a kept enumeration holds at
-most about 4 MB and all of them about 33 MB; only at k = 1, one class
-of n identity permutations, does an entry grow past that, by about 60 B
-per subsystem.  A cold call compiles exactly what an unmemoised one
-would; a warm one compiles nothing and returns the same values bit for
-bit.
+if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants`
+keeps an LRU of ``MEMO_ENUMERATIONS`` (8) enumerations, each of at most
+``MEMO_CLASSES`` (4096) classes.  A class takes 0.5-1 KB, so a kept
+enumeration holds at most about 4 MB and all of them about 33 MB; only at
+k = 1, one class of n identity permutations, does an entry grow past
+that, by about 60 B per subsystem.  A cold call compiles exactly what an
+unmemoised one would; a warm one compiles nothing and returns the same
+values bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 from math import isnan, prod
 from typing import Callable, NamedTuple, Sequence
@@ -159,8 +160,8 @@ def format_label(t: PermTuple) -> str:
 
 def conjugate_tuple(t: PermTuple, tau) -> PermTuple:
     """Relabel the k copies through tau in every subsystem permutation."""
-    index, conj, _ = perms.conjugation_table(t.k)
-    row, sk = conj[index[tuple(tau)]], perms.all_perms(t.k)
+    sk, index, conj, _ = perms.conjugation_table(t.k)
+    row = conj[index[tuple(tau)]]
     return PermTuple(t.k, tuple(sk[row[index[s]]] for s in t.sigmas))
 
 
@@ -170,9 +171,8 @@ def canonicalize(t: PermTuple) -> PermTuple:
     Two tuples canonicalize equal iff they label the same invariant diagram
     (up to reordering the identical copies of rho).
     """
-    index, conj, _ = perms.conjugation_table(t.k)
+    sk, index, conj, _ = perms.conjugation_table(t.k)
     best = min(conj[:, [index[s] for s in t.sigmas]].tolist())
-    sk = perms.all_perms(t.k)
     return PermTuple(t.k, tuple(sk[i] for i in best))
 
 
@@ -215,7 +215,7 @@ def is_real_guaranteed(t: PermTuple) -> bool:
     Such tuples coincide with their complex conjugate label, so the
     invariant is real on every input.
     """
-    index, conj, inv = perms.conjugation_table(t.k)
+    _, index, conj, inv = perms.conjugation_table(t.k)
     idx = [index[s] for s in t.sigmas]
     return bool((conj[:, idx] == inv[idx]).all(axis=1).any())
 
@@ -231,43 +231,41 @@ class CanonicalClass:
         return self.representative.label()
 
 
-_ENUMERATIONS: dict[tuple[int, int], tuple[CanonicalClass, ...]] = {}  # oldest first
-_ENUMERATIONS_LOCK = threading.Lock()
-
-
 def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
     """All degree-k invariant classes of an n-subsystem state.
 
     Returns exactly one representative per simultaneous-conjugation orbit
     of n-tuples over S_k, sorted by the lexicographic tuple encoding (the
     representative is the orbit minimum).  The list is the caller's own;
-    the memo behind it keeps the last ``MEMO_ENUMERATIONS`` enumerations
-    built that have at most ``MEMO_CLASSES`` classes.  Raises ValueError
-    past ``MAX_CLASSES`` classes or ``MAX_SUBSYSTEMS`` subsystems.
+    the memo behind it keeps the ``MEMO_ENUMERATIONS`` most recently used
+    enumerations that have at most ``MEMO_CLASSES`` classes.  Raises
+    ValueError, before it allocates, past ``MAX_CLASSES`` classes or
+    ``MAX_SUBSYSTEMS`` subsystems.
     """
-    classes = _ENUMERATIONS.get((n, k))
-    if classes is None:
-        classes = _enumerate(n, k)
-        if len(classes) <= MEMO_CLASSES:
-            with _ENUMERATIONS_LOCK:  # insert and evict as one step
-                _ENUMERATIONS[n, k] = classes
-                while len(_ENUMERATIONS) > MEMO_ENUMERATIONS:
-                    del _ENUMERATIONS[next(iter(_ENUMERATIONS))]
-    return list(classes)
-
-
-def _enumerate(n: int, k: int) -> tuple[CanonicalClass, ...]:
     if n < 1:
         raise ValueError(f"need at least one subsystem, got n={n}")
-    _, conj, _ = perms.conjugation_table(k)  # refuses k outside 1..MAX_DEGREE
+    perms.conjugation_table(k)  # refuses k outside 1..MAX_DEGREE
     if n > MAX_SUBSYSTEMS:
         raise ValueError(f"n={n} subsystems, more than {MAX_SUBSYSTEMS}")
-    # Burnside: conjugation by g fixes the tuples of n permutations that commute with g
-    centralizers = np.count_nonzero(conj == np.arange(len(conj)), axis=1)
-    count = sum(int(c) ** n for c in centralizers) // len(conj)
+    count = _class_count(n, k)  # memoised; the bounds below are read on every call
     if count > MAX_CLASSES:
         raise ValueError(f"n={n}, k={k} has {count} classes, more than {MAX_CLASSES}")
-    sk = perms.all_perms(k)
+    scan = _scan if count <= MEMO_CLASSES else _scan.__wrapped__
+    return list(scan(n, k))
+
+
+@functools.lru_cache(maxsize=MAX_SUBSYSTEMS * perms.MAX_DEGREE)
+def _class_count(n: int, k: int) -> int:
+    """Burnside: conjugation by g fixes the tuples of n permutations that commute with g."""
+    conj = perms.conjugation_table(k)[2]
+    centralizers = np.count_nonzero(conj == np.arange(len(conj)), axis=1)
+    return sum(int(c) ** n for c in centralizers) // len(conj)
+
+
+@functools.lru_cache(maxsize=MEMO_ENUMERATIONS)
+def _scan(n: int, k: int) -> tuple[CanonicalClass, ...]:
+    """The classes in code order, marking each orbit off a table of the (k!)^n codes."""
+    sk, _, conj, _ = perms.conjugation_table(k)
     radix = len(sk)
     shape = (radix,) * n
     seen = bytearray(radix**n)
@@ -704,11 +702,11 @@ def verify_classes(
     bit for bit.
     A ``cost`` passed in is charged with every tuple's program once.
     """
+    if trials < 1:  # before any label is planned and memoised
+        raise ValueError(f"trials must be >= 1, got {trials}")
     dims = tuple(int(d) for d in dims)
     src = _operand(state, dims)
     plan = _plan(tuples, dims, src.pure, cost)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     largest = max((p.largest for members in plan.values() for _, p in members), default=0)
     rows = min(_batch_rows(max(src.array.size, largest, len(tuples))), trials + 1)
     stack = np.empty((rows, *src.array.shape), dtype=np.complex128)

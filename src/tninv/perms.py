@@ -38,16 +38,17 @@ def all_perms(k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=MAX_DEGREE)
-def conjugation_table(k: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """S_k acting on itself by conjugation, as positions in ``all_perms(k)``.
+def conjugation_table(k: int) -> tuple[tuple, dict, np.ndarray, np.ndarray]:
+    """S_k, and S_k acting on itself by conjugation, as positions in it.
 
-    ``index[p]`` is the position of p; the int16 arrays ``conj[t, p]`` and
-    ``inv[p]`` hold the positions of t p t^{-1} and p^{-1}.  Positions sort
-    like the permutations, so a minimum over positions is one over S_k.
+    The one listing of S_k: ``sk`` is ``all_perms(k)`` as a tuple, and
+    ``index[p]`` is the position of p in it.  The int16 arrays ``conj[t, p]``
+    and ``inv[p]`` hold the positions of t p t^{-1} and p^{-1}.  Positions
+    sort like the permutations, so a minimum over positions is one over S_k.
     """
     if not 1 <= k <= MAX_DEGREE:
         raise ValueError(f"degree k={k} outside supported range 1..{MAX_DEGREE}")
-    listed = all_perms(k)
+    listed = tuple(all_perms(k))
     sk = np.array(listed, dtype=np.int16)
     sk_inv = np.argsort(sk, axis=1)  # the argsort of a permutation is its inverse
     weights = k ** np.arange(k - 1, -1, -1)
@@ -56,7 +57,7 @@ def conjugation_table(k: int) -> tuple[dict, np.ndarray, np.ndarray]:
     for t, tau in enumerate(sk):  # (t p t^{-1})[j] = t[p[t^{-1}[j]]]
         conj[t] = np.searchsorted(keys, tau[sk[:, sk_inv[t]]] @ weights)
     inv = np.searchsorted(keys, sk_inv @ weights).astype(np.int16)
-    return {p: i for i, p in enumerate(listed)}, conj, inv
+    return listed, {p: i for i, p in enumerate(listed)}, conj, inv
 
 
 def cycles(p) -> list[tuple[int, ...]]:

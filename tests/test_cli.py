@@ -730,7 +730,7 @@ def test_parser_is_built_once_and_keeps_no_labels(bell_path, capsys, monkeypatch
     calls = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
-    monkeypatch.setattr(cli, "_parser", None)
+    cli._parser.cache_clear()
     assert main(["invariants", "eval", bell_path, "--label", "2; e | e"]) == 0
     first = capsys.readouterr().out
     assert main(["invariants", "eval", bell_path, "--label", "2; (12) | e"]) == 0

@@ -685,11 +685,15 @@ def test_non_invariant_control_detected():
 def test_both_invariance_checks_refuse_no_trials_and_keep_nan():
     rho = random_density(4)
     t = parse_label("2; (12) | e")
+    clear_memos()
     for trials in (0, -1):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             verify_classes([t], rho, (2, 2), trials=trials)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             max_unitary_deviation(lambda r: 1j, rho, (2, 2), trials=trials)
+    # refused before any label is planned
+    assert invariants._network.cache_info().currsize == 0
+    assert invariants._program.cache_info().currsize == 0
     assert math.isnan(max_unitary_deviation(lambda r: complex("nan"), rho, (2, 2), trials=3))
 
 
@@ -712,11 +716,21 @@ def test_verify_classes_matches_per_class_loop(monkeypatch):
             assert same_bits(devs, want), (dims, budget)
 
 
+def tninv_caches():
+    """Every ``functools`` cache of the package, by qualified name."""
+    return {
+        f"{cache.__module__}.{cache.__qualname__}": cache
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "tninv"
+        for cache in vars(module).values()
+        if hasattr(cache, "cache_clear")
+    }
+
+
 def clear_memos():
-    """Empty the per-process plan memos, so the next call plans cold."""
-    invariants._network.cache_clear()
-    invariants._program.cache_clear()
-    invariants._ENUMERATIONS.clear()
+    """Empty every per-process memo, so the next call runs cold."""
+    for cache in tninv_caches().values():
+        cache.cache_clear()
 
 
 def same_bits(a, b) -> bool:
@@ -1010,19 +1024,81 @@ def test_enumeration_memo_hands_out_fresh_lists():
     assert enumerate_invariants(3, 3) == want
 
 
+def enumeration_memo():
+    """(hits, misses, kept entries) of the enumeration memo."""
+    info = invariants._scan.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
 def test_enumeration_memo_keeps_only_small_recent_enumerations(monkeypatch):
     assert invariants.MEMO_CLASSES == 4096 and invariants.MEMO_ENUMERATIONS == 8
     clear_memos()
     assert len(enumerate_invariants(5, 3)) == 1393
     assert len(enumerate_invariants(6, 3)) == 8051
-    assert set(invariants._ENUMERATIONS) == {(5, 3)}
+    assert len(enumerate_invariants(6, 3)) == 8051  # never kept, so never looked up
+    assert enumeration_memo() == (0, 1, 1)
+    enumerate_invariants(5, 3)
+    assert enumeration_memo() == (1, 1, 1)  # (5, 3) was the one kept
     monkeypatch.setattr(invariants, "MEMO_CLASSES", 49)
     enumerate_invariants(3, 3)  # 49 classes: kept
     enumerate_invariants(4, 3)  # 251: not kept
-    assert set(invariants._ENUMERATIONS) == {(5, 3), (3, 3)}
-    for n in range(1, 8):  # one class each; the oldest entries make room
+    assert enumeration_memo() == (1, 2, 2)
+    for n in range(1, 8):  # one class each; the least recently used entry makes room
         enumerate_invariants(n, 1)
-    assert list(invariants._ENUMERATIONS) == [(3, 3)] + [(n, 1) for n in range(1, 8)]
+    assert enumeration_memo() == (1, 9, 8)
+    monkeypatch.setattr(invariants, "MEMO_CLASSES", 4096)
+    for n in range(1, 8):
+        enumerate_invariants(n, 1)
+    enumerate_invariants(3, 3)
+    assert enumeration_memo() == (9, 9, 8)  # (3, 3) and every (n, 1) were kept
+    enumerate_invariants(5, 3)
+    assert enumeration_memo() == (9, 10, 8)  # (5, 3) was evicted
+
+
+def test_enumeration_memo_hit_refreshes_an_entry():
+    clear_memos()
+    for n in range(1, 9):
+        enumerate_invariants(n, 1)
+    enumerate_invariants(1, 1)  # a hit: (1, 1) is now the most recently used
+    enumerate_invariants(9, 1)  # evicts (2, 1), the least recently used
+    assert enumeration_memo() == (1, 9, 8)
+    enumerate_invariants(1, 1)
+    assert enumeration_memo() == (2, 9, 8)
+    enumerate_invariants(2, 1)
+    assert enumeration_memo() == (2, 10, 8)
+
+
+def test_lowered_class_bound_is_refused_after_the_count_is_memoised(monkeypatch):
+    clear_memos()
+    want = enumerate_invariants(3, 3)
+    assert len(want) == 49 and enumeration_memo() == (0, 1, 1)
+    monkeypatch.setattr(invariants, "MAX_CLASSES", 48)
+    with pytest.raises(ValueError, match="n=3, k=3 has 49 classes, more than 48"):
+        enumerate_invariants(3, 3)
+    assert invariants._class_count.cache_info().misses == 1  # counted once
+    monkeypatch.setattr(invariants, "MAX_CLASSES", 49)
+    assert enumerate_invariants(3, 3) == want and enumeration_memo() == (1, 1, 1)
+
+
+def test_warm_relabeling_lists_no_permutations(monkeypatch):
+    listed = []
+    all_perms = perms.all_perms
+    monkeypatch.setattr(perms, "all_perms", lambda k: listed.append(k) or all_perms(k))
+    clear_memos()
+    caches = tninv_caches()
+    assert set(caches) == {
+        "tninv.perms.conjugation_table", "tninv.perms.format_perm", "tninv.cli._parser",
+        "tninv.invariants._class_count", "tninv.invariants._scan",
+        "tninv.invariants._network", "tninv.invariants._program",
+    }
+    assert all(cache.cache_info().currsize == 0 for cache in caches.values())
+    t = parse_label("3; (123) | (12) | (13)")
+    tau = (1, 2, 0)
+    cold = (canonicalize(t), conjugate_tuple(t, tau), enumerate_invariants(3, 3))
+    assert listed == [3]  # once, by the conjugation table
+    monkeypatch.setattr(invariants, "MEMO_CLASSES", 0)  # every enumeration scans again
+    warm = (canonicalize(t), conjugate_tuple(t, tau), enumerate_invariants(3, 3))
+    assert listed == [3] and warm == cold
 
 
 def test_memos_hold_under_concurrent_callers():
@@ -1056,7 +1132,7 @@ def test_memos_hold_under_concurrent_callers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == [] and len(invariants._ENUMERATIONS) <= invariants.MEMO_ENUMERATIONS
+    assert errors == [] and enumeration_memo()[2] <= invariants.MEMO_ENUMERATIONS
 
 
 def _verify_cli(tmp_path, dims, k, *extra):

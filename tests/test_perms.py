@@ -18,8 +18,8 @@ def test_compose_and_inverse():
 def test_conjugate_definition():
     # every entry of the table at k <= 5 against t p t^{-1} by composition
     for k in range(1, 6):
-        index, conj, inv = perms.conjugation_table(k)
-        sk = perms.all_perms(k)
+        sk, index, conj, inv = perms.conjugation_table(k)
+        assert sk == tuple(perms.all_perms(k))
         assert [index[p] for p in sk] == list(range(len(sk)))
         for p in sk:
             assert sk[inv[index[p]]] == perms.inverse(p)
@@ -29,9 +29,10 @@ def test_conjugate_definition():
 
 
 def test_conjugation_table_shape_and_degree_bound():
-    index, conj, inv = perms.conjugation_table(6)
+    sk, index, conj, inv = perms.conjugation_table(6)
+    assert len(sk) == len(index) == 720
     assert conj.shape == (720, 720) and conj.dtype == inv.dtype == np.int16
-    assert perms.conjugation_table(6)[1] is conj  # built once per degree
+    assert perms.conjugation_table(6)[2] is conj  # built once per degree
     for k in (0, perms.MAX_DEGREE + 1):
         with pytest.raises(ValueError, match="degree"):
             perms.conjugation_table(k)
