@@ -85,7 +85,7 @@ import numpy as np
 from . import perms
 from .decompose import schmidt
 from .tensor import Tensor, ShapeError
-from .states import StateData, apply_local_unitary, as_operator, random_local_unitary
+from .states import StateData, _checked_keep, apply_local_unitary, as_operator, random_local_unitary
 
 # Most classes and subsystems enumerate_invariants takes.  On one core, (4,4)
 # (14491 classes) takes 0.6 s and 11 MB, (5,4) (336465) 16 s and 274 MB.  A
@@ -161,7 +161,10 @@ def format_label(t: PermTuple) -> str:
 def conjugate_tuple(t: PermTuple, tau) -> PermTuple:
     """Relabel the k copies through tau in every subsystem permutation."""
     sk, index, conj, _ = perms.conjugation_table(t.k)
-    row = conj[index[tuple(tau)]]
+    tau = tuple(tau)
+    if tau not in index:
+        raise ValueError(f"tau {tau} is not a permutation of 0..{t.k - 1} for a degree-{t.k} tuple")
+    row = conj[index[tau]]
     return PermTuple(t.k, tuple(sk[row[index[s]]] for s in t.sigmas))
 
 
@@ -621,8 +624,10 @@ def reduced_power_label(n: int, keep: Sequence[int], k: int) -> PermTuple:
     """Label of tr(rho_keep^k): the k-cycle on ``keep``, ``e`` elsewhere.
 
     :func:`evaluate_fast` fuses the kept legs itself, so the operator needs
-    no regrouping into (kept, rest) blocks first.
+    no regrouping into (kept, rest) blocks first.  Raises ShapeError when
+    ``keep`` is empty or names a position outside 0..n-1.
     """
+    keep = _checked_keep(keep, n)
     cycle, e = tuple(range(1, k)) + (0,), tuple(range(k))
     return PermTuple(k, tuple(cycle if s in keep else e for s in range(n)))
 

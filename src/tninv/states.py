@@ -190,28 +190,30 @@ def load_state(path) -> StateData:
     return StateData(kind, dims, Tensor._wrap(mat))
 
 
-def crandn(shape, rng) -> np.ndarray:
-    """Standard complex Gaussian samples (variance 1 per component)."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
 def random_pure_state(dims: Sequence[int], seed=None) -> Tensor:
-    """Normalized state with i.i.d. complex Gaussian components (Haar)."""
+    """Normalized state with i.i.d. complex Gaussian components (Haar).
+
+    The real parts are drawn first, then the imaginary parts, each as a
+    standard normal block in the ``dims`` shape; the state is their sum
+    divided by its norm.
+    """
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ShapeError("dims must be nonempty")
-    rng = np.random.default_rng(seed)
-    vec = crandn(prod(dims), rng)
+    real, imag = np.random.default_rng(seed).standard_normal((2, *dims))
+    vec = real + 1j * imag
     vec /= np.linalg.norm(vec)
-    return Tensor._wrap(vec.reshape(dims))
+    return Tensor._wrap(vec)
 
 
 def random_local_unitary(dims: Sequence[int], seed=None) -> list[np.ndarray]:
-    """One Haar-distributed unitary per subsystem, plus a shared U(1) phase.
+    """One Haar-distributed unitary per subsystem, drawn in subsystem order.
 
-    Each factor comes from the QR decomposition of a complex Gaussian
-    matrix with the R diagonal phase fixed; the global phase is folded into
-    the first factor.
+    Each factor comes from the QR decomposition of a d x d complex Gaussian
+    matrix (real block, then imaginary block): Q with its columns scaled by
+    the phases of R's diagonal, the one Q whose R has a positive diagonal,
+    is Haar on U(d).  No global phase is drawn: every invariant contracts
+    as many copies of U as of U^H, so it would cancel.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:
@@ -219,13 +221,10 @@ def random_local_unitary(dims: Sequence[int], seed=None) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     out = []
     for d in dims:
-        z = crandn((d, d), rng)
-        q, r = np.linalg.qr(z)
+        real, imag = rng.standard_normal((2, d, d))
+        q, r = np.linalg.qr(real + 1j * imag)
         diag = np.diagonal(r)
-        q = q * (diag / np.abs(diag))
-        out.append(q)
-    phase = np.exp(2j * np.pi * rng.uniform())
-    out[0] = out[0] * phase
+        out.append(q * (diag / np.abs(diag)))
     return out
 
 
@@ -328,6 +327,6 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
         return mat.reshape(full, -1)
 
     if isinstance(state, StateData) and state.kind == "pure":
-        return StateData.pure(Tensor._wrap(rows(state.tensor.data)), dims)
+        return StateData("pure", dims, Tensor._wrap(rows(state.tensor.data).reshape(dims)))
     half = np.conjugate(rows(as_operator(state, dims)).T, order="C")  # (U rho)^H
     return Tensor._wrap(np.conjugate(rows(half).T, order="C"))

@@ -59,18 +59,6 @@ class Tensor:
     def nlegs(self) -> int:
         return self._data.ndim
 
-    def item(self) -> complex:
-        """Value of a zero-leg (scalar) tensor."""
-        if self.nlegs != 0:
-            raise ShapeError(f"item() on a {self.nlegs}-leg tensor")
-        return complex(self._data)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._data))
-
-    def conj(self) -> "Tensor":
-        return Tensor._wrap(self._data.conj())
-
     def __repr__(self):
         return f"Tensor(dims={self.dims})"
 

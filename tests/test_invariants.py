@@ -606,6 +606,20 @@ def test_table_lookups_match_loops():
             fn(PermTuple(7, (tuple(range(7)),)))
 
 
+def test_conjugate_tuple_refuses_a_tau_that_is_not_a_permutation():
+    t = PermTuple(3, ((1, 2, 0), (0, 1, 2), (2, 0, 1)))
+    for tau in ((0, 0, 1), (0, 1)):
+        with pytest.raises(ValueError, match=r"tau \(0, .*degree-3"):
+            conjugate_tuple(t, tau)
+
+
+def test_reduced_power_label_checks_keep():
+    for keep in ([7], [], [-1]):
+        with pytest.raises(ShapeError, match="keep"):
+            reduced_power_label(3, keep, 2)
+    assert format_label(reduced_power_label(5, [0, 1], 3)) == "3; (123) | (123) | e | e | e"
+
+
 def test_real_guaranteed_self_inverse():
     assert is_real_guaranteed(PermTuple(4, ((1, 0, 3, 2), (0, 1, 2, 3))))
     # only the identity relabeling fixes both transpositions

@@ -258,7 +258,7 @@ def test_load_rejects_garbage(tmp_path):
 
 def test_random_pure_state_normalized():
     psi = random_pure_state((2, 3, 2), seed=5)
-    assert abs(psi.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(psi.data) - 1.0) < 1e-12
     assert psi.dims == (2, 3, 2)
 
 
@@ -348,6 +348,22 @@ def test_random_local_unitary_phase_uniformity():
         total += np.sum(col / np.abs(col))
         count += 2
     assert abs(total / count) < 0.05
+
+
+def test_random_local_unitary_matches_reference_draw():
+    # per subsystem in order: a real then an imaginary Gaussian block, one QR,
+    # and Q's columns times the phases of R's diagonal; no further draw
+    for dims, seed in (((2, 3, 4), 3), ((2,) * 5, 17), ((8, 8), 0)):
+        rng = np.random.default_rng(seed)
+        want = []
+        for d in dims:
+            real, imag = rng.standard_normal((2, d, d))
+            q, r = np.linalg.qr(real + 1j * imag)
+            want.append(q * (np.diagonal(r) / np.abs(np.diagonal(r))))
+        got = random_local_unitary(dims, seed=seed)
+        assert len(got) == len(want)
+        for u, w in zip(got, want):
+            assert np.array_equal(u, w)
 
 
 def test_random_local_unitary_deterministic():
