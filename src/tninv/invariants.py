@@ -65,18 +65,23 @@ with tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
 a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
 if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants`
 keeps an LRU of ``MEMO_ENUMERATIONS`` (8) enumerations, each of at most
-``MEMO_CLASSES`` (4096) classes.  A class takes 0.5-1 KB, so a kept
-enumeration holds at most about 4 MB and all of them about 33 MB; only at
-k = 1, one class of n identity permutations, does an entry grow past
-that, by about 60 B per subsystem.  A cold call compiles exactly what an
-unmemoised one would; a warm one compiles nothing and returns the same
-values bit for bit.
+``MEMO_CLASSES`` (4096) classes.  A class takes 0.5-1 KB.  Its tuple
+keeps its label once :meth:`PermTuple.label` has formatted it, so a
+repeated ``invariants list``, or an eval or verify over a kept
+enumeration, formats no label again; the label string adds 60-120 B a
+class (tracemalloc, up to the 4096 classes of n = 12, k = 2).  A kept
+enumeration thus holds at most about 4.5 MB and all of them about 37 MB;
+only at k = 1, one class of n identity permutations, does an entry grow
+past that, by about 80 B per subsystem.  An enumeration past
+``MEMO_CLASSES`` builds fresh tuples on each call, and its labels go
+with them.  A cold call compiles exactly what an unmemoised one would; a
+warm one compiles nothing and returns the same values bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isnan, prod
 from typing import Callable, NamedTuple, Sequence
 
@@ -112,6 +117,8 @@ class PermTuple:
 
     k: int
     sigmas: tuple[tuple[int, ...], ...]
+    # The label text, set by the first label() call; no part of ==, hash or repr.
+    _label: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -129,7 +136,9 @@ class PermTuple:
         return len(self.sigmas)
 
     def label(self) -> str:
-        return format_label(self)
+        if self._label is None:
+            object.__setattr__(self, "_label", format_label(self))
+        return self._label
 
 
 def parse_label(text: str) -> PermTuple:

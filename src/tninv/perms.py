@@ -118,6 +118,8 @@ def parse_perm(text: str, k: int) -> tuple[int, ...]:
             points = [s for s in re.split(r"[,\s]+", body) if s]
         else:
             points = list(body)
+        if not points:
+            raise ValueError(f"empty cycle {m.group(0)!r} in {text!r}")
         try:
             cyc = tuple(int(s) - 1 for s in points)
         except ValueError:

@@ -10,6 +10,7 @@ output.  A state file has ``kind`` (``pure`` or ``density``), ``dims`` and
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from math import isqrt, prod
@@ -105,18 +106,36 @@ def save_chain(chain, path) -> None:
     _write_json(doc, path)
 
 
-def _decode(entries, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`_encode`: ``[real, imag]`` pairs to a complex array."""
+def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
+    """Inverse of :func:`_encode`: ``[real, imag]`` pairs to a complex array.
+
+    Each level of ``entries`` must be a list as long as ``shape`` says, and
+    each pair must hold two ``float`` or ``int`` components (no ``bool``).
+    The array is new and owns its data; its shape is ``out_shape`` (of the
+    same size) when given, else ``shape``.
+    """
+    if type(entries) is not list or len(entries) != shape[0]:  # checked apart: no copy of it
+        raise _not_pairs(shape)
+    level = entries
+    for length in shape[1:] + (2,):
+        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
+            raise _not_pairs(shape)
+        level = list(itertools.chain.from_iterable(level))
+    if not set(map(type, level)) <= {float, int}:
+        raise _not_pairs(shape)
+    out = np.empty(shape if out_shape is None else out_shape, dtype=np.complex128)
+    comps = out.reshape(-1).view(np.float64)  # a view: filling it fills out
     try:
-        arr = np.array(entries, dtype=np.float64)
-        if arr.shape != shape + (2,):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        size = " x ".join(map(str, shape))
-        raise StateFileError(f"data is not {size} [real, imag] pairs") from None
-    if not np.all(np.isfinite(arr)):
+        comps[:] = np.fromiter(level, np.float64, len(level))
+    except OverflowError:  # an int past the float range
+        raise _not_pairs(shape) from None
+    if not np.all(np.isfinite(comps)):
         raise StateFileError("data has non-finite components")
-    return arr.view(np.complex128).reshape(shape)
+    return out
+
+
+def _not_pairs(shape: tuple[int, ...]) -> StateFileError:
+    return StateFileError(f"data is not {' x '.join(map(str, shape))} [real, imag] pairs")
 
 
 def _too_deep(raw: bytes) -> bool:
@@ -171,13 +190,14 @@ def load_state(path) -> StateData:
     dims = tuple(int(d) for d in doc["dims"])
     d = prod(dims)
 
-    mat = _decode(doc["data"], (d,) if kind == "pure" else (d, d))
     if kind == "pure":
-        norm2 = float(np.vdot(mat, mat).real)
+        psi = _decode(doc["data"], (d,), dims)
+        norm2 = float(np.vdot(psi, psi).real)
         if abs(norm2 - 1.0) > TRACE_TOL:
             raise StateFileError(f"pure state has squared norm {norm2:.12g}, not 1")
-        return StateData(kind, dims, Tensor._wrap(mat.reshape(dims)))
+        return StateData(kind, dims, Tensor._wrap(psi))
 
+    mat = _decode(doc["data"], (d, d))
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     if herm > HERMITICITY_TOL:
         raise StateFileError(f"density operator fails hermiticity by {herm:.3e}")

@@ -21,6 +21,8 @@ from tninv import (
 )
 from tninv.cli import main
 
+from test_invariants import clear_memos
+
 
 @pytest.fixture
 def bell_path(tmp_path):
@@ -144,6 +146,26 @@ def test_malformed_state_file_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_state_file_components_must_be_json_numbers(tmp_path, capsys):
+    # a component is a float or an int: no string, bool, list or object,
+    # and every pair has two
+    for i, (kind, data) in enumerate([
+        ("pure", [["1", "0"], [False, False]]),
+        ("pure", [[1.0, 0.0], [True, False]]),
+        ("pure", [["0.5", 0.0], [0.5, 0.0]]),
+        ("pure", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        ("pure", [[[1.0, 0.0, 0.0], 0.0], [0.0, 0.0]]),
+        ("pure", [[{"re": 1.0}, 0.0], [0.0, 0.0]]),
+        ("density", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, "0"]]]),
+        ("density", [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+    ]):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps({"kind": kind, "dims": [2], "data": data}))
+        assert main(["entropy", str(path), "--keep", "0"]) == 2
+        shape = "2" if kind == "pure" else "2 x 2"
+        assert capsys.readouterr().err == f"error: data is not {shape} [real, imag] pairs\n"
+
+
 def test_state_file_nested_past_the_parser_stack_exits_2(tmp_path):
     # orjson 3.8 recurses once per level and crashes the process past about
     # 50000 levels of objects; a child process keeps a crash to this test
@@ -179,16 +201,22 @@ def test_invariants_list_n1_k2(capsys):
 
 
 def test_invariants_list_formats_each_label_once(capsys, monkeypatch):
+    # the enumeration memo keeps its tuples and a tuple keeps its label, so
+    # only the first list formats; repeats, human or --json, read the labels
+    clear_memos()
     calls = []
     fmt = invariants.format_label
     monkeypatch.setattr(invariants, "format_label", lambda t: calls.append(t) or fmt(t))
-    count = len(invariants.enumerate_invariants(2, 3))
     assert main(["invariants", "list", "-n", "2", "-k", "3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(calls) == len(lines) == count
+    first = capsys.readouterr().out
+    lines = first.splitlines()
+    assert len(calls) == len(set(calls)) == len(lines) == len(invariants.enumerate_invariants(2, 3))
     assert [line.split("  ")[0] for line in lines] == [fmt(t) for t in calls]
+    assert main(["invariants", "list", "-n", "2", "-k", "3"]) == 0
+    assert capsys.readouterr().out == first
     assert main(["invariants", "list", "-n", "2", "-k", "3", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["values"]["labels"] == [fmt(t) for t in calls[count:]]
+    assert json.loads(capsys.readouterr().out)["values"]["labels"] == [fmt(t) for t in calls]
+    assert len(calls) == len(lines)
 
 
 # The human output of `tninv invariants list -n 3 -k 3`, pinned byte for byte.
@@ -361,7 +389,10 @@ def test_invariants_eval_needs_state(capsys):
 
 
 def test_invariants_bad_label(bell_path, capsys):
-    assert main(["invariants", "eval", bell_path, "--label", "nope"]) == 2
+    for label, message in (("nope", "label 'nope' is missing"), ("2; () | e", "empty cycle '()'"),
+                           ("2; ( ) | e", "empty cycle '( )'"), ("2; e | (12)()", "empty cycle '()'")):
+        assert main(["invariants", "eval", bell_path, "--label", label]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_invariants_label_degree_is_refused_before_parsing(bell_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -79,6 +80,18 @@ def test_label_errors():
         parse_label("x; (12)")
     with pytest.raises(ValueError):
         parse_label("2; (13)")  # point out of range for degree 2
+
+
+def test_permtuple_keeps_its_label_outside_eq_hash_repr_and_pickle():
+    t = parse_label("3; (123) | (12) | e")
+    twin = PermTuple(t.k, t.sigmas)
+    before = (hash(t), repr(t), pickle.dumps(t))
+    label = t.label()
+    assert label == "3; (123) | (12) | e" and t.label() is label  # formatted once, then kept
+    assert (t == twin, hash(t), repr(t)) == (True, before[0], before[1])
+    for back in (pickle.loads(before[2]), pickle.loads(pickle.dumps(t))):
+        assert (back == t, hash(back), repr(back)) == (True, before[0], before[1])
+        assert back.label() == label
 
 
 def test_permtuple_validation():

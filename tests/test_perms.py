@@ -81,6 +81,9 @@ def test_parse_perm_errors():
         perms.parse_perm("12", 3)  # no cycle parentheses
     with pytest.raises(ValueError):
         perms.parse_perm("(12) junk", 3)
+    for text in ("()", "( )", "(,)", "(12)()"):
+        with pytest.raises(ValueError, match="empty cycle"):
+            perms.parse_perm(text, 3)
 
 
 def test_format_perm():

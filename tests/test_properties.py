@@ -1,8 +1,8 @@
 """Property tests: the pure-state entropy route against the density route,
 one planned call of many labels against each label on its own, LU
 invariance, the component product rule, invariance under relabelling the
-copies, label and state-file round trips, and the CLI's state loader on
-arbitrary and near-valid JSON."""
+copies, label and state-file round trips, label text that parses back or
+is refused, and the CLI's state loader on arbitrary and near-valid JSON."""
 
 import contextlib
 import io
@@ -159,6 +159,16 @@ def any_labels(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(any_labels())
 def test_labels_round_trip(t):
+    assert parse_label(format_label(t)) == t
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="0123456789()|;, e\t", max_size=30))
+def test_label_text_parses_back_or_raises_value_error(text):
+    try:
+        t = parse_label(text)
+    except ValueError:
+        return
     assert parse_label(format_label(t)) == t
 
 

@@ -115,6 +115,20 @@ def test_random_doubles_round_trip_through_both_codecs(tmp_path):
     assert bits(_decode(orjson.loads(path.read_bytes())["data"], comps.shape)) == bits(comps)
 
 
+def test_load_state_hands_tensor_an_array_it_owns(tmp_path, monkeypatch):
+    psi = random_pure_state((2, 3, 2), seed=4)
+    states = [StateData.pure(psi), StateData.density(density_from_pure(psi), (2, 3, 2))]
+    for i, state in enumerate(states):
+        save_state(state, tmp_path / f"s{i}.json")
+    wrap, owned = Tensor._wrap, []
+    monkeypatch.setattr(Tensor, "_wrap", staticmethod(lambda arr: owned.append(arr.flags.owndata) or wrap(arr)))
+    for i, state in enumerate(states):
+        back = load_state(tmp_path / f"s{i}.json")
+        assert back.tensor.dims == state.tensor.dims
+        assert bits(back.tensor.data) == bits(state.tensor.data)
+    assert owned == [True, True]
+
+
 def test_chain_file_reads_bitwise_with_stdlib_json(tmp_path):
     chain = mps_factor(random_pure_state((2, 3, 2, 2), seed=11))
     path = tmp_path / "chain.json"
@@ -235,7 +249,7 @@ def test_load_rejects_garbage(tmp_path):
         path.write_text(text)
         with pytest.raises(StateFileError, match=message):
             load_state(path)
-    # orjson parses a nesting this deep, and np.array refuses it as data
+    # orjson parses a nesting this deep, and _decode refuses it as data
     deep = "[" * (MAX_DEPTH - 1) + "]" * (MAX_DEPTH - 1)
     assert orjson.loads(deep) is not None
     path.write_text('{"kind": "pure", "dims": [1], "data": %s}' % deep)
