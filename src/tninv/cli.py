@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -53,22 +54,11 @@ def _fmt(x) -> str:
     return f"{float(x):.{PRECISION}g}"
 
 
-def _jsonable(x):
-    if isinstance(x, complex):
-        return [float(x.real), float(x.imag)]
-    return float(x)
-
-
-def _load(path, kind=None) -> states.StateData:
-    data = states.load_state(path)
-    if kind is not None and data.kind != kind:
-        raise StateFileError(f"{path}: expected a {kind} state, got {data.kind}")
-    return data
-
-
 def cmd_factor(args) -> CommandResult:
     res = CommandResult(command="factor")
-    data = _load(args.state, kind="pure")
+    data = states.load_state(args.state)
+    if data.kind != "pure":
+        raise StateFileError(f"{args.state}: expected a pure state, got {data.kind}")
     chain = decompose.mps_factor(
         data.tensor, max_chi=args.truncate_chi, sigma_cutoff=args.truncate_tol
     )
@@ -89,22 +79,6 @@ def cmd_factor(args) -> CommandResult:
     if args.out:
         res.add(f"chain written to {args.out}")
     return res
-
-
-def _classes_for(args, n):
-    if args.label:
-        out = []
-        for text in args.label:
-            t = invariants.parse_label(text)
-            if t.n != n:
-                raise ShapeError(
-                    f"label {text!r} has {t.n} subsystems, state has {n}"
-                )
-            out.append(t)
-        return list(dict.fromkeys(out))  # a repeated label is evaluated once
-    if args.k is None:
-        raise ShapeError("need -k or --label")
-    return [c.representative for c in invariants.enumerate_invariants(n, args.k)]
 
 
 def _cost_doc(cost: invariants.ContractionCost) -> dict:
@@ -134,10 +108,17 @@ def cmd_invariants(args) -> CommandResult:
             res.add(f"{label}  orbit={c.orbit_size}{tag}")
         return res
 
-    data = _load(args.state)
+    if not args.state:
+        raise ShapeError(f"invariants {args.action} needs a state file")
+    data = states.load_state(args.state)
     if args.n is not None and args.n != len(data.dims):
         raise ShapeError(f"-n {args.n} but state has {len(data.dims)} subsystems")
-    tuples = _classes_for(args, len(data.dims))
+    if args.label:  # a repeated label is evaluated once
+        tuples = list(dict.fromkeys(invariants.parse_label(text) for text in args.label))
+    elif args.k is None:
+        raise ShapeError("need -k or --label")
+    else:
+        tuples = [c.representative for c in invariants.enumerate_invariants(len(data.dims), args.k)]
 
     # The file's kind picks the route; a pure state never becomes rho.
     cost = invariants.ContractionCost()
@@ -146,7 +127,7 @@ def cmd_invariants(args) -> CommandResult:
         res.diagnostics["contraction"] = _cost_doc(cost)
         for t, val in zip(tuples, vals):
             label = t.label()
-            res.values[label] = _jsonable(val)
+            res.values[label] = [val.real, val.imag]
             if not args.json:
                 res.add(f"{label} = {_fmt(val)}")
         return res
@@ -176,18 +157,18 @@ def cmd_invariants(args) -> CommandResult:
 
 def cmd_entropy(args) -> CommandResult:
     res = CommandResult(command="entropy")
-    data = _load(args.state)
+    data = states.load_state(args.state)
     n = len(data.dims)
     try:
-        keep = sorted({int(s) for s in args.keep.split(",") if s.strip() != ""})
+        keep = [int(s) for s in args.keep.split(",") if s.strip() != ""]
     except ValueError:
         raise ValueError(
             f"--keep takes comma-separated subsystem indices, got {args.keep!r}"
         ) from None
-    if not keep:
-        raise ShapeError("--keep must name at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ShapeError(f"--keep {args.keep!r} is out of range: subsystems are 0..{n - 1}")
+    try:
+        keep = states._checked_keep(keep, n)
+    except ShapeError as exc:
+        raise ShapeError(f"--keep {args.keep!r} is refused: {exc}") from None
     try:
         alphas = [float(a) for a in args.alpha.split(",")]
     except ValueError:
@@ -233,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tninv",
         description="Tensor-network state factorization and local-unitary invariants",
     )
+    # Each subcommand sets ``run``.  Its function is looked up when it runs, so
+    # a wrapper put on the module after the parser is built is the one called.
     sub = p.add_subparsers(dest="cmd", required=True)
 
     f = sub.add_parser("factor", help="factor a pure state into an MPS chain")
@@ -242,6 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     trunc.add_argument("--truncate-tol", type=float, default=None, metavar="T")
     f.add_argument("--out", default=None, help="write the chain as JSON")
     f.add_argument("--json", action="store_true")
+    f.set_defaults(run=lambda args: cmd_factor(args))
 
     i = sub.add_parser("invariants", help="enumerate, evaluate or verify invariants")
     i.add_argument("action", choices=["list", "eval", "verify"])
@@ -255,12 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--trials", type=int, default=20)
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--json", action="store_true")
+    i.set_defaults(run=lambda args: cmd_invariants(args))
 
     e = sub.add_parser("entropy", help="entropies of a reduced state")
     e.add_argument("state", help="state JSON file")
     e.add_argument("--keep", required=True, help="comma-separated subsystems to keep")
     e.add_argument("--alpha", default="2,3", help="comma-separated Renyi orders")
     e.add_argument("--json", action="store_true")
+    e.set_defaults(run=lambda args: cmd_entropy(args))
 
     return p
 
@@ -274,18 +260,17 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        if args.cmd == "factor":
-            res = cmd_factor(args)
-        elif args.cmd == "invariants":
-            if args.action != "list" and not args.state:
-                raise ShapeError(f"invariants {args.action} needs a state file")
-            res = cmd_invariants(args)
-        else:
-            res = cmd_entropy(args)
+        res = args.run(args)
     except (StateFileError, ShapeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(res.render(args.json))
+    try:
+        sys.stdout.write(res.render(args.json) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left; the flush at exit writes to nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return res.exit_code
 
 

@@ -526,9 +526,8 @@ def _network(t: PermTuple, dims: tuple[int, ...], pure: bool) -> tuple[tuple, _P
     state, rho = |psi><psi| splits copy c into psi with its row labels and
     conj(psi) with its column labels: 2k operands the size of psi.
     """
-    n = len(dims)
-    if n != t.n:
-        raise ShapeError(f"{n} dims for an {t.n}-subsystem tuple")
+    if len(dims) != t.n:
+        raise ShapeError(f"label {t.label()!r} has {t.n} subsystems, state has {len(dims)}")
     groups: dict[tuple[int, ...], list[int]] = {}
     for s, sigma in enumerate(t.sigmas):
         groups.setdefault(sigma, []).append(s)
@@ -608,7 +607,8 @@ def evaluate_many(
     group the subsystems alike share one fused operand, so the reduced
     powers of one cut (:func:`reduced_power_label` at several orders)
     transpose the operator once.  A ``cost`` passed in is charged with
-    every tuple's program.
+    every tuple's program.  A tuple with other than ``len(dims)``
+    subsystems raises ShapeError naming its label.
     """
     dims = tuple(int(d) for d in dims)
     pure, array = _operand(state, dims)

@@ -64,7 +64,8 @@ def cycles(p) -> list[tuple[int, ...]]:
     """Cycle decomposition; every cycle starts at its smallest point.
 
     Fixed points are omitted.  Cycles are sorted by decreasing length, ties
-    by smallest point.
+    by smallest point.  Raises ValueError when ``p`` is not a permutation of
+    0..len(p)-1.
     """
     seen = [False] * len(p)
     out = []
@@ -75,6 +76,8 @@ def cycles(p) -> list[tuple[int, ...]]:
         seen[start] = True
         x = p[start]
         while x != start:
+            if not 0 <= x < len(p) or seen[x]:  # the walk would never close
+                raise ValueError(f"{tuple(p)} is not a permutation of 0..{len(p) - 1}")
             seen[x] = True
             cyc.append(x)
             x = p[x]
@@ -85,13 +88,21 @@ def cycles(p) -> list[tuple[int, ...]]:
 
 
 def from_cycles(k: int, cycs) -> tuple[int, ...]:
-    out = list(range(k))
+    """The permutation of 0..k-1 with the given cycles, each a sequence of points.
+
+    Raises ValueError for an empty cycle, a point outside 0..k-1, or a point
+    repeated within or across cycles.
+    """
+    out, seen = list(range(k)), set()
     for cyc in cycs:
-        if len(set(cyc)) != len(cyc):
-            raise ValueError(f"repeated point in cycle {cyc}")
-        for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
+        if not cyc:
+            raise ValueError("empty cycle")
+        for a, b in zip(cyc, (*cyc[1:], cyc[0])):
             if not 0 <= a < k:
-                raise ValueError(f"point {a} out of range for degree {k}")
+                raise ValueError(f"point {a} of cycle {tuple(cyc)} out of range 0..{k - 1}")
+            if a in seen:
+                raise ValueError(f"point {a} of cycle {tuple(cyc)} is repeated")
+            seen.add(a)
             out[a] = b
     return tuple(out)
 
@@ -124,16 +135,16 @@ def parse_perm(text: str, k: int) -> tuple[int, ...]:
             cyc = tuple(int(s) - 1 for s in points)
         except ValueError:
             raise ValueError(f"bad cycle {m.group(0)!r} in {text!r}") from None
-        if any(x < 0 or x >= k for x in cyc):
-            raise ValueError(f"point out of range 1..{k} in {m.group(0)!r}")
         cycs.append(cyc)
         rest = rest.replace(m.group(0), "", 1)
     if rest.strip():
         raise ValueError(f"trailing junk {rest.strip()!r} in permutation {text!r}")
-    flat = [x for c in cycs for x in c]
-    if len(set(flat)) != len(flat):
-        raise ValueError(f"point repeated across cycles in {text!r}")
-    return from_cycles(k, cycs)
+    try:
+        return from_cycles(k, cycs)
+    except ValueError as exc:  # its points count from 0, the text's from 1
+        raise ValueError(
+            f"{text!r} is not a permutation of 1..{k}: a point repeats or is out of range"
+        ) from exc
 
 
 # S_1 to S_6, the degrees that enumeration reaches, have 873 elements.

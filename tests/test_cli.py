@@ -410,6 +410,41 @@ def test_invariants_label_subsystem_mismatch(bell_path, capsys):
     assert main(["invariants", "eval", bell_path, "--label", "2; (12)"]) == 2
 
 
+def test_invariants_label_subsystem_mismatch_names_the_label(bell_path, capsys):
+    for action in ("eval", "verify"):
+        assert main(["invariants", action, bell_path, "--label", "2; e | e", "--label", "2; (12)"]) == 2
+        assert capsys.readouterr().err == "error: label '2; (12)' has 1 subsystems, state has 2\n"
+
+
+def test_invariants_refusals_name_the_flags(bell_path, capsys):
+    for argv, message in (
+        (["invariants", "eval", bell_path], "need -k or --label"),
+        (["invariants", "verify", bell_path, "-n", "3", "-k", "2"], "-n 3 but state has 2 subsystems"),
+        (["invariants", "list", "-n", "2"], "list needs both -n and -k"),
+        (["invariants", "list", "-k", "2"], "list needs both -n and -k"),
+        (["invariants", "verify", "-k", "2"], "invariants verify needs a state file"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+
+
+def test_closed_pipe_ends_quietly_with_the_command_exit_code():
+    # (6, 3) prints 8051 labels, some 400 KB, past a 64 KiB pipe buffer, so
+    # the CLI is still writing when the reader closes its end after one line
+    src = os.path.dirname(os.path.dirname(tninv.__file__))
+    run = "import sys; from tninv.cli import main; sys.exit(main(sys.argv[1:]))"
+    for mode in ([], ["--json"]):
+        argv = [sys.executable, "-c", run, "invariants", "list", "-n", "6", "-k", "3", *mode]
+        with subprocess.Popen(argv, env={**os.environ, "PYTHONPATH": src},
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0, mode
+            assert proc.stderr.read() == b"", mode
+        assert first == (b"{\n" if mode else b"3; e | e | e | e | e | e  orbit=1 [components=3, real]\n")
+
+
 def test_invariants_eval_label_over_einsum_limit(tmp_path, capsys):
     # nine distinct permutations at degree 6 need 54 indices, two over the limit
     psi = random_pure_state((2,) * 9, seed=1)
@@ -591,6 +626,14 @@ def test_entropy_alpha_one_is_von_neumann(tmp_path, capsys):
 
 def test_entropy_bad_keep(bell_path, capsys):
     assert main(["entropy", bell_path, "--keep", "5"]) == 2
+
+
+def test_entropy_keep_refusal_names_the_flag(bell_path, capsys):
+    for keep, message in (("5", "keep [5] out of range for 2 subsystems (0..1)"),
+                          (",", "keep must name at least one subsystem")):
+        assert main(["entropy", bell_path, "--keep", keep]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: --keep {keep!r} is refused: {message}\n")
 
 
 def test_entropy_non_finite_alpha_exits_2(bell_path, capsys):

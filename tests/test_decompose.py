@@ -23,6 +23,33 @@ from tninv.decompose import RANK_TOL
 RNG = np.random.default_rng(7)
 
 
+def test_mps_chain_refuses_a_malformed_chain():
+    site = Tensor(np.ones((1, 2, 1)))
+    for sites, sigmas, message in (
+        ([], [], "at least one site"),
+        ([Tensor(np.ones((1, 2)))], [], "site 0 has 2 legs, want 3"),
+        ([Tensor(np.ones((2, 2, 1)))], [], "boundary bonds"),
+        ([Tensor(np.ones((1, 2, 2))), site], [np.ones(2)], "bond mismatch between sites 0 and 1"),
+        ([site, site], [], "one bond vector per internal bond"),
+    ):
+        with pytest.raises(ShapeError, match=message):
+            MPSChain(sites, sigmas)
+
+
+def test_fidelity_refuses_a_size_mismatch_and_the_zero_state():
+    with pytest.raises(ShapeError, match="states of size 4 and 2"):
+        fidelity(Tensor(np.ones(4)), Tensor(np.ones(2)))
+    for a, b in ((np.zeros(2), np.ones(2)), (np.ones(2), np.zeros(2))):
+        with pytest.raises(ValueError, match="zero state"):
+            fidelity(Tensor(a), Tensor(b))
+
+
+def test_verify_isometry_needs_three_legs():
+    for shape in ((2, 2), (1, 2, 2, 1)):
+        with pytest.raises(ShapeError, match=f"3 legs, got {len(shape)}"):
+            verify_isometry(Tensor(np.ones(shape)))
+
+
 def crand(*shape):
     return RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
 

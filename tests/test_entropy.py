@@ -24,6 +24,11 @@ def random_spectrum(d, rng=RNG):
     return Spectrum(p / p.sum())
 
 
+def test_empty_spectrum_is_refused():
+    with pytest.raises(ValueError, match="empty spectrum"):
+        Spectrum([])
+
+
 def random_reduced(d, environment, seed):
     psi = random_pure_state((d, environment), seed=seed)
     rho = density_from_pure(psi)

@@ -388,6 +388,14 @@ def test_evaluate_dims_mismatch():
         evaluate_fast(PermTuple(2, ((1, 0), (1, 0))), rho, (2,))
 
 
+def test_evaluate_many_names_a_label_that_does_not_fit_the_dims():
+    psi = random_pure_state((2, 2, 2), seed=3)
+    labels = [parse_label("2; (12) | e | e"), parse_label("2; (12) | e")]
+    for state in (StateData.pure(psi), density_from_pure(psi)):
+        with pytest.raises(ShapeError, match=r"^label '2; \(12\) \| e' has 2 subsystems, state has 3$"):
+            evaluate_many(labels, state, (2, 2, 2))
+
+
 def test_evaluate_fast_shared_cycle_on_nine_qubits():
     # one fused group: tr(rho^6) over 2^9 dimensions
     rng = np.random.default_rng(44)

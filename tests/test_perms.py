@@ -86,6 +86,35 @@ def test_parse_perm_errors():
             perms.parse_perm(text, 3)
 
 
+def test_parse_perm_names_the_text_of_a_bad_point():
+    # range and repeats are from_cycles' to check; the message quotes the 1-based text
+    for text in ("(14)", "(12)(21)", "(121)"):
+        with pytest.raises(ValueError, match=r"^'\(1.*' is not a permutation of 1\.\.3"):
+            perms.parse_perm(text, 3)
+
+
+def test_from_cycles_refuses_what_is_not_a_permutation():
+    for cycs, message in (
+        ([()], "empty cycle"),
+        ([(0, 1), (1, 2)], r"point 1 of cycle \(1, 2\) is repeated"),
+        ([(0, 1), (0, 1)], "point 0 of cycle .* is repeated"),
+        ([(0, 1, 0)], "point 0 of cycle .* is repeated"),
+        ([(0, 3)], r"point 3 of cycle \(0, 3\) out of range 0\.\.2"),
+        ([(-1, 0)], "point -1 .* out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            perms.from_cycles(3, cycs)
+    assert perms.from_cycles(3, [[2, 0]]) == (2, 1, 0)  # any sequence of points is a cycle
+
+
+def test_cycles_refuses_a_non_permutation_at_once():
+    # a walk that meets a seen point, or leaves 0..len-1, would never close
+    for p in ((1, 1, 0), (0, 0), (1, 2, 5), (2, -1, 0)):
+        for walk in (perms.cycles, perms.format_perm):
+            with pytest.raises(ValueError, match="is not a permutation of 0.."):
+                walk(p)
+
+
 def test_format_perm():
     assert perms.format_perm((0, 1, 2)) == "e"
     assert perms.format_perm((1, 2, 0)) == "(123)"

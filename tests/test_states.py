@@ -129,6 +129,16 @@ def test_load_state_hands_tensor_an_array_it_owns(tmp_path, monkeypatch):
     assert owned == [True, True]
 
 
+def test_state_data_refuses_dims_that_do_not_fit_the_tensor():
+    psi = random_pure_state((2, 3), seed=5)
+    with pytest.raises(ShapeError, match=r"dims \(2, 2\) do not match tensor \(2, 3\)"):
+        StateData.pure(psi, (2, 2))
+    with pytest.raises(ShapeError, match=r"dims \(2, 3\) do not match operator \(6,\)"):
+        StateData.density(Tensor(np.ones(6)), (2, 3))
+    with pytest.raises(ShapeError, match=r"dims \(2, 2\) do not match operator \(6, 6\)"):
+        StateData.density(density_from_pure(psi), (2, 2))
+
+
 def test_chain_file_reads_bitwise_with_stdlib_json(tmp_path):
     chain = mps_factor(random_pure_state((2, 3, 2, 2), seed=11))
     path = tmp_path / "chain.json"
