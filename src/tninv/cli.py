@@ -88,6 +88,8 @@ def _cost_doc(cost: invariants.ContractionCost) -> dict:
 
 def cmd_invariants(args) -> CommandResult:
     res = CommandResult(command=f"invariants {args.action}")
+    if args.label and args.k is not None:
+        raise ShapeError("-k and --label exclude each other: -k takes every class, --label names some")
 
     if args.action == "list":
         if args.n is None or args.k is None:

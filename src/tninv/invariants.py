@@ -169,7 +169,7 @@ def format_label(t: PermTuple) -> str:
 
 def conjugate_tuple(t: PermTuple, tau) -> PermTuple:
     """Relabel the k copies through tau in every subsystem permutation."""
-    sk, index, conj, _ = perms.conjugation_table(t.k)
+    sk, index, conj, _, _ = perms.conjugation_table(t.k)
     tau = tuple(tau)
     if tau not in index:
         raise ValueError(f"tau {tau} is not a permutation of 0..{t.k - 1} for a degree-{t.k} tuple")
@@ -181,10 +181,15 @@ def canonicalize(t: PermTuple) -> PermTuple:
     """Lexicographically minimal tuple over all simultaneous conjugations.
 
     Two tuples canonicalize equal iff they label the same invariant diagram
-    (up to reordering the identical copies of rho).
+    (up to reordering the identical copies of rho).  A lexicographic minimum
+    first minimises the first permutation, so only the relabellings in the
+    table's ``lead`` of sigma_1, those that send it to the least element of
+    its conjugacy class, can win: 11 of the 720 at k = 6 on average, all 720
+    only when sigma_1 is the identity.
     """
-    sk, index, conj, _ = perms.conjugation_table(t.k)
-    best = min(conj[:, [index[s] for s in t.sigmas]].tolist())
+    sk, index, conj, _, lead = perms.conjugation_table(t.k)
+    idx = [index[s] for s in t.sigmas]
+    best = min(conj[lead[idx[0]][:, None], idx].tolist())
     return PermTuple(t.k, tuple(sk[i] for i in best))
 
 
@@ -227,7 +232,7 @@ def is_real_guaranteed(t: PermTuple) -> bool:
     Such tuples coincide with their complex conjugate label, so the
     invariant is real on every input.
     """
-    _, index, conj, inv = perms.conjugation_table(t.k)
+    _, index, conj, inv, _ = perms.conjugation_table(t.k)
     idx = [index[s] for s in t.sigmas]
     return bool((conj[:, idx] == inv[idx]).all(axis=1).any())
 
@@ -277,7 +282,7 @@ def _class_count(n: int, k: int) -> int:
 @functools.lru_cache(maxsize=MEMO_ENUMERATIONS)
 def _scan(n: int, k: int) -> tuple[CanonicalClass, ...]:
     """The classes in code order, marking each orbit off a table of the (k!)^n codes."""
-    sk, _, conj, _ = perms.conjugation_table(k)
+    sk, _, conj, _, _ = perms.conjugation_table(k)
     radix = len(sk)
     shape = (radix,) * n
     seen = bytearray(radix**n)

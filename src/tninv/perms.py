@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-MAX_DEGREE = 6  # k=6 conjugation table: 720^2 int16, 1 MB, ~60 ms to build
+MAX_DEGREE = 6  # k=6 conjugation table: 720^2 int16, 1 MB, plus 0.2 MB of lead; ~70 ms to build
 
 
 def identity_perm(k: int) -> tuple[int, ...]:
@@ -38,13 +38,18 @@ def all_perms(k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=MAX_DEGREE)
-def conjugation_table(k: int) -> tuple[tuple, dict, np.ndarray, np.ndarray]:
+def conjugation_table(k: int) -> tuple[tuple, dict, np.ndarray, np.ndarray, tuple]:
     """S_k, and S_k acting on itself by conjugation, as positions in it.
 
     The one listing of S_k: ``sk`` is ``all_perms(k)`` as a tuple, and
     ``index[p]`` is the position of p in it.  The int16 arrays ``conj[t, p]``
     and ``inv[p]`` hold the positions of t p t^{-1} and p^{-1}.  Positions
     sort like the permutations, so a minimum over positions is one over S_k.
+    ``lead[p]`` holds, in ascending order, the positions t whose ``conj[t, p]``
+    is the least of column p: the relabellings that send p to the least
+    element of its conjugacy class, one coset of p's centraliser.  Their
+    sizes sum to k! times the number of partitions of k, 7920 at k = 6
+    (11 a position on average; 720 for the identity).
     """
     if not 1 <= k <= MAX_DEGREE:
         raise ValueError(f"degree k={k} outside supported range 1..{MAX_DEGREE}")
@@ -57,7 +62,11 @@ def conjugation_table(k: int) -> tuple[tuple, dict, np.ndarray, np.ndarray]:
     for t, tau in enumerate(sk):  # (t p t^{-1})[j] = t[p[t^{-1}[j]]]
         conj[t] = np.searchsorted(keys, tau[sk[:, sk_inv[t]]] @ weights)
     inv = np.searchsorted(keys, sk_inv @ weights).astype(np.int16)
-    return listed, {p: i for i, p in enumerate(listed)}, conj, inv
+    # Row-major nonzero of the transposed mask lists each column's minimisers
+    # in order; the mask is dropped once they are read off.
+    cols, rows = np.nonzero(conj.T == conj.min(axis=0)[:, None])
+    lead = tuple(np.split(rows, np.cumsum(np.bincount(cols, minlength=len(sk)))[:-1]))
+    return listed, {p: i for i, p in enumerate(listed)}, conj, inv, lead
 
 
 def cycles(p) -> list[tuple[int, ...]]:

@@ -429,6 +429,16 @@ def test_invariants_refusals_name_the_flags(bell_path, capsys):
         assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
 
 
+def test_invariants_refuse_k_with_label(bell_path, capsys):
+    for action in ("list", "eval", "verify"):
+        assert main(["invariants", action, bell_path, "-k", "2", "--label", "2; e | e"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: -k and --label exclude each other: -k takes every class, --label names some\n"
+        )
+
+
 def test_closed_pipe_ends_quietly_with_the_command_exit_code():
     # (6, 3) prints 8051 labels, some 400 KB, past a 64 KiB pipe buffer, so
     # the CLI is still writing when the reader closes its end after one line

@@ -627,6 +627,33 @@ def test_table_lookups_match_loops():
             fn(PermTuple(7, (tuple(range(7)),)))
 
 
+def brute_canonicalize(t):
+    """Minimum over every relabeling of S_k, conjugated by composition."""
+    relabelings = [(tau, perms.inverse(tau)) for tau in itertools.permutations(range(t.k))]
+    best = min(
+        tuple(perms.compose(tau, perms.compose(s, tau_inv)) for s in t.sigmas)
+        for tau, tau_inv in relabelings
+    )
+    return PermTuple(t.k, best)
+
+
+@pytest.mark.parametrize("k, leads", [(5, ((0, 1, 2, 3, 4), (1, 0, 3, 2, 4))),
+                                      (6, ((0, 1, 2, 3, 4, 5), (1, 0, 3, 2, 5, 4)))])
+def test_canonicalize_matches_brute_force_at_degrees_5_and_6(k, leads):
+    # a random sigma_1 has a few lead rows; the identity has k! and the
+    # involution (12)(34) or (12)(34)(56) 8 or 48
+    rng = np.random.default_rng(522)
+    sk = list(itertools.permutations(range(k)))
+    _, index, _, _, lead = perms.conjugation_table(k)
+    assert [len(lead[index[p]]) for p in leads] == [len(sk), 8 if k == 5 else 48]
+    for n in range(1, 9):
+        firsts = [sk[i] for i in rng.integers(len(sk), size=6)] + list(leads)
+        for first in firsts:
+            rest = tuple(sk[i] for i in rng.integers(len(sk), size=n - 1))
+            t = PermTuple(k, (first, *rest))
+            assert canonicalize(t) == brute_canonicalize(t)
+
+
 def test_conjugate_tuple_refuses_a_tau_that_is_not_a_permutation():
     t = PermTuple(3, ((1, 2, 0), (0, 1, 2), (2, 0, 1)))
     for tau in ((0, 0, 1), (0, 1)):

@@ -18,7 +18,7 @@ def test_compose_and_inverse():
 def test_conjugate_definition():
     # every entry of the table at k <= 5 against t p t^{-1} by composition
     for k in range(1, 6):
-        sk, index, conj, inv = perms.conjugation_table(k)
+        sk, index, conj, inv, _ = perms.conjugation_table(k)
         assert sk == tuple(perms.all_perms(k))
         assert [index[p] for p in sk] == list(range(len(sk)))
         for p in sk:
@@ -29,13 +29,27 @@ def test_conjugate_definition():
 
 
 def test_conjugation_table_shape_and_degree_bound():
-    sk, index, conj, inv = perms.conjugation_table(6)
+    sk, index, conj, inv, _ = perms.conjugation_table(6)
     assert len(sk) == len(index) == 720
     assert conj.shape == (720, 720) and conj.dtype == inv.dtype == np.int16
     assert perms.conjugation_table(6)[2] is conj  # built once per degree
     for k in (0, perms.MAX_DEGREE + 1):
         with pytest.raises(ValueError, match="degree"):
             perms.conjugation_table(k)
+
+
+@pytest.mark.parametrize("k, total", [(1, 1), (2, 4), (3, 18), (4, 120), (5, 840), (6, 7920)])
+def test_lead_lists_the_minimisers_of_each_column(k, total):
+    # the lead sizes sum to k! times the number of partitions of k
+    sk, _, conj, _, lead = perms.conjugation_table(k)
+    assert len(lead) == len(sk)
+    assert sum(len(rows) for rows in lead) == total
+    for p, rows in enumerate(lead):
+        column = conj[:, p]
+        assert rows.tolist() == np.flatnonzero(column == column.min()).tolist()
+        assert len(set(column[rows].tolist())) == 1
+        # a coset of p's centraliser
+        assert len(rows) == np.count_nonzero(column == p)
 
 
 def test_all_perms_lex_order():
