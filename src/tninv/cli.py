@@ -96,7 +96,7 @@ def cmd_invariants(args) -> CommandResult:
             raise ShapeError("list needs both -n and -k")
         classes = invariants.enumerate_invariants(args.n, args.k)
         res.values["count"] = len(classes)
-        res.values["labels"] = labels = [c.label() for c in classes]
+        res.values["labels"] = labels = invariants._kept_labels(args.n, args.k, classes)
         if args.json:  # the tags below only feed the human lines
             return res
         for c, label in zip(classes, labels):

@@ -86,13 +86,14 @@ def renyi(spectrum: Spectrum, alpha: float) -> float:
     top = float(p.max())
     # alpha / (1 - alpha) rather than alpha * ln(p_max), which overflows near 1e308
     scaled = np.log(np.sum((p / top) ** alpha)) / (1.0 - alpha)
-    return float(alpha / (1.0 - alpha) * np.log(top) + scaled)
+    # + 0.0 turns the -0.0 of a pure spectrum (alpha > 1) into 0.0 and leaves all else alone
+    return float(alpha / (1.0 - alpha) * np.log(top) + scaled + 0.0)
 
 
 def von_neumann(spectrum: Spectrum) -> float:
     """-sum p ln p with 0 ln 0 = 0; the alpha -> 1 limit of renyi()."""
     p = spectrum.probs[spectrum.probs > 0.0]
-    return float(-np.sum(p * np.log(p)))
+    return float(0.0 - np.sum(p * np.log(p)))  # not -sum: a pure spectrum gives 0.0, not -0.0
 
 
 def renyi_from_invariant(value: float, alpha: int) -> float:
@@ -108,7 +109,7 @@ def renyi_from_invariant(value: float, alpha: int) -> float:
     value = float(np.real(value))
     if value <= 0.0:
         raise ValueError(f"invariant value {value!r} is not positive")
-    return float(np.log(value) / (1.0 - alpha))
+    return float(np.log(value) / (1.0 - alpha) + 0.0)  # 0.0, not -0.0, at value 1
 
 
 @dataclass

@@ -6,7 +6,9 @@ subsystem.  Tuples related by relabeling the identical copies (conjugating
 every permutation by the same element) give the same number, so classes
 are enumerated up to simultaneous conjugation.  S_k is listed once, in
 :func:`tninv.perms.conjugation_table`: enumeration, :func:`canonicalize`,
-:func:`conjugate_tuple` and :func:`is_real_guaranteed` all read it.
+:func:`conjugate_tuple` and :func:`is_real_guaranteed` all read it, the
+last only through its per-permutation bitmasks of inverting relabellings.
+The tuples they build come from its entries and skip validation.
 
 The value is computed one way in production: :func:`evaluate_fast`,
 :func:`evaluate_many` and :func:`verify_classes` plan each call once.
@@ -65,17 +67,19 @@ with tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
 a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
 if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants`
 keeps an LRU of ``MEMO_ENUMERATIONS`` (8) enumerations, each of at most
-``MEMO_CLASSES`` (4096) classes.  A class takes 0.5-1 KB.  Its tuple
-keeps its label once :meth:`PermTuple.label` has formatted it, so a
-repeated ``invariants list``, or an eval or verify over a kept
-enumeration, formats no label again; the label string adds 60-120 B a
-class (tracemalloc, up to the 4096 classes of n = 12, k = 2).  A kept
-enumeration thus holds at most about 4.5 MB and all of them about 37 MB;
-only at k = 1, one class of n identity permutations, does an entry grow
-past that, by about 80 B per subsystem.  An enumeration past
-``MEMO_CLASSES`` builds fresh tuples on each call, and its labels go
-with them.  A cold call compiles exactly what an unmemoised one would; a
-warm one compiles nothing and returns the same values bit for bit.
+``MEMO_CLASSES`` (4096) classes.  The scan labels each representative
+as it finds it: the tuple keeps its label, and the entry keeps the same
+strings as a tuple beside its classes, which ``invariants list`` copies,
+so a repeated list, or an eval or verify over a kept enumeration, formats
+no label again.  A labelled class takes 0.4-0.5 KB, as its tuple shares
+the table's permutation tuples (tracemalloc, from the 4096 classes of
+n = 12, k = 2 to the 901 of n = 2, k = 6).  A kept enumeration thus
+holds at most about 2.1 MB and all of them about 17 MB; only at k = 1,
+one class of n identity permutations, does an entry grow past that, by
+about 80 B per subsystem.  An enumeration past ``MEMO_CLASSES`` builds
+fresh, labelled tuples on each call.  A cold call compiles exactly what
+an unmemoised one would; a warm one compiles nothing and returns the
+same values bit for bit.
 """
 
 from __future__ import annotations
@@ -93,8 +97,9 @@ from .tensor import Tensor, ShapeError
 from .states import StateData, _checked_keep, apply_local_unitary, as_operator, random_local_unitary
 
 # Most classes and subsystems enumerate_invariants takes.  On one core, (4,4)
-# (14491 classes) takes 0.6 s and 11 MB, (5,4) (336465) 16 s and 274 MB.  A
-# tuple is indexed with one numpy axis per subsystem; numpy >= 1.24 allows 32.
+# (14491 classes) takes 0.3 s and (5,4) (336465) 7.6 s; their tracemalloc
+# peaks are 7 MB and 160 MB.  A tuple is indexed with one numpy axis per
+# subsystem; numpy >= 1.24 allows 32.
 MAX_CLASSES = 400_000
 MAX_SUBSYSTEMS = 32
 # Most index labels a network may carry.  The planner itself has no limit;
@@ -130,6 +135,15 @@ class PermTuple:
         for s in norm:
             if sorted(s) != list(range(self.k)):
                 raise ValueError(f"{s} is not a permutation of 0..{self.k - 1}")
+
+    @classmethod
+    def _trusted(cls, k: int, sigmas: tuple[tuple[int, ...], ...]) -> "PermTuple":
+        # internal fast path: sigmas are already int tuples of S_k, such as table entries
+        t = object.__new__(cls)
+        attrs = t.__dict__
+        attrs["k"] = k
+        attrs["sigmas"] = sigmas
+        return t
 
     @property
     def n(self) -> int:
@@ -174,7 +188,7 @@ def conjugate_tuple(t: PermTuple, tau) -> PermTuple:
     if tau not in index:
         raise ValueError(f"tau {tau} is not a permutation of 0..{t.k - 1} for a degree-{t.k} tuple")
     row = conj[index[tau]]
-    return PermTuple(t.k, tuple(sk[row[index[s]]] for s in t.sigmas))
+    return PermTuple._trusted(t.k, tuple(sk[row[index[s]]] for s in t.sigmas))
 
 
 def canonicalize(t: PermTuple) -> PermTuple:
@@ -190,28 +204,29 @@ def canonicalize(t: PermTuple) -> PermTuple:
     sk, index, conj, _, lead = perms.conjugation_table(t.k)
     idx = [index[s] for s in t.sigmas]
     best = min(conj[lead[idx[0]][:, None], idx].tolist())
-    return PermTuple(t.k, tuple(sk[i] for i in best))
+    return PermTuple._trusted(t.k, tuple(sk[i] for i in best))
 
 
 def connected_components(t: PermTuple) -> tuple[tuple[int, ...], ...]:
-    """Partition of the k copies into the diagram's connected components."""
-    parent = list(range(t.k))
+    """Partition of the k copies into the diagram's connected components.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s in t.sigmas:
-        for j in range(t.k):
-            a, b = find(j), find(s[j])
-            if a != b:
-                parent[a] = b
-    groups: dict[int, list[int]] = {}
-    for j in range(t.k):
-        groups.setdefault(find(j), []).append(j)
-    return tuple(tuple(g) for g in sorted(groups.values()))
+    Each component is grown from its least copy, breadth first through
+    every sigma, and listed sorted; components come in order of least copy.
+    """
+    sigmas, seen, out = t.sigmas, [False] * t.k, []
+    for start in range(t.k):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for x in comp:  # comp grows while it is walked
+            for s in sigmas:
+                y = s[x]
+                if not seen[y]:
+                    seen[y] = True
+                    comp.append(y)
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
 
 
 def component_subtuples(t: PermTuple) -> list[PermTuple]:
@@ -230,11 +245,16 @@ def is_real_guaranteed(t: PermTuple) -> bool:
     """True iff some common relabeling inverts every permutation at once.
 
     Such tuples coincide with their complex conjugate label, so the
-    invariant is real on every input.
+    invariant is real on every input.  The table's ``inverting`` masks of
+    the sigmas are ANDed, stopping as soon as no relabelling is left.
     """
-    _, index, conj, inv, _ = perms.conjugation_table(t.k)
-    idx = [index[s] for s in t.sigmas]
-    return bool((conj[:, idx] == inv[idx]).all(axis=1).any())
+    _, index, _, inverting, _ = perms.conjugation_table(t.k)
+    common = -1  # every relabelling
+    for s in t.sigmas:
+        common &= inverting[index[s]]
+        if not common:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -268,7 +288,18 @@ def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
     if count > MAX_CLASSES:
         raise ValueError(f"n={n}, k={k} has {count} classes, more than {MAX_CLASSES}")
     scan = _scan if count <= MEMO_CLASSES else _scan.__wrapped__
-    return list(scan(n, k))
+    return list(scan(n, k)[0])
+
+
+def _kept_labels(n: int, k: int, classes: list[CanonicalClass]) -> list[str]:
+    """The labels of ``classes``, which :func:`enumerate_invariants` just returned for (n, k).
+
+    A kept enumeration's labels are copied from its memo entry; past
+    ``MEMO_CLASSES`` the scan has labelled each fresh tuple.
+    """
+    if len(classes) > MEMO_CLASSES:
+        return [c.label() for c in classes]
+    return list(_scan(n, k)[1])
 
 
 @functools.lru_cache(maxsize=MAX_SUBSYSTEMS * perms.MAX_DEGREE)
@@ -280,24 +311,29 @@ def _class_count(n: int, k: int) -> int:
 
 
 @functools.lru_cache(maxsize=MEMO_ENUMERATIONS)
-def _scan(n: int, k: int) -> tuple[CanonicalClass, ...]:
-    """The classes in code order, marking each orbit off a table of the (k!)^n codes."""
+def _scan(n: int, k: int) -> tuple[tuple[CanonicalClass, ...], tuple[str, ...]]:
+    """The classes in code order, marking each orbit off a table of the (k!)^n codes.
+
+    Each representative is labelled as it is found; its labels come back
+    beside the classes, so a kept entry holds both.
+    """
     sk, _, conj, _, _ = perms.conjugation_table(k)
     radix = len(sk)
     shape = (radix,) * n
     seen = bytearray(radix**n)
     marks = np.frombuffer(seen, dtype=np.uint8)
-    classes = []
+    classes, labels = [], []
     code = seen.find(0)
     while code >= 0:  # an unseen code is its orbit's minimum
         digits = np.unravel_index(code, shape)
         orbit = np.ravel_multi_index(conj[:, digits].T, shape)
         marks[orbit] = 1
-        rep = PermTuple(k, tuple(sk[int(d)] for d in digits))
+        rep = PermTuple._trusted(k, tuple(sk[d] for d in digits))
+        labels.append(rep.label())
         size = radix // int(np.count_nonzero(orbit == code))  # orbit-stabilizer
         classes.append(CanonicalClass(rep, size))
         code = seen.find(0, code)
-    return tuple(classes)
+    return tuple(classes), tuple(labels)
 
 
 def permutation_operator(t: PermTuple, dims: Sequence[int]) -> np.ndarray:

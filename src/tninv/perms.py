@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-MAX_DEGREE = 6  # k=6 conjugation table: 720^2 int16, 1 MB, plus 0.2 MB of lead; ~70 ms to build
+MAX_DEGREE = 6  # k=6 conjugation table: 720^2 int16, 1 MB, plus 0.3 MB of lead and masks; ~70 ms
 
 
 def identity_perm(k: int) -> tuple[int, ...]:
@@ -38,16 +38,18 @@ def all_perms(k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=MAX_DEGREE)
-def conjugation_table(k: int) -> tuple[tuple, dict, np.ndarray, np.ndarray, tuple]:
+def conjugation_table(k: int) -> tuple[tuple, dict, np.ndarray, tuple, tuple]:
     """S_k, and S_k acting on itself by conjugation, as positions in it.
 
     The one listing of S_k: ``sk`` is ``all_perms(k)`` as a tuple, and
-    ``index[p]`` is the position of p in it.  The int16 arrays ``conj[t, p]``
-    and ``inv[p]`` hold the positions of t p t^{-1} and p^{-1}.  Positions
-    sort like the permutations, so a minimum over positions is one over S_k.
+    ``index[p]`` is the position of p in it.  The int16 array ``conj[t, p]``
+    holds the position of t p t^{-1}.  Positions sort like the permutations,
+    so a minimum over positions is one over S_k.  ``inverting[p]`` is a
+    Python int whose bit t is set iff t p t^{-1} = p^{-1}: the relabellings
+    that invert p, one coset of p's centraliser (73 KB in all at k = 6).
     ``lead[p]`` holds, in ascending order, the positions t whose ``conj[t, p]``
     is the least of column p: the relabellings that send p to the least
-    element of its conjugacy class, one coset of p's centraliser.  Their
+    element of its conjugacy class, another coset of that centraliser.  Their
     sizes sum to k! times the number of partitions of k, 7920 at k = 6
     (11 a position on average; 720 for the identity).
     """
@@ -61,12 +63,15 @@ def conjugation_table(k: int) -> tuple[tuple, dict, np.ndarray, np.ndarray, tupl
     conj = np.empty((len(sk), len(sk)), dtype=np.int16)
     for t, tau in enumerate(sk):  # (t p t^{-1})[j] = t[p[t^{-1}[j]]]
         conj[t] = np.searchsorted(keys, tau[sk[:, sk_inv[t]]] @ weights)
-    inv = np.searchsorted(keys, sk_inv @ weights).astype(np.int16)
+    inv = np.searchsorted(keys, sk_inv @ weights)
+    # Row p of the packed transposed mask is bit t of inverting[p], little-endian.
+    packed = np.packbits(conj.T == inv[:, None], axis=1, bitorder="little")
+    inverting = tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
     # Row-major nonzero of the transposed mask lists each column's minimisers
     # in order; the mask is dropped once they are read off.
     cols, rows = np.nonzero(conj.T == conj.min(axis=0)[:, None])
     lead = tuple(np.split(rows, np.cumsum(np.bincount(cols, minlength=len(sk)))[:-1]))
-    return listed, {p: i for i, p in enumerate(listed)}, conj, inv, lead
+    return listed, {p: i for i, p in enumerate(listed)}, conj, inverting, lead
 
 
 def cycles(p) -> list[tuple[int, ...]]:

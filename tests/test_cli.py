@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -217,6 +218,23 @@ def test_invariants_list_formats_each_label_once(capsys, monkeypatch):
     assert main(["invariants", "list", "-n", "2", "-k", "3", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["values"]["labels"] == [fmt(t) for t in calls]
     assert len(calls) == len(lines)
+
+
+def test_invariants_list_enumerates_through_enumerate_invariants(capsys, monkeypatch):
+    # a wrapper of the module's enumerate_invariants sees every list, kept or not
+    calls = []
+    enum = invariants.enumerate_invariants
+    monkeypatch.setattr(invariants, "enumerate_invariants", lambda n, k: calls.append((n, k)) or enum(n, k))
+    clear_memos()
+    for memo in (invariants.MEMO_CLASSES, 0):
+        monkeypatch.setattr(invariants, "MEMO_CLASSES", memo)
+        for argv in (["-n", "3", "-k", "3"], ["-n", "3", "-k", "3", "--json"]):
+            assert main(["invariants", "list", *argv]) == 0
+            out = capsys.readouterr().out
+            labels = json.loads(out)["values"]["labels"] if "--json" in argv else [
+                line.split("  ")[0] for line in out.splitlines()]
+            assert labels == [line.split("  ")[0] for line in LIST_3_3.splitlines()]
+    assert calls == [(3, 3)] * 4
 
 
 # The human output of `tninv invariants list -n 3 -k 3`, pinned byte for byte.
@@ -753,6 +771,20 @@ def test_entropy_keep_all_is_zero_without_crosscheck(tmp_path, capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out.startswith("S_vn = ")
     assert peak < 2 * 2**20  # the 1024 x 1024 rho alone is 16 MB
+
+
+def test_entropy_of_a_pure_cut_prints_no_sign(tmp_path, product4_path, capsys):
+    # every subsystem of a pure state, or one qubit of a product state, is a pure cut
+    _, pure, _ = _pure_and_density_files(tmp_path, (2, 2, 2), seed=1)
+    for path, keep in ((pure, "0,1,2"), (product4_path, "0")):
+        args = ["entropy", path, "--keep", keep, "--alpha", "1,2,3,0.5"]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[1].split()[0] for line in lines] == ["0"] * 5, lines
+        doc = _entropy_json(capsys, *args[1:])
+        assert set(doc["values"]) == {"S_vn", "S_1", "S_2", "S_3", "S_0.5"}
+        for key, value in doc["values"].items():
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, (path, key)
 
 
 def test_entropy_fuses_operator_once_per_keep(tmp_path, capsys, monkeypatch):

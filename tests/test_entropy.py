@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,14 @@ def test_renyi_pure_spectrum_is_zero():
     s = Spectrum([1.0, 0.0, 0.0])
     for alpha in (0.5, 2, 3, 7.2):
         assert renyi(s, alpha) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_pure_spectrum_entropies_are_unsigned_zero():
+    # -sum p ln p and ln(1) / (1 - alpha) are -0.0 on a pure spectrum
+    s = Spectrum([1.0, 0.0, 0.0])
+    values = [von_neumann(s), renyi_from_invariant(1.0, 2)]
+    values += [renyi(s, alpha) for alpha in (0.5, 2, 3, 7.2)]
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), values
 
 
 def test_renyi_uniform_is_log_d():

@@ -627,6 +627,94 @@ def test_table_lookups_match_loops():
             fn(PermTuple(7, (tuple(range(7)),)))
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2) for k in (1, 2, 3, 4)] + [(3, 3)])
+def test_is_real_guaranteed_matches_loop_on_every_small_tuple(n, k):
+    sk = list(itertools.permutations(range(k)))
+    answers = set()
+    for sigmas in itertools.product(sk, repeat=n):
+        t = PermTuple(k, sigmas)
+        want = loop_is_real(t)
+        assert is_real_guaranteed(t) is want, sigmas
+        answers.add(want)
+    # every pair over S_k, k <= 4, has a common inverting relabelling; not every triple
+    assert answers == ({True, False} if n == 3 else {True})
+
+
+def union_find_components(t):
+    """Connected components by a plain union-find, sorted."""
+    parent = list(range(t.k))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for s in t.sigmas:
+        for j in range(t.k):
+            parent[find(j)] = find(s[j])
+    groups = {}
+    for j in range(t.k):
+        groups.setdefault(find(j), []).append(j)
+    return tuple(sorted(tuple(g) for g in groups.values()))
+
+
+def test_connected_components_matches_union_find_up_to_max_labels():
+    rng = np.random.default_rng(52)
+    split = 0
+    for k in (1, 2, 3, 5, 8, 13, 21, 34, invariants.MAX_LABELS):
+        for n in (1, 2, 3, 4):
+            for _ in range(6):
+                # permutations inside random blocks of copies, so some diagrams split
+                blocks = np.array_split(rng.permutation(k), rng.integers(1, k + 1))
+                sigmas = []
+                for _ in range(n):
+                    s = list(range(k))
+                    for block in blocks:
+                        if rng.random() < 0.7:
+                            for a, b in zip(block, rng.permutation(block)):
+                                s[int(a)] = int(b)
+                    sigmas.append(tuple(s))
+                t = PermTuple(k, tuple(sigmas))
+                comps = connected_components(t)
+                assert comps == union_find_components(t), (k, sigmas)
+                split += len(comps) > 1
+    assert split >= 100
+
+
+def test_trusted_tuple_is_a_validated_tuple():
+    for text in ("3; (123) | (12) | e", "1; e", "6; (123456) | (12)(34) | e"):
+        t = parse_label(text)
+        fast = PermTuple._trusted(t.k, t.sigmas)
+        assert (fast == t, hash(fast), repr(fast)) == (True, hash(t), repr(t))
+        assert fast.label() == t.label() == text
+        back = pickle.loads(pickle.dumps(fast))
+        assert (back == t, hash(back), back.label()) == (True, hash(t), text)
+    # the tuples built from the table hold plain int tuples, as validation makes them
+    t = parse_label("4; (1234) | (12)(34) | (132)")
+    built = [canonicalize(t), conjugate_tuple(t, (2, 0, 3, 1))]
+    built += [c.representative for c in enumerate_invariants(2, 4)]
+    for fast in built:
+        checked = PermTuple(fast.k, fast.sigmas)
+        assert (fast == checked, hash(fast), repr(fast)) == (True, hash(checked), repr(checked))
+        assert type(fast.sigmas) is tuple
+        assert all(type(s) is tuple and all(type(x) is int for x in s) for s in fast.sigmas)
+
+
+def test_kept_labels_are_the_scans_labels(monkeypatch):
+    clear_memos()
+    classes = enumerate_invariants(3, 3)
+    labels = invariants._kept_labels(3, 3, classes)
+    assert labels == [format_label(c.representative) for c in classes]
+    assert all(a is c.label() for a, c in zip(labels, classes))  # formatted once, by the scan
+    again = invariants._kept_labels(3, 3, enumerate_invariants(3, 3))
+    assert again == labels and again is not labels  # the caller's own list
+    monkeypatch.setattr(invariants, "MEMO_CLASSES", 0)  # fresh tuples, labelled by their scan
+    fresh = enumerate_invariants(3, 3)
+    assert all(c.representative._label is not None for c in fresh)
+    assert invariants._kept_labels(3, 3, fresh) == labels
+    assert all(a.representative is not b.representative for a, b in zip(fresh, classes))
+
+
 def brute_canonicalize(t):
     """Minimum over every relabeling of S_k, conjugated by composition."""
     relabelings = [(tau, perms.inverse(tau)) for tau in itertools.permutations(range(t.k))]

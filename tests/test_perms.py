@@ -16,22 +16,26 @@ def test_compose_and_inverse():
 
 
 def test_conjugate_definition():
-    # every entry of the table at k <= 5 against t p t^{-1} by composition
+    # every entry of the table at k <= 5 against t p t^{-1} by composition;
+    # bit t of inverting[p] is set iff that conjugate is p^{-1}
     for k in range(1, 6):
-        sk, index, conj, inv, _ = perms.conjugation_table(k)
+        sk, index, conj, inverting, _ = perms.conjugation_table(k)
         assert sk == tuple(perms.all_perms(k))
         assert [index[p] for p in sk] == list(range(len(sk)))
+        assert len(inverting) == len(sk)
         for p in sk:
-            assert sk[inv[index[p]]] == perms.inverse(p)
+            mask = inverting[index[p]]
+            assert type(mask) is int and 0 < mask < 1 << len(sk)
             for t in sk:
                 want = perms.compose(t, perms.compose(p, perms.inverse(t)))
                 assert sk[conj[index[t], index[p]]] == want
+                assert bool(mask >> index[t] & 1) == (want == perms.inverse(p))
 
 
 def test_conjugation_table_shape_and_degree_bound():
-    sk, index, conj, inv, _ = perms.conjugation_table(6)
-    assert len(sk) == len(index) == 720
-    assert conj.shape == (720, 720) and conj.dtype == inv.dtype == np.int16
+    sk, index, conj, inverting, _ = perms.conjugation_table(6)
+    assert len(sk) == len(index) == len(inverting) == 720
+    assert conj.shape == (720, 720) and conj.dtype == np.int16
     assert perms.conjugation_table(6)[2] is conj  # built once per degree
     for k in (0, perms.MAX_DEGREE + 1):
         with pytest.raises(ValueError, match="degree"):
