@@ -54,6 +54,7 @@ from .states import (
     load_state,
     random_pure_state,
     random_local_unitary,
+    random_local_unitaries,
     density_from_pure,
     partial_trace,
     bipartition_density,

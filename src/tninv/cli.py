@@ -245,8 +245,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("entropy", help="entropies of a reduced state")
     e.add_argument("state", help="state JSON file")
-    e.add_argument("--keep", required=True, help="comma-separated subsystems to keep")
-    e.add_argument("--alpha", default="2,3", help="comma-separated Renyi orders")
+    e.add_argument(
+        "--keep", required=True,
+        help="comma-separated subsystems to keep; a list that starts with a minus sign "
+             "is written --keep=-1,0",
+    )
+    e.add_argument(
+        "--alpha", default="2,3",
+        help="comma-separated Renyi orders; a list that starts with a minus sign "
+             "is written --alpha=-2,3",
+    )
     e.add_argument("--json", action="store_true")
     e.set_defaults(run=lambda args: cmd_entropy(args))
 

@@ -18,10 +18,12 @@ rho is never formed), and compile every distinct network into a program
 of traces and pairwise matrix products, planned greedily over the
 network's integer labels.  Labels that differ only in which subsystems
 they fuse share a program.
-Replaying a program is transposes, reshapes and ``@``; no ``np.einsum``
-call remains on the value path.  Each self-trace acts on a fused operand,
-and a fixed point shared by several copies or labels draws the same loop,
-so one dict of partial traces lives beside each grouping's fused operand
+Replaying a program is ``ndarray.trace`` calls, then transposes, reshapes
+and ``@``; no ``np.einsum`` call remains on the value path.  A self-trace
+is one ``trace(axis1, axis2)`` per label its copy carries twice, on the
+fused operand itself, so it neither transposes nor copies the operand.
+A fixed point shared by several copies or labels draws the same loop, so
+one dict of partial traces lives beside each grouping's fused operand
 and is dropped with it: each distinct trace is computed once per grouping
 and reused by every program that needs it.  The same op on the same array
 gives the same bits, so sharing changes no value.  On density input most
@@ -35,7 +37,8 @@ fixed when the program is compiled, and ``@`` broadcasts over it.
 :func:`evaluate_many` replays a stack of one.  :func:`verify_classes`
 is the one verify loop: it writes the unrotated state and its rotated
 copies into one stack of ``max(1, BATCH_BYTES // size)`` rows, at most
-trials + 1, and replays each program once per chunk of rows.  Size is
+trials + 1, drawing and rotating each chunk of trials with one call each,
+and replays each program once per chunk of rows.  Size is
 the bytes, as complex128, of the widest row any array of the chunk has:
 psi or the operator, the largest intermediate of the call's programs, or
 the values of all its labels.  ``BATCH_BYTES`` (128 KiB) thus bounds each
@@ -45,12 +48,12 @@ them at once, so a verify call's memory is a small multiple of
 ``BATCH_BYTES``, or of one row when a row is larger, whatever the trial
 count.  Measured with tracemalloc over the k <= 3 classes (k <= 2 past 6
 qubits), 20 trials peak at 0.03-1.6 MB for psi of 2 to 10 qubits and of
-8 x 8, and at 0.04-0.87 MB for operators of 2 to 5 qubits, 3 x 3 x 3,
-4 x 4 x 4 and 8 x 8; the kept traces add at most 0.03 MB (0.54 to 0.56 MB
-on 2 x 2 x 2 x 2).  Batching pays for small operands, where Python overhead per step
-sets the cost.  For a 64 x 64 operator the transposed copies dominate,
-and batch-first stacks of them cost more than separate ones, so the
-budget keeps such operators at two rows.  Its oracle,
+8 x 8, and at 0.04-0.95 MB for operators of 2 to 5 qubits, 3 x 3 x 3,
+4 x 4 x 4 and 8 x 8; the kept traces add at most 0.03 MB (0.61 to 0.64 MB
+on 2 x 2 x 2 x 2).  Batching pays for small operands, where Python
+overhead per step sets the cost.  For a 64 x 64 operator the transposed
+copies dominate, and batch-first stacks of them cost more than separate
+ones, so the budget keeps such operators at two rows.  Its oracle,
 :func:`max_unitary_deviation`, takes one trial at a time and shares only
 the draw and the rotation with it.
 :func:`evaluate` builds the k-fold tensor power and the permutation matrix
@@ -94,7 +97,10 @@ import numpy as np
 from . import perms
 from .decompose import schmidt
 from .tensor import Tensor, ShapeError
-from .states import StateData, _checked_keep, apply_local_unitary, as_operator, random_local_unitary
+from .states import (
+    StateData, _checked_keep, apply_local_unitary, as_operator, random_local_unitaries,
+    random_local_unitary,
+)
 
 # Most classes and subsystems enumerate_invariants takes.  On one core, (4,4)
 # (14491 classes) takes 0.3 s and (5,4) (336465) 7.6 s; their tracemalloc
@@ -391,20 +397,23 @@ def _operand(state, dims: tuple[int, ...]) -> _Operand:
 
 
 class _Trace(NamedTuple):
-    """Sum one term over the labels it carries twice.
+    """Sum one term over the labels it carries twice, in place.
 
-    Every axis tuple and shape here and in :class:`_Step` leads with the
-    batch: axis 0 stays first and each reshape target starts with -1.
+    ``pairs`` holds the two axes of each such label, each pair numbered as
+    the operand stands once the earlier pairs are traced away; axis 0, the
+    batch, is in no pair.  The kept axes stay in their order.
     """
 
     slot: int
-    axes: tuple[int, ...]  # batch, kept axes, then each twice-carried label's two axes
-    shape: tuple[int, int, int, int]  # (-1, kept, traced, traced) elements
-    out: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
 
 
 class _Step(NamedTuple):
-    """Slot ``a`` becomes a @ b over the labels they share; slot ``b`` is freed."""
+    """Slot ``a`` becomes a @ b over the labels they share; slot ``b`` is freed.
+
+    Every axis tuple and shape here leads with the batch: axis 0 stays
+    first and each reshape target starts with -1.
+    """
 
     a: int
     b: int
@@ -437,17 +446,19 @@ class _Program(NamedTuple):
         """The values of every row of ``fused``.
 
         ``traced`` holds the partial traces of ``fused`` computed so far,
-        keyed by ``(source, axes, shape, out)``; each trace missing from it
-        is computed and added.  Every trace acts on a source operand, so a
-        kept trace has the bits a recomputed one would have.
+        keyed by ``(source, pairs)``; each trace missing from it is computed
+        and added.  Every trace acts on a source operand, so a kept trace
+        has the bits a recomputed one would have.
         """
         ops = [fused[s] for s in self.sources]
-        for slot, axes, shape, out in self.traces:
-            key = (self.sources[slot], axes, shape, out)
+        for slot, pairs in self.traces:
+            key = (self.sources[slot], pairs)
             part = traced.get(key)
             if part is None:
-                part = ops[slot].transpose(axes).reshape(shape).trace(axis1=2, axis2=3)
-                part = traced[key] = part.reshape(out)
+                part = ops[slot]
+                for axis1, axis2 in pairs:
+                    part = part.trace(axis1=axis1, axis2=axis2)
+                traced[key] = part
             ops[slot] = part
         for a, b, axes_a, shape_a, axes_b, shape_b, out in self.steps:
             mat_a = ops[a].transpose(axes_a).reshape(shape_a)
@@ -482,12 +493,12 @@ def _compile(
                     twice.append((first.pop(x), i))
                 else:
                     first[x] = i
-            out = tuple(map(dim, first))
-            outer, inner = prod(out), prod(size[term[i]] for i, _ in twice)
-            axes = (*first.values(), *(i for i, _ in twice), *(j for _, j in twice))
-            traces.append(_Trace(
-                slot, (0, *(1 + i for i in axes)), (-1, outer, inner, inner), (-1, *out)
-            ))
+            pairs = []  # each pair's axes once the earlier pairs are gone, after the batch
+            for i, j in twice:
+                gone = [g for pair in twice[:len(pairs)] for g in pair]
+                pairs.append(tuple(1 + a - sum(g < a for g in gone) for a in (i, j)))
+            outer, inner = prod(map(dim, first)), prod(size[term[i]] for i, _ in twice)
+            traces.append(_Trace(slot, tuple(pairs)))
             flops, largest, term = flops + outer * inner, max(largest, outer), list(first)
         labels.append(list(term))
         numel.append(prod(map(dim, term)))
@@ -742,8 +753,10 @@ def verify_classes(
     """Empirical invariance check: each tuple's max relative deviation over Haar trials.
 
     ``state`` takes its :func:`evaluate_many` route: a pure StateData stays
-    psi, so rho is never formed.  Each trial draws its local unitaries and
-    rotates that state once for all the tuples.  The call is planned once.
+    psi, so rho is never formed.  Each chunk of trials draws its local
+    unitaries with one :func:`~tninv.states.random_local_unitaries` call
+    and rotates that state with one :func:`~tninv.states.apply_local_unitary`
+    call, once for all the tuples.  The call is planned once.
     One stack of ``max(1, BATCH_BYTES // size)`` rows, at most trials + 1,
     holds a chunk: the unrotated state in row 0 of the first, then the
     rotated states in trial order.  Size is the bytes of the widest row of
@@ -769,9 +782,8 @@ def verify_classes(
     parent, worst = np.random.SeedSequence(seed), np.zeros(len(tuples))
     while left:
         take = min(rows - start, left)
-        for row, child in enumerate(parent.spawn(take), start):
-            us = random_local_unitary(dims, seed=child)
-            stack[row] = _operand(apply_local_unitary(state, dims, us), dims).array
+        rotated = apply_local_unitary(state, dims, random_local_unitaries(dims, parent.spawn(take)))
+        stack[start:start + take] = rotated.reshape(take, *src.array.shape)
         values = _contract_all(plan, _Operand(src.pure, stack[:start + take]), len(tuples))
         if start:  # the first chunk: row 0 holds the unrotated state
             bases, values = values[:, :1], values[:, 1:]

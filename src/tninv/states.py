@@ -6,6 +6,13 @@ one codec: it writes compact JSON and reads any standard JSON writer's
 output.  A state file has ``kind`` (``pure`` or ``density``), ``dims`` and
 ``data`` (a flat list for pure states, rows for density operators); see
 :func:`save_chain` for chains.
+
+Haar trials are drawn and rotated a chunk at a time:
+:func:`random_local_unitaries` gives one stack of unitaries per subsystem
+from one QR per distinct dimension, and :func:`apply_local_unitary` turns
+one state by the whole chunk in one pass per leg.  One trial is the
+one-row case of the same code, with the same bits as its row in any
+chunk.
 """
 
 from __future__ import annotations
@@ -111,16 +118,22 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
 
     Each level of ``entries`` must be a list as long as ``shape`` says, and
     each pair must hold two ``float`` or ``int`` components (no ``bool``).
-    The array is new and owns its data; its shape is ``out_shape`` (of the
-    same size) when given, else ``shape``.
+    Below the top level only lengths are checked: ``len`` of a number
+    raises, and a string or an object of the right length flattens into
+    strings, which the component check refuses.  The array is new and owns
+    its data; its shape is ``out_shape`` (of the same size) when given, else
+    ``shape``.
     """
     if type(entries) is not list or len(entries) != shape[0]:  # checked apart: no copy of it
         raise _not_pairs(shape)
     level = entries
-    for length in shape[1:] + (2,):
-        if set(map(type, level)) != {list} or set(map(len, level)) != {length}:
-            raise _not_pairs(shape)
-        level = list(itertools.chain.from_iterable(level))
+    try:
+        for length in shape[1:] + (2,):
+            if set(map(len, level)) != {length}:
+                raise _not_pairs(shape)
+            level = list(itertools.chain.from_iterable(level))
+    except TypeError:  # len of a number or of null
+        raise _not_pairs(shape) from None
     if not set(map(type, level)) <= {float, int}:
         raise _not_pairs(shape)
     out = np.empty(shape if out_shape is None else out_shape, dtype=np.complex128)
@@ -164,6 +177,13 @@ def load_state(path) -> StateData:
     whose ``data`` holds finite components.  A pure state must have unit
     norm; a density operator must be hermitian, positive semidefinite and
     of unit trace.  Anything else raises StateFileError.
+
+    Positivity is tried first by a Cholesky factorisation of the hermitian
+    part plus ``PSD_TOL / 2`` on its diagonal.  It succeeds only if the
+    lowest eigenvalue is above -``PSD_TOL / 2`` less a rounding of order
+    d * eps * ||rho||, far inside the other half of the tolerance at unit
+    trace, so it accepts nothing that ``eigvalsh`` would refuse.  Only when
+    it fails does ``eigvalsh`` decide, and the error names the eigenvalue.
     """
     try:
         with open(path, "rb") as fh:
@@ -198,12 +218,17 @@ def load_state(path) -> StateData:
         return StateData(kind, dims, Tensor._wrap(psi))
 
     mat = _decode(doc["data"], (d, d))
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    adjoint = mat.conj().T
+    herm = float(np.max(np.abs(mat - adjoint)))
     if herm > HERMITICITY_TOL:
         raise StateFileError(f"density operator fails hermiticity by {herm:.3e}")
-    low = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[0])
-    if low < -PSD_TOL:
-        raise StateFileError(f"density operator has negative eigenvalue {low:.3e}")
+    part = (mat + adjoint) / 2
+    try:
+        np.linalg.cholesky(part + PSD_TOL / 2 * np.eye(d))
+    except np.linalg.LinAlgError:  # eigvalsh decides
+        low = float(np.linalg.eigvalsh(part)[0])
+        if low < -PSD_TOL:
+            raise StateFileError(f"density operator has negative eigenvalue {low:.3e}") from None
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateFileError(f"density operator has trace {tr:.12g}, not 1")
@@ -227,24 +252,41 @@ def random_pure_state(dims: Sequence[int], seed=None) -> Tensor:
 
 
 def random_local_unitary(dims: Sequence[int], seed=None) -> list[np.ndarray]:
-    """One Haar-distributed unitary per subsystem, drawn in subsystem order.
+    """One Haar-distributed unitary per subsystem: one row of :func:`random_local_unitaries`."""
+    return [u[0] for u in random_local_unitaries(dims, [seed])]
 
-    Each factor comes from the QR decomposition of a d x d complex Gaussian
-    matrix (real block, then imaginary block): Q with its columns scaled by
-    the phases of R's diagonal, the one Q whose R has a positive diagonal,
-    is Haar on U(d).  No global phase is drawn: every invariant contracts
-    as many copies of U as of U^H, so it would cancel.
+
+def random_local_unitaries(dims: Sequence[int], children: Sequence) -> list[np.ndarray]:
+    """Haar-distributed local unitaries for a chunk of trials: one stack per subsystem.
+
+    Trial i draws from ``default_rng(children[i])`` with one
+    ``standard_normal`` call, which holds, per subsystem in order, a real
+    then an imaginary d x d Gaussian block.  Each factor is Q of the QR
+    decomposition of that complex matrix, with its columns scaled by the
+    phases of R's diagonal: the one Q whose R has a positive diagonal is
+    Haar on U(d).  One stacked QR serves every trial and every subsystem of
+    the same dimension, so row i of each ``(len(children), d, d)`` stack has
+    the bits that trial i's draw alone would give.  No global phase is
+    drawn: every invariant contracts as many copies of U as of U^H, so it
+    would cancel.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ShapeError("dims must be nonempty")
-    rng = np.random.default_rng(seed)
-    out = []
-    for d in dims:
-        real, imag = rng.standard_normal((2, d, d))
-        q, r = np.linalg.qr(real + 1j * imag)
-        diag = np.diagonal(r)
-        out.append(q * (diag / np.abs(diag)))
+    ends = list(itertools.accumulate(2 * d * d for d in dims))
+    draws = np.empty((len(children), ends[-1]))
+    for row, child in zip(draws, children):
+        np.random.default_rng(child).standard_normal(out=row)
+    out = [None] * len(dims)
+    for d in set(dims):
+        subs = [s for s in range(len(dims)) if dims[s] == d]
+        blocks = np.stack([draws[:, ends[s] - 2 * d * d:ends[s]] for s in subs], axis=1)
+        gauss = blocks.reshape(len(children), len(subs), 2, d, d)
+        q, r = np.linalg.qr(gauss[:, :, 0] + 1j * gauss[:, :, 1])
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        q = q * (diag / np.abs(diag))[..., None, :]
+        for i, s in enumerate(subs):
+            out[s] = q[:, i]
     return out
 
 
@@ -332,21 +374,36 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
     comes back as the pure StateData U psi, one row pass in O(n d D) for
     D = prod(dims).  Anything else is read by :func:`as_operator` and comes
     back as the Tensor U rho U^H = (U (U rho)^H)^H: two passes, O(n d D^2).
+
+    ``unitaries`` holds one d x d matrix per subsystem, or, for a chunk of
+    T trials, one ``(T, d, d)`` stack per subsystem as
+    :func:`random_local_unitaries` draws them.  A chunk comes back as one
+    array of the T rotated states, ``(T, *dims)`` for psi and ``(T, D, D)``
+    for an operator, from the same passes over the whole chunk; row i has
+    the bits that trial i's matrices alone give.
     """
     dims = tuple(int(d) for d in dims)
     if len(unitaries) != len(dims):
         raise ShapeError(f"{len(unitaries)} unitaries for {len(dims)} subsystems")
+    chunk = bool(unitaries) and np.ndim(unitaries[0]) == 3
+    trials = len(unitaries[0]) if chunk else 1
     for u, d in zip(unitaries, dims):
-        if np.shape(u) != (d, d):
+        if np.shape(u) != ((trials, d, d) if chunk else (d, d)):
             raise ShapeError(f"unitary of shape {np.shape(u)} on a subsystem of dim {d}")
+    stacks = [np.asarray(u) if chunk else np.asarray(u)[None] for u in unitaries]
     full = prod(dims)
 
-    def rows(mat):  # U mat, U applied one row leg at a time
-        for s, u in enumerate(unitaries):
-            mat = np.matmul(u, mat.reshape(prod(dims[:s]), dims[s], -1))
-        return mat.reshape(full, -1)
+    def rows(mat, cols):  # U mat per trial, U applied one row leg at a time
+        for s, u in enumerate(stacks):
+            shape = (len(mat), prod(dims[:s]), dims[s], prod(dims[s + 1:]) * cols)
+            mat = np.matmul(u[:, None], mat.reshape(shape))
+        return mat.reshape(trials, full, cols)
 
     if isinstance(state, StateData) and state.kind == "pure":
-        return StateData("pure", dims, Tensor._wrap(rows(state.tensor.data).reshape(dims)))
-    half = np.conjugate(rows(as_operator(state, dims)).T, order="C")  # (U rho)^H
-    return Tensor._wrap(np.conjugate(rows(half).T, order="C"))
+        psi = rows(state.tensor.data[None], 1).reshape(trials, *dims)
+        return psi if chunk else StateData("pure", dims, Tensor._wrap(psi[0]))
+    half = rows(as_operator(state, dims)[None], full)
+    half = np.conjugate(half.swapaxes(1, 2), order="C")  # (U rho)^H
+    lead = slice(None) if chunk else 0  # one trial: conjugate its row alone, into an array it owns
+    turned = np.conjugate(rows(half, full).swapaxes(1, 2)[lead], order="C")
+    return turned if chunk else Tensor._wrap(turned)

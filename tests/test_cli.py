@@ -157,6 +157,11 @@ def test_state_file_components_must_be_json_numbers(tmp_path, capsys):
         ("pure", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
         ("pure", [[[1.0, 0.0, 0.0], 0.0], [0.0, 0.0]]),
         ("pure", [[{"re": 1.0}, 0.0], [0.0, 0.0]]),
+        # a pair of length 2 that is no list: its keys or characters are strings
+        ("pure", [{"re": 1.0, "im": 0.0}, [0.0, 0.0]]),
+        ("pure", [[1.0, 0.0], "10"]),
+        ("density", [[[1.0, 0.0], {"re": 0.0, "im": 0.0}], [[0.0, 0.0], [0.0, 0.0]]]),
+        ("density", [[[1.0, 0.0], [0.0, 0.0]], ["00", [0.0, 0.0]]]),
         ("density", [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, "0"]]]),
         ("density", [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
     ]):
@@ -662,6 +667,29 @@ def test_entropy_keep_refusal_names_the_flag(bell_path, capsys):
         assert main(["entropy", bell_path, "--keep", keep]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: --keep {keep!r} is refused: {message}\n")
+
+
+def test_comma_list_with_a_leading_minus_needs_the_equals_spelling(bell_path, capsys):
+    # argparse reads "-1,0" after a space as an option, so only the "=" spelling
+    # reaches the range checks; both exit 2
+    for option, value, message in (
+        ("--keep", "-1,0",
+         "--keep '-1,0' is refused: keep [-1, 0] out of range for 2 subsystems (0..1)"),
+        ("--alpha", "-2,3", "alpha must be positive and finite, got -2.0"),
+    ):
+        head = ["entropy", bell_path] + ([] if option == "--keep" else ["--keep", "0"])
+        with pytest.raises(SystemExit) as exc:
+            main(head + [option, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: argument {option}: expected one argument\n")
+        assert main(head + [f"{option}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    with pytest.raises(SystemExit):
+        main(["entropy", "--help"])
+    text = capsys.readouterr().out
+    assert "--keep=-1,0" in text and "--alpha=-2,3" in text
 
 
 def test_entropy_non_finite_alpha_exits_2(bell_path, capsys):

@@ -889,28 +889,32 @@ def same_bits(a, b) -> bool:
 
 def test_verify_classes_draws_once_per_trial_and_plans_once_per_class(monkeypatch):
     clear_memos()
-    calls = {"draw": 0, "rotate": 0, "plan": 0, "einsum": 0}
+    calls = {"draw": [], "rotate": [], "plan": 0, "einsum": 0}  # draw, rotate: trials a call
 
-    def counting(key, fn):
+    def counting(key, fn, trials=None):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            if trials is None:
+                calls[key] += 1
+            else:
+                calls[key].append(trials(*args))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(invariants, "random_local_unitary",
-                        counting("draw", invariants.random_local_unitary))
-    monkeypatch.setattr(invariants, "apply_local_unitary",
-                        counting("rotate", invariants.apply_local_unitary))
+    for name, key, trials in (("random_local_unitary", "draw", lambda *args: "one trial"),
+                              ("random_local_unitaries", "draw", lambda dims, ch: len(ch)),
+                              ("apply_local_unitary", "rotate", lambda s, dims, us: len(us[0]))):
+        monkeypatch.setattr(invariants, name, counting(key, getattr(invariants, name), trials))
     monkeypatch.setattr(invariants, "_compile", counting("plan", invariants._compile))
     monkeypatch.setattr(np, "einsum", counting("einsum", np.einsum))
     monkeypatch.setattr(np, "einsum_path", counting("einsum", np.einsum_path))
     tuples = [c.representative for c in enumerate_invariants(3, 3)]
     rho = random_density(8)
     cold = verify_classes(tuples, rho, (2, 2, 2), trials=3, seed=4)
-    # the 49 classes have 41 distinct networks (fused dims and subscripts)
-    assert calls == {"draw": 3, "rotate": 3, "plan": 41, "einsum": 0}
+    # the 49 classes have 41 distinct networks (fused dims and subscripts); the
+    # 3 trials fit one chunk, drawn by one stacked call and rotated by another
+    assert calls == {"draw": [3], "rotate": [3], "plan": 41, "einsum": 0}
     warm = verify_classes(tuples, rho, (2, 2, 2), trials=3, seed=4)
-    assert calls == {"draw": 6, "rotate": 6, "plan": 41, "einsum": 0}
+    assert calls == {"draw": [3, 3], "rotate": [3, 3], "plan": 41, "einsum": 0}
     assert same_bits(warm, cold)
 
 
@@ -919,7 +923,7 @@ def test_verify_classes_rotates_psi_and_never_forms_rho(monkeypatch):
     rotate = invariants.apply_local_unitary
 
     def spy(state, dims, us):
-        rotated.append(state.kind)
+        rotated.append((state.kind, len(us[0])))
         return rotate(state, dims, us)
 
     def refuse(*args):
@@ -933,7 +937,7 @@ def test_verify_classes_rotates_psi_and_never_forms_rho(monkeypatch):
         rotated.clear()
         devs = verify_classes(tuples, pure, dims, trials=3, seed=29)
         assert len(devs) == len(tuples) and max(devs) <= 1e-9, dims
-        assert rotated == ["pure"] * 3
+        assert rotated == [("pure", 3)]  # one stacked rotation of psi for the one chunk
 
 
 @pytest.mark.parametrize("n, k, programs", [(4, 3, 153), (6, 2, 12)])

@@ -5,7 +5,7 @@ import numpy as np
 import orjson
 import pytest
 
-from tninv.states import MAX_DEPTH, _decode, as_operator
+from tninv.states import MAX_DEPTH, PSD_TOL, _decode, as_operator, random_local_unitaries
 from tninv import (
     Spectrum,
     StateData,
@@ -178,6 +178,39 @@ def test_load_rejects_wrong_trace(tmp_path):
         path.write_text(json.dumps({"kind": kind, "dims": dims, "data": pairs}))
         with pytest.raises(StateFileError, match=match):
             load_state(path)
+
+
+def test_psd_gate_accepts_exactly_what_eigvalsh_accepts(tmp_path, monkeypatch):
+    # Cholesky of the hermitian part shifted by PSD_TOL / 2 accepts first;
+    # eigvalsh decides only when it fails, and both routes must agree with it
+    eigvalsh, decided = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: decided.append(1) or eigvalsh(a))
+    rng = np.random.default_rng(41)
+    path = tmp_path / "rho.json"
+    for dims in ((2,), (2, 2), (2, 2, 2), (8, 8)):
+        d = int(np.prod(dims))
+        cases = [(low, None) for low in (0.5 * PSD_TOL, -0.5 * PSD_TOL, 2 * PSD_TOL, -2 * PSD_TOL)]
+        cases += [(0.0, rank) for rank in sorted({1, 2, d - 1} - {0, d})]
+        for low, rank in cases:
+            v = random_local_unitary((d,), seed=int(rng.integers(2**31)))[0]
+            if rank is None:  # one eigenvalue at low, the others positive
+                p = np.append(low, rng.uniform(0.1, 1.0, d - 1))
+                p[1:] *= (1 - low) / p[1:].sum()
+            else:  # exact zeros, and exact zeros on the diagonal of the first
+                p = np.append(rng.uniform(0.1, 1.0, rank), np.zeros(d - rank))
+                p /= p.sum()
+            for mat in ((v * p) @ v.conj().T, np.diag(p + 0j)) if rank else ((v * p) @ v.conj().T,):
+                mat = (mat + mat.conj().T) / 2
+                save_state(StateData.density(Tensor(mat), dims), path)  # bit for bit
+                lowest = eigvalsh((mat + mat.conj().T) / 2)[0]
+                decided.clear()
+                if lowest >= -PSD_TOL:
+                    load_state(path)
+                else:
+                    with pytest.raises(StateFileError, match="negative eigenvalue"):
+                        load_state(path)
+                if low >= 0:  # positive, or rank-deficient with exact zeros
+                    assert decided == [], (dims, low, rank)
 
 
 def test_load_rejects_non_hermitian(tmp_path):
@@ -388,6 +421,18 @@ def test_random_local_unitary_matches_reference_draw():
         assert len(got) == len(want)
         for u, w in zip(got, want):
             assert np.array_equal(u, w)
+
+
+def test_random_local_unitaries_match_one_trial_draws_row_by_row():
+    children = np.random.SeedSequence(44).spawn(7)
+    for dims in ((2, 2, 2), (2, 3, 2), (8, 8), (2,) * 6):
+        # an empty chunk, as the first chunk of a verify call of one row a chunk has
+        for chunk in ([], children[:1], children[1:3], children):
+            stacks = random_local_unitaries(dims, chunk)
+            assert [u.shape for u in stacks] == [(len(chunk), d, d) for d in dims]
+            for row, child in enumerate(chunk):
+                one = random_local_unitary(dims, seed=child)
+                assert all(bits(u[row]) == bits(w) for u, w in zip(stacks, one)), (dims, row)
 
 
 def test_random_local_unitary_deterministic():
