@@ -56,8 +56,8 @@ copies dominate, and batch-first stacks of them cost more than separate
 ones, so the budget keeps such operators at two rows.  Its oracle,
 :func:`max_unitary_deviation`, takes one trial at a time and shares only
 the draw and the rotation with it.
-:func:`evaluate` builds the k-fold tensor power and the permutation matrix
-explicitly and is kept only as the reference that tests compare against.
+:func:`evaluate`, the reference that tests compare against, sums
+tr(T rho^(x)k) over T's index map, building neither T nor the power.
 
 A label's grouping and program depend only on the label, the dims and
 the route, and a program only on the fused dims, the subscripts and the
@@ -342,41 +342,41 @@ def _scan(n: int, k: int) -> tuple[tuple[CanonicalClass, ...], tuple[str, ...]]:
     return tuple(classes), tuple(labels)
 
 
+def _index_map(t: PermTuple, dims: Sequence[int]) -> np.ndarray:
+    """Where T sends each copy-major index x: copy c of s reads x's copy sigma_s^-1(c)."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != t.n:
+        raise ShapeError(f"label {t.label()!r} has {t.n} subsystems, state has {len(dims)}")
+    full_dims, inv = dims * t.k, [perms.inverse(s) for s in t.sigmas]
+    digits = np.unravel_index(np.arange(prod(full_dims)), full_dims)
+    src = [inv[s][c] * t.n + s for c in range(t.k) for s in range(t.n)]
+    return np.ravel_multi_index(tuple(digits[i] for i in src), full_dims)
+
+
 def permutation_operator(t: PermTuple, dims: Sequence[int]) -> np.ndarray:
     """Matrix permuting, per subsystem, the k copies of that subsystem.
 
     Acts on the k-fold product space ordered copy-major; copy c of
-    subsystem s is sent to copy sigma_s(c).
+    subsystem s is sent to copy sigma_s(c).  The paper's operator T, kept as
+    illustration: :func:`evaluate` sums over its index map instead.
     """
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if n != t.n:
-        raise ShapeError(f"{n} dims for an {t.n}-subsystem tuple")
-    k = t.k
-    full_dims = dims * k
-    dk = prod(dims) ** k
-    inv = [perms.inverse(s) for s in t.sigmas]
-    digits = np.array(np.unravel_index(np.arange(dk), full_dims))
-    src = [inv[s][c] * n + s for c in range(k) for s in range(n)]
-    rows = np.ravel_multi_index(tuple(digits[src]), full_dims)
-    op = np.zeros((dk, dk), dtype=np.complex128)
-    op[rows, np.arange(dk)] = 1.0
+    rows = _index_map(t, dims)
+    op = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    op[rows, np.arange(rows.size)] = 1.0
     return op
 
 
 def evaluate(t: PermTuple, rho, dims: Sequence[int]) -> complex:
-    """Invariant value by explicit construction.
+    """Invariant value tr(T rho^(x)k), summed over the k-fold space.
 
-    Materializes the k-fold tensor power of rho and the permutation matrix
-    and takes the trace of their product.  Exponential in k; intended as
-    the reference route backing :func:`evaluate_fast`.
+    Index x adds the product over copies c of rho[x_c, y_c], y being where T
+    sends x; neither T nor the power is built (about k n D^k indices).  The
+    reference for :func:`evaluate_fast`, sharing no planner or memo with it.
     """
-    op = permutation_operator(t, dims)
-    mat = as_operator(rho, dims)
-    power = mat
-    for _ in range(t.k - 1):
-        power = np.kron(power, mat)
-    return complex(np.einsum("ij,ji->", op, power))
+    mat, y = as_operator(rho, dims), _index_map(t, dims)
+    copies = (len(mat),) * t.k
+    terms = zip(np.unravel_index(np.arange(y.size), copies), np.unravel_index(y, copies))
+    return complex(prod(mat[i, j] for i, j in terms).sum())
 
 
 class _Operand(NamedTuple):

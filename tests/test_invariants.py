@@ -349,13 +349,55 @@ def test_evaluate_fast_equals_explicit_oracle():
         != c.representative.sigmas[1]
     ]
     cases.append(((2, 3, 2), split, 2))
+    # degrees 4 to 6, out of reach of a dense T and rho^(x)k (537 MB at 2 x 2 x 2, k = 4)
+    high = [c.representative for k in (4, 5, 6) for c in enumerate_invariants(2, k)]
+    cases.append(((2, 2), high, 2))
+    quartic = [c.representative for c in enumerate_invariants(3, 4)]
+    cases.append(((2, 2, 2), quartic, 1))
     for dims, tuples, states in cases:
         for i in range(states):
             rho = random_density(int(np.prod(dims)))
             for t in tuples:
                 fast = evaluate_fast(t, rho, dims)
                 ref = evaluate(t, rho, dims)
-                assert abs(fast - ref) <= 1e-10 * max(abs(ref), 1.0)
+                assert abs(fast - ref) <= 1e-10 * abs(ref), (dims, t.label())
+    # the psi route: k copies of psi and of conj(psi), against the density it stands for
+    psi = random_pure_state((2, 2, 2), seed=12)
+    rho = density_from_pure(psi)
+    for t, fast in zip(quartic, evaluate_many(quartic, StateData.pure(psi), (2, 2, 2))):
+        ref = evaluate(t, rho, (2, 2, 2))
+        assert abs(fast - ref) <= 1e-10 * abs(ref), t.label()
+
+
+def test_evaluate_equals_dense_construction():
+    # tr(T rho^(x)k) with T and the k-fold power written out as D^k x D^k matrices
+    for dims in ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)):
+        rho = random_density(int(np.prod(dims)))
+        for k in (1, 2, 3):
+            power = kron_power(rho, k)
+            for c in enumerate_invariants(len(dims), k):
+                t = c.representative
+                dense = np.einsum("ij,ji->", permutation_operator(t, dims), power)  # tr(T @ power)
+                assert abs(evaluate(t, rho, dims) - dense) <= 1e-12 * abs(dense), (dims, t.label())
+
+
+def test_evaluate_memory_is_the_index_map():
+    # about k n D^k indices, not T and rho^(x)k at 2 x 16 x D^(2k) bytes:
+    # 8.7 MB at 2 x 2 x 2, k = 3, and 137 GB at 2^4, k = 4
+    for dims, label, bound in (
+        ((2, 2, 2), "3; (123) | (12) | e", 2**20),
+        ((2,) * 4, "4; (1234) | (12)(34) | (13) | e", 64 * 2**20),
+    ):
+        t, rho = parse_label(label), random_density(int(np.prod(dims)))
+        tracemalloc.start()
+        try:
+            value = evaluate(t, rho, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (label, peak)
+        fast = evaluate_fast(t, rho, dims)
+        assert abs(value - fast) <= 1e-10 * abs(fast)
 
 
 def test_evaluate_conjugation_invariance():
@@ -391,9 +433,14 @@ def test_evaluate_dims_mismatch():
 def test_evaluate_many_names_a_label_that_does_not_fit_the_dims():
     psi = random_pure_state((2, 2, 2), seed=3)
     labels = [parse_label("2; (12) | e | e"), parse_label("2; (12) | e")]
+    message = r"^label '2; \(12\) \| e' has 2 subsystems, state has 3$"
     for state in (StateData.pure(psi), density_from_pure(psi)):
-        with pytest.raises(ShapeError, match=r"^label '2; \(12\) \| e' has 2 subsystems, state has 3$"):
+        with pytest.raises(ShapeError, match=message):
             evaluate_many(labels, state, (2, 2, 2))
+    with pytest.raises(ShapeError, match=message):
+        evaluate(labels[1], density_from_pure(psi), (2, 2, 2))
+    with pytest.raises(ShapeError, match=message):
+        permutation_operator(labels[1], (2, 2, 2))
 
 
 def test_evaluate_fast_shared_cycle_on_nine_qubits():
