@@ -20,8 +20,8 @@ SUM_TOL = 1e-9
 class Spectrum:
     """Eigenvalue distribution of a density operator.
 
-    Entries within ``-1e-12`` of zero are clamped; anything more negative,
-    or a total off 1 by more than ``1e-9``, is rejected.
+    Entries within ``-1e-12`` of zero are clamped; NaN, inf, anything more
+    negative, or a total off 1 by more than ``1e-9``, is rejected.
     """
 
     probs: np.ndarray
@@ -30,6 +30,8 @@ class Spectrum:
         p = np.asarray(self.probs, dtype=float).reshape(-1)
         if p.size == 0:
             raise ValueError("empty spectrum")
+        if not np.isfinite(p).all():  # NaN fails both comparisons below
+            raise ValueError(f"non-finite probabilities {p[~np.isfinite(p)].tolist()}")
         low = float(p.min())
         if low < -CLAMP_TOL:
             raise ValueError(f"negative probability {low:.3e} beyond clamp tolerance")
@@ -86,14 +88,13 @@ def renyi(spectrum: Spectrum, alpha: float) -> float:
     top = float(p.max())
     # alpha / (1 - alpha) rather than alpha * ln(p_max), which overflows near 1e308
     scaled = np.log(np.sum((p / top) ** alpha)) / (1.0 - alpha)
-    # + 0.0 turns the -0.0 of a pure spectrum (alpha > 1) into 0.0 and leaves all else alone
-    return float(alpha / (1.0 - alpha) * np.log(top) + scaled + 0.0)
+    return _unsigned(alpha / (1.0 - alpha) * np.log(top) + scaled)
 
 
 def von_neumann(spectrum: Spectrum) -> float:
     """-sum p ln p with 0 ln 0 = 0; the alpha -> 1 limit of renyi()."""
     p = spectrum.probs[spectrum.probs > 0.0]
-    return float(0.0 - np.sum(p * np.log(p)))  # not -sum: a pure spectrum gives 0.0, not -0.0
+    return _unsigned(-np.sum(p * np.log(p)))
 
 
 def renyi_from_invariant(value: float, alpha: int) -> float:
@@ -109,7 +110,11 @@ def renyi_from_invariant(value: float, alpha: int) -> float:
     value = float(np.real(value))
     if value <= 0.0:
         raise ValueError(f"invariant value {value!r} is not positive")
-    return float(np.log(value) / (1.0 - alpha) + 0.0)  # 0.0, not -0.0, at value 1
+    return _unsigned(np.log(value) / (1.0 - alpha))
+
+
+def _unsigned(entropy) -> float:  # -0.0 and rounding below 0 read +0.0; NaN passes
+    return 0.0 if entropy <= 0.0 else float(entropy)
 
 
 @dataclass

@@ -69,20 +69,17 @@ repeated call over more labels still hits that many.  Measured
 with tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
 a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
 if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants`
-keeps an LRU of ``MEMO_ENUMERATIONS`` (8) enumerations, each of at most
-``MEMO_CLASSES`` (4096) classes.  The scan labels each representative
-as it finds it: the tuple keeps its label, and the entry keeps the same
-strings as a tuple beside its classes, which ``invariants list`` copies,
-so a repeated list, or an eval or verify over a kept enumeration, formats
-no label again.  A labelled class takes 0.4-0.5 KB, as its tuple shares
-the table's permutation tuples (tracemalloc, from the 4096 classes of
-n = 12, k = 2 to the 901 of n = 2, k = 6).  A kept enumeration thus
-holds at most about 2.1 MB and all of them about 17 MB; only at k = 1,
-one class of n identity permutations, does an entry grow past that, by
-about 80 B per subsystem.  An enumeration past ``MEMO_CLASSES`` builds
-fresh, labelled tuples on each call.  A cold call compiles exactly what
-an unmemoised one would; a warm one compiles nothing and returns the
-same values bit for bit.
+keeps an LRU of ``MEMO_ENUMERATIONS`` (8) enumerations of at most
+``MEMO_CLASSES`` (4096) classes.  Its stabiliser-chain walk labels each
+representative as it finds it, and an entry keeps the labels beside its
+classes, which ``invariants list`` copies: a repeated list, or an eval or
+verify over a kept enumeration, formats no label again.  A labelled class
+takes 0.4-0.5 KB, its tuple sharing the table's permutation tuples
+(tracemalloc, 4096 classes of n = 12, k = 2 to 901 of n = 2, k = 6): an
+entry holds at most about 2.1 MB, or 80 B more a subsystem at k = 1, and
+all of them about 17 MB.  Past ``MEMO_CLASSES`` each call builds fresh,
+labelled tuples.  A cold call compiles exactly what an unmemoised one
+would; a warm one compiles nothing and returns the same values bit for bit.
 """
 
 from __future__ import annotations
@@ -103,9 +100,9 @@ from .states import (
 )
 
 # Most classes and subsystems enumerate_invariants takes.  On one core, (4,4)
-# (14491 classes) takes 0.3 s and (5,4) (336465) 7.6 s; their tracemalloc
-# peaks are 7 MB and 160 MB.  A tuple is indexed with one numpy axis per
-# subsystem; numpy >= 1.24 allows 32.
+# (14491 classes) takes 0.17 s and (5,4) (336465) 4.3 s, with tracemalloc peaks
+# of 6 and 152 MB, nearly all classes.  32 subsystems bound Burnside's c ** n,
+# the walk's depth and the length of a k = 1 tuple (one class of n identities).
 MAX_CLASSES = 400_000
 MAX_SUBSYSTEMS = 32
 # Most index labels a network may carry.  The planner itself has no limit;
@@ -318,27 +315,25 @@ def _class_count(n: int, k: int) -> int:
 
 @functools.lru_cache(maxsize=MEMO_ENUMERATIONS)
 def _scan(n: int, k: int) -> tuple[tuple[CanonicalClass, ...], tuple[str, ...]]:
-    """The classes in code order, marking each orbit off a table of the (k!)^n codes.
+    """The classes in code order and their labels, found down a stabiliser chain.
 
-    Each representative is labelled as it is found; its labels come back
-    beside the classes, so a kept entry holds both.
+    A tuple is its orbit's minimum iff each sigma_i is least in its orbit under the
+    relabellings fixing the sigmas before it (Sims): the walk visits these minima in
+    ascending order, and each orbit is k! over the last stabiliser's order.
     """
     sk, _, conj, _, _ = perms.conjugation_table(k)
-    radix = len(sk)
-    shape = (radix,) * n
-    seen = bytearray(radix**n)
-    marks = np.frombuffer(seen, dtype=np.uint8)
     classes, labels = [], []
-    code = seen.find(0)
-    while code >= 0:  # an unseen code is its orbit's minimum
-        digits = np.unravel_index(code, shape)
-        orbit = np.ravel_multi_index(conj[:, digits].T, shape)
-        marks[orbit] = 1
-        rep = PermTuple._trusted(k, tuple(sk[d] for d in digits))
-        labels.append(rep.label())
-        size = radix // int(np.count_nonzero(orbit == code))  # orbit-stabilizer
-        classes.append(CanonicalClass(rep, size))
-        code = seen.find(0, code)
+
+    def walk(prefix: tuple, stab: np.ndarray) -> None:
+        if len(prefix) == n:
+            classes.append(CanonicalClass(PermTuple._trusted(k, prefix), len(sk) // len(stab)))
+            labels.append(classes[-1].label())
+            return
+        images = conj if len(stab) == len(sk) else conj[stab]  # S_k: no 1 MB copy at k = 6
+        for p in np.flatnonzero(images.min(axis=0) == np.arange(len(sk))).tolist():
+            walk(prefix + (sk[p],), stab[images[:, p] == p])
+
+    walk((), np.arange(len(sk)))
     return tuple(classes), tuple(labels)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -299,6 +300,20 @@ LIST_3_3 = (
 def test_invariants_list_human_output_is_unchanged(capsys):
     assert main(["invariants", "list", "-n", "3", "-k", "3"]) == 0
     assert capsys.readouterr().out == LIST_3_3
+
+
+# sha256 of the stdout of (4, 4)'s 14491 classes, past the memo bound, in both modes
+@pytest.mark.parametrize(
+    "mode, digest",
+    [
+        (["--json"], "e8cd42c384cc5a1f6b1cde9076dffa39674ef53cdbdae0116b0e8ad3f9042570"),
+        ([], "71aa364750ed196891ddc870280bedff56ef7d86fba3555ac9ba60d6d7c9f555"),
+    ],
+    ids=["json", "human"],
+)
+def test_invariants_list_output_is_pinned(mode, digest, capsys):
+    assert main(["invariants", "list", "-n", "4", "-k", "4", *mode]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_invariants_list_json_builds_no_tags(capsys, monkeypatch):

@@ -80,6 +80,10 @@ def test_spectrum_rejects_bad_input():
         Spectrum([0.5, -1e-6, 0.5])
     with pytest.raises(ValueError):
         Spectrum([0.5, 0.4])  # sums to 0.9
+    # NaN fails both the sign and the sum comparison
+    for probs in ([float("nan")], [0.5, float("nan")], [1.0, float("inf")]):
+        with pytest.raises(ValueError, match="non-finite probabilities"):
+            Spectrum(probs)
 
 
 def test_spectrum_from_density():
@@ -102,6 +106,16 @@ def test_pure_spectrum_entropies_are_unsigned_zero():
     values = [von_neumann(s), renyi_from_invariant(1.0, 2)]
     values += [renyi(s, alpha) for alpha in (0.5, 2, 3, 7.2)]
     assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), values
+    # a top eigenvalue or a trace that rounds above 1 takes them below zero
+    cut = Spectrum.from_state(StateData.pure(random_pure_state((2,), seed=1)), [0])
+    rounded = [renyi_from_invariant(1 + 2.3e-16, 2)]
+    for s in (Spectrum([1 + 4.4e-16]), cut):
+        rounded += [von_neumann(s)] + [renyi(s, alpha) for alpha in (0.5, 2, 3, 7.2)]
+    assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in rounded), rounded
+
+
+def test_entropies_pass_nan_through():
+    assert math.isnan(renyi_from_invariant(float("nan"), 2))
 
 
 def test_renyi_uniform_is_log_d():

@@ -226,10 +226,12 @@ def burnside_count(n, k):
     return total
 
 
-# every (n, k) the catalog benchmark lists, plus the three largest grids
+# every (n, k) the catalog benchmark lists, the three largest grids, and the
+# deepest walks past and at the memo bound
 @pytest.mark.parametrize(
     "n,k",
-    [(2, 4), (3, 3), (4, 3), (2, 5), (3, 4), (5, 3), (1, 6), (2, 6), (3, 5), (4, 4)],
+    [(2, 4), (3, 3), (4, 3), (2, 5), (3, 4), (5, 3), (1, 6), (2, 6), (3, 5), (4, 4),
+     (6, 3), (12, 2)],
 )
 def test_enumerate_matches_burnside(n, k):
     classes = enumerate_invariants(n, k)
@@ -238,6 +240,15 @@ def test_enumerate_matches_burnside(n, k):
     assert all(type(c.orbit_size) is int for c in classes)
     codes = [c.representative.sigmas for c in classes]
     assert codes == sorted(codes)
+    # each representative is its own orbit minimum by the independent lead
+    # path, and its orbit size is k! over the relabellings fixing every sigma
+    _, index, conj, _, _ = perms.conjugation_table(k)
+    for c in classes:
+        rep = c.representative
+        assert canonicalize(rep) == rep
+        idx = [index[s] for s in rep.sigmas]
+        stabiliser = np.count_nonzero((conj[:, idx] == idx).all(axis=1))
+        assert c.orbit_size == math.factorial(k) // stabiliser
 
 
 def test_enumerate_orbit_sizes_sum():
