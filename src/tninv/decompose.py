@@ -252,11 +252,17 @@ def _apply_policy(s, chi, max_chi, sigma_cutoff):
 
 
 def mps_reconstruct(chain: MPSChain) -> Tensor:
-    """Contract the chain back into a full state tensor."""
-    acc = chain.sites[0].data[0]  # (d0, r)
+    """Contract the chain back into a full state tensor.
+
+    One matrix chain: the accumulator stays (physical indices so far, bond),
+    and each site joins as its (left bond, physical x right bond) matrix.
+    """
+    first = chain.sites[0]
+    acc = first.data.reshape(-1, first.dims[2])  # (d0, r); the left bond is 1
     for site in chain.sites[1:]:
-        acc = np.tensordot(acc, site.data, axes=([acc.ndim - 1], [0]))
-    return Tensor._wrap(acc[..., 0])
+        l, d, r = site.dims
+        acc = (acc @ site.data.reshape(l, d * r)).reshape(-1, r)
+    return Tensor._wrap(acc.reshape(chain.phys_dims))
 
 
 def verify_isometry(site: Tensor, direction: str = "left") -> float:

@@ -122,7 +122,8 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
     raises, and a string or an object of the right length flattens into
     strings, which the component check refuses.  The array is new and owns
     its data; its shape is ``out_shape`` (of the same size) when given, else
-    ``shape``.
+    ``shape``.  An ``out_shape`` with more axes than numpy allows is refused
+    as too many ``dims`` entries.
     """
     if type(entries) is not list or len(entries) != shape[0]:  # checked apart: no copy of it
         raise _not_pairs(shape)
@@ -136,7 +137,12 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
         raise _not_pairs(shape) from None
     if not set(map(type, level)) <= {float, int}:
         raise _not_pairs(shape)
-    out = np.empty(shape if out_shape is None else out_shape, dtype=np.complex128)
+    try:
+        out = np.empty(shape if out_shape is None else out_shape, dtype=np.complex128)
+    except ValueError as exc:  # more axes than this numpy allows (32 in 1.x, 64 in 2.x)
+        raise StateFileError(
+            f"dims has {len(out_shape)} entries, more axes than numpy allows: {exc}"
+        ) from None
     comps = out.reshape(-1).view(np.float64)  # a view: filling it fills out
     try:
         comps[:] = np.fromiter(level, np.float64, len(level))

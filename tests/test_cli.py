@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -491,6 +492,68 @@ def test_closed_pipe_ends_quietly_with_the_command_exit_code():
             assert proc.wait(timeout=60) == 0, mode
             assert proc.stderr.read() == b"", mode
         assert first == (b"{\n" if mode else b"3; e | e | e | e | e | e  orbit=1 [components=3, real]\n")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has left: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_leaves_the_collector_as_it_found_it(enabled, bell_path, tmp_path, capsys, monkeypatch):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert main(["entropy", bell_path, "--keep", "0"]) == 0  # success
+        assert gc.isenabled() is enabled
+        assert main(["entropy", bell_path, "--keep", "5"]) == 2  # refused input
+        assert gc.isenabled() is enabled
+        with pytest.raises(SystemExit) as exc:  # argparse: -n needs a value
+            main(["invariants", "list", "-n"])
+        assert exc.value.code == 2 and gc.isenabled() is enabled
+        with open(tmp_path / "stdout", "wb") as sink:  # the closed pipe's fd is sent here
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+            assert main(["invariants", "list", "-n", "2", "-k", "2"]) == 0
+            monkeypatch.undo()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_no_collection_starts_during_a_command(tmp_path, capsys):
+    # the 251 (4, 3) classes of a 2^4 density, cold: tens of thousands of
+    # containers, enough to start several collections with the collector on
+    rho = density_from_pure(random_pure_state((2,) * 4, seed=4))
+    path = str(tmp_path / "rho4.json")
+    save_state(StateData.density(rho, (2,) * 4), path)
+    clear_memos()
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(hook)
+    try:
+        assert main(["invariants", "eval", path, "-k", "3", "--json"]) == 0
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was else gc.disable)()
+    assert len(json.loads(capsys.readouterr().out)["values"]) == 251
+    assert starts == []
 
 
 def test_invariants_eval_label_over_einsum_limit(tmp_path, capsys):

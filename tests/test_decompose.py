@@ -224,6 +224,15 @@ def test_mps_roundtrip_fidelity(n):
     psi = random_pure_state((2,) * n, seed=100 + n)
     chain = mps_factor(psi)
     assert fidelity(psi, mps_reconstruct(chain)) >= 1 - 1e-10
+    # the matrix chain gives the bits of a tensordot over each bond in turn,
+    # on exact and truncated chains and with mixed physical dimensions
+    mixed = random_pure_state((3, 2, 1, 4)[: n - 2] + (2, 2), seed=n)
+    for c in (chain, mps_factor(psi, max_chi=2), mps_factor(mixed), mps_factor(mixed, max_chi=3)):
+        acc = c.sites[0].data[0]
+        for site in c.sites[1:]:
+            acc = np.tensordot(acc, site.data, axes=([acc.ndim - 1], [0]))
+        out = mps_reconstruct(c).data
+        assert out.shape == c.phys_dims and np.array_equal(out, acc[..., 0])
 
 
 def test_mps_bond_sigmas_match_schmidt():

@@ -241,6 +241,12 @@ def test_load_rejects_malformed_dims(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(StateFileError):
             load_state(path)
+    # 65 entries of 1 pass the data length check but exceed numpy's axis limit
+    # (32 in 1.x, 64 in 2.x); the refusal names dims, not numpy's internals
+    path = tmp_path / "too_many_dims.json"
+    path.write_text(json.dumps({"kind": "pure", "dims": [1] * 65, "data": [[1.0, 0.0]]}))
+    with pytest.raises(StateFileError, match=r"^dims has 65 entries"):
+        load_state(path)
     # an integral float is still a dimension
     path = tmp_path / "float_dims.json"
     path.write_text(json.dumps({"kind": "pure", "dims": [2.0], "data": [[1.0, 0.0], [0.0, 0.0]]}))
