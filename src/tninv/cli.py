@@ -60,9 +60,7 @@ def cmd_factor(args) -> CommandResult:
     data = states.load_state(args.state)
     if data.kind != "pure":
         raise StateFileError(f"{args.state}: expected a pure state, got {data.kind}")
-    chain = decompose.mps_factor(
-        data.tensor, max_chi=args.truncate_chi, sigma_cutoff=args.truncate_tol
-    )
+    chain = decompose.mps_factor(data.tensor, args.truncate_chi, args.truncate_tol)
     rebuilt = decompose.mps_reconstruct(chain)
     fid = decompose.fidelity(data.tensor, rebuilt)
     res.values["bond_dims"] = [int(c) for c in chain.bond_dims]
@@ -73,9 +71,7 @@ def cmd_factor(args) -> CommandResult:
     if args.json:  # every singular value below only feeds the human lines
         return res
     for b, sig in enumerate(chain.bond_sigmas):
-        res.add(
-            f"bond {b}: chi={len(sig)} sigma=" + " ".join(_fmt(s) for s in sig)
-        )
+        res.add(f"bond {b}: chi={len(sig)} sigma=" + " ".join(_fmt(s) for s in sig))
     res.add(f"fidelity: {_fmt(fid)}")
     if args.out:
         res.add(f"chain written to {args.out}")

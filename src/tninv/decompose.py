@@ -43,8 +43,7 @@ class SVDFactors:
     def sigma_matrix(self) -> np.ndarray:
         """Rectangular diagonal q * sigma, shaped like the input matrix."""
         out = np.zeros(self.q.shape, dtype=np.complex128)
-        r = len(self.sigma)
-        out[:r, :r] = np.diag(self.sigma)
+        np.fill_diagonal(out, self.sigma)
         return out
 
     def reconstruct(self) -> np.ndarray:
@@ -174,9 +173,7 @@ class MPSChain:
 
 
 def mps_factor(
-    state: Tensor,
-    max_chi: int | None = None,
-    sigma_cutoff: float | None = None,
+    state: Tensor, max_chi: int | None = None, sigma_cutoff: float | None = None
 ) -> MPSChain:
     """Factor a state into a left-canonical matrix product chain.
 
@@ -212,12 +209,9 @@ def mps_factor(
     if not np.all(np.isfinite(state.data)):
         raise ValueError("input state has non-finite components")
     dims = state.dims
-    n = len(dims)
-    sites: list[Tensor] = []
-    bond_sigmas: list[np.ndarray] = []
-    work = state.data
-    r = 1
-    for i in range(n - 1):
+    sites, bond_sigmas = [], []
+    work, r = state.data, 1
+    for i in range(len(dims) - 1):
         mat = work.reshape(r * dims[i], -1)
         wide = mat.shape[0] < mat.shape[1]
         if wide:  # mat = R^dagger Q^dagger, and R^dagger has mat's u and s
@@ -225,14 +219,13 @@ def mps_factor(
             u, s, _ = np.linalg.svd(tri.conj().T)
         else:
             u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        chi = max(_count_rank(s), 1)
-        chi = _apply_policy(s, chi, max_chi, sigma_cutoff)
+        chi = _apply_policy(s, max(_count_rank(s), 1), max_chi, sigma_cutoff)
         site = u[:, :chi]
         sites.append(Tensor._wrap(site.reshape(r, dims[i], chi)))
         bond_sigmas.append(s[:chi].copy())
         work = site.conj().T @ mat if wide else s[:chi, None] * vh[:chi]
         r = chi
-    sites.append(Tensor._wrap(work.reshape(r, dims[n - 1], 1)))
+    sites.append(Tensor._wrap(work.reshape(r, dims[-1], 1)))
     return MPSChain(sites=sites, bond_sigmas=bond_sigmas)
 
 
@@ -287,12 +280,10 @@ def verify_isometry(site: Tensor, direction: str = "left") -> float:
 
 def fidelity(a: Tensor, b: Tensor) -> float:
     """Normalized squared overlap |<a|b>|^2 / (|a|^2 |b|^2)."""
-    va = a.data.reshape(-1)
-    vb = b.data.reshape(-1)
+    va, vb = a.data.reshape(-1), b.data.reshape(-1)
     if va.size != vb.size:
         raise ShapeError(f"states of size {va.size} and {vb.size}")
-    na = np.vdot(va, va).real
-    nb = np.vdot(vb, vb).real
+    na, nb = np.vdot(va, va).real, np.vdot(vb, vb).real
     if na == 0.0 or nb == 0.0:
         raise ValueError("fidelity undefined for the zero state")
     return float(abs(np.vdot(va, vb)) ** 2 / (na * nb))

@@ -198,10 +198,7 @@ def schmidt_from_jk(jvals) -> np.ndarray:
             raise ValueError(
                 f"inconsistent power sums: need J2 <= J1^2 <= 2 J2, got {j1!r}, {j2!r}"
             )
-        disc = 2 * j2 - j1**2
-        if disc < 0.0:  # within tolerance by the check above
-            disc = 0.0
-        root = np.sqrt(disc)
+        root = np.sqrt(max(2 * j2 - j1**2, 0.0))  # below 0 only within the tolerance above
         q = np.array([(j1 + root) / 2.0, (j1 - root) / 2.0])
         q = np.where(q < 0.0, 0.0, q)
         return np.sqrt(q)

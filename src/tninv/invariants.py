@@ -95,8 +95,8 @@ from . import perms
 from .decompose import schmidt
 from .tensor import Tensor, ShapeError
 from .states import (
-    StateData, _checked_keep, apply_local_unitary, as_operator, random_local_unitaries,
-    random_local_unitary,
+    StateData, _check_state, _checked_keep, apply_local_unitary, as_operator,
+    random_local_unitaries, random_local_unitary,
 )
 
 # Most classes and subsystems enumerate_invariants takes.  On one core, (4,4)
@@ -237,10 +237,7 @@ def component_subtuples(t: PermTuple) -> list[PermTuple]:
     out = []
     for comp in connected_components(t):
         pos = {c: i for i, c in enumerate(comp)}
-        sigmas = tuple(
-            tuple(pos[s[c]] for c in comp) for s in t.sigmas
-        )
-        out.append(PermTuple(len(comp), sigmas))
+        out.append(PermTuple(len(comp), tuple(tuple(pos[s[c]] for c in comp) for s in t.sigmas)))
     return out
 
 
@@ -383,7 +380,9 @@ class _Operand(NamedTuple):
 
 def _operand(state, dims: tuple[int, ...]) -> _Operand:
     """A pure StateData as psi, anything else as its operator; one leg per dim."""
-    if isinstance(state, StateData) and state.kind == "pure":
+    pure = isinstance(state, StateData) and state.kind == "pure"
+    _check_state("pure" if pure else "density", dims)
+    if pure:
         psi = state.tensor.data
         if psi.size != prod(dims):
             raise ShapeError(f"state of size {psi.size} does not match dims {dims}")

@@ -53,27 +53,50 @@ class StateData:
     """A state or operator plus the metadata needed to interpret it.
 
     kind: ``pure`` (tensor has one leg per subsystem) or ``density``
-    (tensor is the square matrix over the product space).
+    (tensor is the square matrix over the product space); the tensor is
+    reshaped to fit ``dims``.  What :func:`_check_state` refuses, or a size
+    that does not fit, raises ShapeError.
     """
 
     kind: str
     dims: tuple[int, ...]
     tensor: Tensor
 
+    def __post_init__(self):
+        self.dims = tuple(self.dims)
+        _check_state(self.kind, self.dims)
+        d = prod(self.dims)
+        shape = self.dims if self.kind == "pure" else (d, d)
+        if self.tensor.data.size != prod(shape):
+            what = "tensor" if self.kind == "pure" else "operator"
+            raise ShapeError(f"dims {self.dims} do not match {what} {self.tensor.dims}")
+        if self.tensor.dims != shape:
+            self.tensor = Tensor._wrap(self.tensor.data.reshape(shape))
+
     @classmethod
     def pure(cls, tensor: Tensor, dims=None) -> "StateData":
-        dims = tuple(dims) if dims is not None else tensor.dims
-        if prod(dims) != prod(tensor.dims):
-            raise ShapeError(f"dims {dims} do not match tensor {tensor.dims}")
-        return cls("pure", dims, Tensor._wrap(tensor.data.reshape(dims)))
+        return cls("pure", tensor.dims if dims is None else dims, tensor)
 
     @classmethod
     def density(cls, tensor: Tensor, dims: Sequence[int]) -> "StateData":
-        dims = tuple(dims)
-        d = prod(dims)
-        if prod(tensor.dims) != d * d:
-            raise ShapeError(f"dims {dims} do not match operator {tensor.dims}")
-        return cls("density", dims, Tensor._wrap(tensor.data.reshape(d, d)))
+        return cls("density", dims, tensor)
+
+
+def _check_state(kind: str, dims: Sequence[int]) -> None:
+    """Refuse a kind but ``pure`` or ``density``, or more subsystems than numpy can stack.
+
+    Every route views a stack of states with a batch axis and one axis per
+    subsystem, two for an operator: 1 + n axes for psi, 1 + 2n for rho.
+    numpy's axis limit is probed by building such an array of one element.
+    """
+    if kind not in ("pure", "density"):
+        raise ShapeError(f"unknown kind {kind!r}")
+    axes = 1 + len(dims) * (1 if kind == "pure" else 2)
+    try:
+        np.empty((1,) * axes)
+    except ValueError:
+        raise ShapeError(f"dims has {len(dims)} entries, too many for a {kind} state: "
+                         f"a stack of them needs {axes} axes, more than numpy allows") from None
 
 
 def _encode(arr: np.ndarray) -> np.ndarray:
@@ -88,11 +111,8 @@ def _write_json(doc: dict, path) -> None:
 
 def save_state(state: StateData, path) -> None:
     """Write a StateData to ``path`` as JSON."""
-    if state.kind not in ("pure", "density"):
-        raise StateFileError(f"unknown kind {state.kind!r}")
-    d = prod(state.dims)
-    shape = (d,) if state.kind == "pure" else (d, d)
-    data = _encode(state.tensor.data.reshape(shape))
+    arr = state.tensor.data  # psi in dims shape, or the square operator
+    data = _encode(arr.reshape(-1) if state.kind == "pure" else arr)
     _write_json({"kind": state.kind, "dims": list(state.dims), "data": data}, path)
 
 
@@ -122,8 +142,7 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
     raises, and a string or an object of the right length flattens into
     strings, which the component check refuses.  The array is new and owns
     its data; its shape is ``out_shape`` (of the same size) when given, else
-    ``shape``.  An ``out_shape`` with more axes than numpy allows is refused
-    as too many ``dims`` entries.
+    ``shape``.
     """
     if type(entries) is not list or len(entries) != shape[0]:  # checked apart: no copy of it
         raise _not_pairs(shape)
@@ -137,12 +156,7 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
         raise _not_pairs(shape) from None
     if not set(map(type, level)) <= {float, int}:
         raise _not_pairs(shape)
-    try:
-        out = np.empty(shape if out_shape is None else out_shape, dtype=np.complex128)
-    except ValueError as exc:  # more axes than this numpy allows (32 in 1.x, 64 in 2.x)
-        raise StateFileError(
-            f"dims has {len(out_shape)} entries, more axes than numpy allows: {exc}"
-        ) from None
+    out = np.empty(shape if out_shape is None else out_shape, dtype=np.complex128)
     comps = out.reshape(-1).view(np.float64)  # a view: filling it fills out
     try:
         comps[:] = np.fromiter(level, np.float64, len(level))
@@ -179,10 +193,11 @@ def _is_dim(d) -> bool:
 def load_state(path) -> StateData:
     """Read a StateData from ``path``.
 
-    The file must be a JSON object whose ``dims`` are positive integers and
-    whose ``data`` holds finite components.  A pure state must have unit
-    norm; a density operator must be hermitian, positive semidefinite and
-    of unit trace.  Anything else raises StateFileError.
+    The file must be a JSON object whose ``dims`` are positive integers, as
+    many as :func:`_check_state` allows its ``kind``, and whose ``data``
+    holds finite components.  A pure state must have unit norm; a density
+    operator must be hermitian, positive semidefinite and of unit trace.
+    Anything else raises StateFileError.
 
     Positivity is tried first by a Cholesky factorisation of the hermitian
     part plus ``PSD_TOL / 2`` on its diagonal.  It succeeds only if the
@@ -205,15 +220,16 @@ def load_state(path) -> StateData:
     for field in ("kind", "dims", "data"):
         if field not in doc:
             raise StateFileError(f"missing field {field!r} in {path}")
-    kind = doc["kind"]
-    if kind not in ("pure", "density"):
-        raise StateFileError(f"unknown kind {kind!r}")
     for field in ("dims", "data"):
         if not isinstance(doc[field], list):
             raise StateFileError(f"field {field!r} is not a list in {path}")
     if not doc["dims"] or not all(_is_dim(d) for d in doc["dims"]):
         raise StateFileError(f"dims must be positive integers, got {doc['dims']!r}")
-    dims = tuple(int(d) for d in doc["dims"])
+    kind, dims = doc["kind"], tuple(int(d) for d in doc["dims"])
+    try:
+        _check_state(kind, dims)
+    except ShapeError as exc:
+        raise StateFileError(str(exc)) from None
     d = prod(dims)
 
     if kind == "pure":
@@ -347,10 +363,8 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> Tensor:
     n = len(dims)
     keep = _checked_keep(keep, n)
     arr = as_operator(rho, dims).reshape(dims + dims)
-    row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(arr, row + col, out)
+    reduced = np.einsum(arr, list(range(n)) + col, keep + [n + i for i in keep])
     dk = prod(dims[i] for i in keep)
     return Tensor._wrap(reduced.reshape(dk, dk))
 

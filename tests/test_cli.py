@@ -25,6 +25,7 @@ from tninv import (
 from tninv.cli import main
 
 from test_invariants import clear_memos
+from test_states import DENSITY_LIMIT, PURE_LIMIT
 
 
 @pytest.fixture
@@ -933,6 +934,37 @@ def test_entropy_pure_input_never_forms_rho(tmp_path, capsys):
     p = np.linalg.svd(mat, compute_uv=False) ** 2
     assert doc["values"]["S_2"] == pytest.approx(-np.log(np.sum(p**2)), abs=1e-10)
     assert doc["diagnostics"]["crosscheck_dev_3"] <= 1e-9
+
+
+# ----------------------------------------------------- subsystem count limit
+
+
+@pytest.mark.parametrize("kind, limit", [("pure", PURE_LIMIT), ("density", DENSITY_LIMIT)])
+def test_every_command_refuses_more_subsystems_than_a_stack_can_hold(kind, limit, tmp_path, capsys):
+    # files of one-dimensional subsystems: at the limit each command runs as it
+    # always has, one past it each exits 2 naming dims
+    for n in (limit, limit + 1):
+        path = str(tmp_path / f"{kind}{n}.json")
+        data = [[1.0, 0.0]] if kind == "pure" else [[[1.0, 0.0]]]
+        with open(path, "w") as fh:
+            json.dump({"kind": kind, "dims": [1] * n, "data": data}, fh)
+        every_e = "1; " + " | ".join(["e"] * n)
+        enumerated = 0 if n <= invariants.MAX_SUBSYSTEMS else 2  # -k 1 enumerates n subsystems
+        runs = [
+            (["entropy", path, "--keep", "0"], 0),
+            (["invariants", "eval", path, "-k", "1"], enumerated),
+            (["invariants", "eval", path, "--label", every_e], 0),
+            (["invariants", "verify", path, "-k", "1", "--trials", "2"], enumerated),
+            (["invariants", "verify", path, "--label", every_e], 0),
+            (["factor", path], 0 if kind == "pure" else 2),
+        ]
+        for argv, code in runs:
+            got, err = main(argv), capsys.readouterr().err
+            assert "maximum supported dimension" not in err, (argv, err)
+            if n > limit:
+                assert got == 2 and f"dims has {n} entries" in err, (argv, err)
+            else:
+                assert got == code and "dims has" not in err, (argv, err)
 
 
 # ------------------------------------------------------------- determinism

@@ -39,6 +39,8 @@ from tninv import (
 from tninv.cli import VERIFY_THRESHOLD, main
 from tninv.states import apply_local_unitary, random_local_unitary
 
+from test_states import DENSITY_LIMIT
+
 RNG = np.random.default_rng(991)
 
 
@@ -439,6 +441,16 @@ def test_evaluate_dims_mismatch():
         evaluate_fast(PermTuple(2, ((1, 0),)), rho, (2, 2, 2))
     with pytest.raises(ShapeError):
         evaluate_fast(PermTuple(2, ((1, 0), (1, 0))), rho, (2,))
+
+
+def test_evaluate_fast_refuses_an_operator_with_more_subsystems_than_a_stack_can_hold():
+    one, n = np.ones((1, 1)), DENSITY_LIMIT
+    assert evaluate_fast(PermTuple(1, ((0,),) * n), one, (1,) * n) == 1
+    past = PermTuple(1, ((0,),) * (n + 1))
+    with pytest.raises(ShapeError, match=rf"^dims has {n + 1} entries"):
+        evaluate_fast(past, one, (1,) * (n + 1))
+    with pytest.raises(ShapeError, match=rf"^dims has {n + 1} entries"):
+        verify_classes([past], Tensor(one), (1,) * (n + 1), trials=1)
 
 
 def test_evaluate_many_names_a_label_that_does_not_fit_the_dims():

@@ -42,6 +42,8 @@ from tninv import (  # noqa: E402
     von_neumann,
 )
 
+from test_states import DENSITY_LIMIT, PURE_LIMIT  # noqa: E402
+
 
 @st.composite
 def pure_cuts(draw):
@@ -192,10 +194,18 @@ json_values = st.recursive(
 )
 
 
+ONES_LENGTHS = (DENSITY_LIMIT, DENSITY_LIMIT + 1, PURE_LIMIT, PURE_LIMIT + 1)
+
+
 @st.composite
 def state_documents(draw):
-    """A valid state, then perhaps one of its kind, dims or pairs spoiled."""
-    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    """A valid state, then perhaps one of its kind, dims or pairs spoiled.
+
+    Its dims are at most three small entries, or a run of 1s as long as
+    either kind may have or one longer.
+    """
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                | st.sampled_from(ONES_LENGTHS).map(lambda n: [1] * n))
     d = int(np.prod(dims))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)

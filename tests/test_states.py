@@ -26,6 +26,22 @@ from tninv import (
 )
 
 
+def numpy_axis_limit() -> int:
+    """The most axes numpy gives an array (32 on 1.x, 64 on 2.x), probed as the state rule does."""
+    axes = 1
+    while True:
+        try:
+            np.empty((1,) * (axes + 1))
+        except ValueError:
+            return axes
+        axes += 1
+
+
+# A stack of n-subsystem states takes 1 + n axes as psi and 1 + 2n as an operator.
+PURE_LIMIT = numpy_axis_limit() - 1
+DENSITY_LIMIT = (numpy_axis_limit() - 1) // 2
+
+
 # ----------------------------------------------------------- serialization
 
 
@@ -137,6 +153,23 @@ def test_state_data_refuses_dims_that_do_not_fit_the_tensor():
         StateData.density(Tensor(np.ones(6)), (2, 3))
     with pytest.raises(ShapeError, match=r"dims \(2, 2\) do not match operator \(6, 6\)"):
         StateData.density(density_from_pure(psi), (2, 2))
+
+
+def test_state_data_refuses_more_subsystems_than_a_stack_can_hold():
+    one = Tensor(np.ones(1))
+    assert StateData.pure(one, [1] * PURE_LIMIT).tensor.dims == (1,) * PURE_LIMIT
+    assert StateData.density(one, [1] * DENSITY_LIMIT).tensor.dims == (1, 1)
+    with pytest.raises(ShapeError, match=rf"^dims has {PURE_LIMIT + 1} entries"):
+        StateData.pure(one, [1] * (PURE_LIMIT + 1))
+    with pytest.raises(ShapeError, match=rf"^dims has {PURE_LIMIT + 1} entries"):
+        StateData.pure(Tensor(np.ones((1,) * (PURE_LIMIT + 1))))
+    with pytest.raises(ShapeError, match=rf"^dims has {DENSITY_LIMIT + 1} entries"):
+        StateData.density(one, [1] * (DENSITY_LIMIT + 1))
+    for kind, n in (("pure", PURE_LIMIT + 1), ("density", DENSITY_LIMIT + 1)):
+        with pytest.raises(ShapeError, match=rf"^dims has {n} entries"):
+            StateData(kind, (1,) * n, one)
+    with pytest.raises(ShapeError, match="unknown kind 'mixed'"):
+        StateData("mixed", (1,), one)
 
 
 def test_chain_file_reads_bitwise_with_stdlib_json(tmp_path):
