@@ -13,15 +13,21 @@ from one QR per distinct dimension, and :func:`apply_local_unitary` turns
 one state by the whole chunk in one pass per leg.  One trial is the
 one-row case of the same code, with the same bits as its row in any
 chunk.
+
+:func:`load_state` serves a file it has read before from a per-process memo
+of at most ``LOAD_MEMO_BYTES`` of arrays, checked against the SHA-256 of
+the bytes it reads on every call.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import isqrt, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import orjson
@@ -37,6 +43,10 @@ PSD_TOL = 1e-9  # most negative eigenvalue a density operator may have
 # sooner on a small thread stack.  A state file nests 4 deep, and stdlib json
 # refused past about 1000 levels (RecursionError).
 MAX_DEPTH = 512
+# Bytes of parsed arrays that load_state keeps to serve files read again; each
+# entry, a path read once included, is charged at least _PAGE bytes.
+LOAD_MEMO_BYTES = 4 * 1024 * 1024
+_PAGE = 4096
 
 _ESCAPE = re.compile(rb"\\.")
 _STRING = re.compile(rb'"[^"]*"')  # once escapes are gone
@@ -190,6 +200,43 @@ def _is_dim(d) -> bool:
     return isinstance(d, int) and not isinstance(d, bool) and d >= 1
 
 
+class _Kept(NamedTuple):
+    """A checked load of a path, valid while the file's bytes have ``digest``."""
+
+    digest: bytes
+    kind: str
+    dims: tuple[int, ...]
+    tensor: Tensor
+
+
+# path -> None once read, or its _Kept once read again; least recently read first
+_memo: OrderedDict = OrderedDict()
+_memo_bytes = 0  # what the entries of _memo are charged, kept as they change
+_memo_lock = threading.Lock()
+
+
+def _charge(kept: _Kept | None) -> int:
+    return _PAGE if kept is None else max(_PAGE, kept.tensor.data.nbytes)
+
+
+def _sha256(raw: bytes) -> bytes:
+    import hashlib  # on the first repeated read: it maps OpenSSL
+
+    return hashlib.sha256(raw).digest()
+
+
+def _remember(path, kept: _Kept | None) -> None:
+    """Make ``kept`` the entry of ``path``, then evict the least recently read past the budget."""
+    global _memo_bytes
+    with _memo_lock:
+        if path in _memo:
+            _memo_bytes -= _charge(_memo.pop(path))
+        _memo[path] = kept
+        _memo_bytes += _charge(kept)
+        while _memo_bytes > LOAD_MEMO_BYTES:
+            _memo_bytes -= _charge(_memo.popitem(last=False)[1])
+
+
 def load_state(path) -> StateData:
     """Read a StateData from ``path``.
 
@@ -205,14 +252,46 @@ def load_state(path) -> StateData:
     d * eps * ||rho||, far inside the other half of the tolerance at unit
     trace, so it accepts nothing that ``eigvalsh`` would refuse.  Only when
     it fails does ``eigvalsh`` decide, and the error names the eigenvalue.
+
+    Every call reads the file's bytes.  A first successful load of ``path``
+    keeps only a mark that it was read.  A second parses again and keeps the
+    SHA-256 digest of the bytes with the checked array.  A later read whose
+    bytes have that digest returns a new StateData around the same
+    read-only array, without parsing; any other bytes are parsed and checked
+    afresh, so the result never depends on the memo.  The memo charges each
+    entry at least a page, keeps at most ``LOAD_MEMO_BYTES`` and evicts the
+    least recently read paths first; an array larger than the budget is
+    never kept.
     """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
+    except OSError as exc:
+        raise StateFileError(f"cannot read state file {path}: {exc}") from exc
+    with _memo_lock:
+        seen, kept = path in _memo, _memo.get(path)
+        if seen:
+            _memo.move_to_end(path)
+    digest = None
+    if kept is not None:
+        digest = _sha256(raw)
+        if digest == kept.digest:
+            return StateData(kept.kind, kept.dims, kept.tensor)
+    state = _parse_state(path, raw)
+    if not seen:
+        _remember(path, None)
+    elif state.tensor.data.nbytes <= LOAD_MEMO_BYTES:  # a larger array is never kept
+        _remember(path, _Kept(digest or _sha256(raw), state.kind, state.dims, state.tensor))
+    return state
+
+
+def _parse_state(path, raw: bytes) -> StateData:
+    """Parse and check the bytes of a state file; see :func:`load_state`."""
+    try:
         if _too_deep(raw):
             raise StateFileError(f"{path} nests arrays or objects deeper than {MAX_DEPTH}")
         doc = orjson.loads(raw)
-    except (OSError, orjson.JSONDecodeError) as exc:
+    except orjson.JSONDecodeError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
 
     if not isinstance(doc, dict):

@@ -193,6 +193,25 @@ def test_state_file_nested_past_the_parser_stack_exits_2(tmp_path):
         assert "deeper than" in proc.stderr
 
 
+def test_one_shot_command_hashes_nothing_and_keeps_no_array(product4_path):
+    # hashlib maps OpenSSL; only a second read of the same path may import it
+    src = os.path.dirname(os.path.dirname(tninv.__file__))
+    run = "\n".join([
+        "import contextlib, io, sys",
+        "from tninv import states",
+        "from tninv.cli import main",
+        "assert 'hashlib' not in sys.modules",
+        "argv = ['entropy', sys.argv[1], '--keep', '0', '--json']",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert main(argv) == 0",
+        "    assert 'hashlib' not in sys.modules and list(states._memo.values()) == [None]",
+        "    assert main(argv) == 0",
+        "assert 'hashlib' in sys.modules and states._memo[sys.argv[1]] is not None",
+    ])
+    subprocess.run([sys.executable, "-c", run, product4_path],
+                   env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+
+
 def test_factor_bad_truncation_flag(product4_path, capsys):
     for flag, value in (("--truncate-chi", "0"), ("--truncate-tol", "nan")):
         assert main(["factor", product4_path, flag, value]) == 2

@@ -2,7 +2,8 @@
 one planned call of many labels against each label on its own, LU
 invariance, the component product rule, invariance under relabelling the
 copies, label and state-file round trips, label text that parses back or
-is refused, and the CLI's state loader on arbitrary and near-valid JSON."""
+is refused, the CLI's state loader on arbitrary and near-valid JSON, and
+a file rewritten after the loader's memo has kept it."""
 
 import contextlib
 import io
@@ -22,6 +23,7 @@ from tninv import (  # noqa: E402
     PermTuple,
     Spectrum,
     StateData,
+    StateFileError,
     Tensor,
     canonicalize,
     component_subtuples,
@@ -250,3 +252,31 @@ def test_loader_never_lets_an_exception_escape(doc):
                 code = main(argv)
             assert code in (0, 1, 2), (argv, code)
             assert "Traceback" not in err.getvalue()
+
+
+def _outcome(path):
+    """What loading ``path`` gives: kind, dims and bits, or the error text."""
+    try:
+        back = load_state(path)
+    except StateFileError as exc:
+        return str(exc)
+    return back.kind, back.dims, back.tensor.data.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(0, 2**32 - 1),
+       state_documents())
+def test_rewritten_memoised_file_loads_as_a_fresh_one(dims, seed, doc):
+    with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as other:
+        path, fresh = os.path.join(tmp, "state.json"), os.path.join(other, "state.json")
+        save_state(StateData.pure(random_pure_state(dims, seed=seed)), path)
+        for _ in range(2):  # the second load keeps its digest and array
+            assert isinstance(_outcome(path), tuple)
+        for target in (path, fresh):
+            with open(target, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        want = _outcome(fresh)
+        if isinstance(want, str):
+            want = want.replace(fresh, path)
+        for _ in range(2):  # parsed again, then perhaps kept and hit
+            assert _outcome(path) == want

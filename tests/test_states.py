@@ -1,10 +1,15 @@
+import gc
 import json
+import os
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
 import orjson
 import pytest
 
+from tninv import states
 from tninv.states import MAX_DEPTH, PSD_TOL, _decode, as_operator, random_local_unitaries
 from tninv import (
     Spectrum,
@@ -143,6 +148,90 @@ def test_load_state_hands_tensor_an_array_it_owns(tmp_path, monkeypatch):
         assert back.tensor.dims == state.tensor.dims
         assert bits(back.tensor.data) == bits(state.tensor.data)
     assert owned == [True, True]
+
+
+def test_third_load_shares_the_second_loads_array(tmp_path):
+    psi = random_pure_state((2, 3, 2), seed=6)
+    for state in (StateData.pure(psi), StateData.density(density_from_pure(psi), (2, 3, 2))):
+        path = tmp_path / f"{state.kind}.json"
+        save_state(state, path)
+        first = load_state(path)
+        first_ref = weakref.ref(first.tensor.data)
+        second, third = load_state(path), load_state(path)
+        for back in (first, second, third):
+            assert (back.kind, back.dims) == (state.kind, state.dims)
+            assert bits(back.tensor.data) == bits(state.tensor.data)
+        assert third is not second and third.tensor.data is second.tensor.data
+        assert not third.tensor.data.flags.writeable
+        del first
+        gc.collect()
+        assert first_ref() is None  # the memo kept only a mark of the first read
+
+
+def test_rewritten_file_is_parsed_again_whatever_its_mtime(tmp_path):
+    path = tmp_path / "psi.json"
+    save_state(StateData.pure(random_pure_state((2, 2, 2), seed=7)), path)
+    for _ in range(2):
+        load_state(path)
+    before = os.stat(path)
+    other = random_pure_state((2, 2, 2), seed=8)
+    save_state(StateData.pure(other), path)
+    assert os.stat(path).st_size == before.st_size  # same length, other bytes
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert bits(load_state(path).tensor.data) == bits(other.data)
+    assert bits(load_state(path).tensor.data) == bits(other.data)
+
+
+def test_rewritten_invalid_file_is_refused_as_before(tmp_path):
+    path, fresh = tmp_path / "psi.json", tmp_path / "fresh.json"
+    save_state(StateData.pure(random_pure_state((2, 2), seed=9)), path)
+    for _ in range(3):
+        load_state(path)
+    bad = {"kind": "pure", "dims": [2, 2], "data": [[1.0, 0.0]] * 4}
+    for target in (path, fresh):
+        target.write_text(json.dumps(bad))
+    with pytest.raises(StateFileError) as exc:
+        load_state(fresh)
+    with pytest.raises(StateFileError, match="squared norm 4, not 1") as memo_exc:
+        load_state(path)
+    assert str(memo_exc.value) == str(exc.value).replace("fresh.json", "psi.json")
+
+
+def test_load_memo_holds_at_most_its_budget(tmp_path, monkeypatch):
+    monkeypatch.setattr(states, "LOAD_MEMO_BYTES", 64 * 1024)
+    for i in range(24):
+        n = (4, 8, 10, 13)[i % 4]  # arrays under a page, of a page, of 16 KiB, past the budget
+        path = tmp_path / f"psi{i}.json"
+        save_state(StateData.pure(random_pure_state((2,) * n, seed=i)), path)
+        for _ in range(2):
+            load_state(path)
+            kept = [k for k in states._memo.values() if k is not None]
+            assert sum(k.tensor.data.nbytes for k in kept) <= states.LOAD_MEMO_BYTES
+            assert states._memo_bytes == sum(map(states._charge, states._memo.values()))
+            assert states._memo_bytes <= states.LOAD_MEMO_BYTES
+        assert (states._memo[path] is None) == (n == 13)  # too large: its mark stays
+
+
+def test_threads_share_one_file(tmp_path):
+    path = tmp_path / "rho.json"
+    psi = random_pure_state((2, 2, 2), seed=10)
+    save_state(StateData.density(density_from_pure(psi), (2, 2, 2)), path)
+    want = bits(load_state(path).tensor.data)
+    got, errors = [], []
+
+    def read():
+        try:
+            for _ in range(50):
+                got.append(bits(load_state(path).tensor.data))
+        except Exception as exc:  # noqa: BLE001 - any failure fails the test below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=read) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == [] and got == [want] * 100
 
 
 def test_state_data_refuses_dims_that_do_not_fit_the_tensor():
