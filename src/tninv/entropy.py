@@ -190,10 +190,10 @@ def schmidt_from_jk(jvals) -> np.ndarray:
         raise ValueError(f"need 1..8 power sums, got {d}")
     if d == 1:
         if j[0] < -CLAMP_TOL:
-            raise ValueError(f"J_1 = {j[0]!r} is negative")
+            raise ValueError(f"J_1 = {float(j[0])!r} is negative")
         return np.array([np.sqrt(max(j[0], 0.0))])
     if d == 2:
-        j1, j2 = j
+        j1, j2 = map(float, j)
         if j2 > j1**2 + 1e-10 or j1**2 > 2 * j2 + 1e-10:
             raise ValueError(
                 f"inconsistent power sums: need J2 <= J1^2 <= 2 J2, got {j1!r}, {j2!r}"

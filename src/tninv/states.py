@@ -37,6 +37,7 @@ from .tensor import Tensor, ShapeError, group_legs
 HERMITICITY_TOL = 1e-9
 TRACE_TOL = 1e-9  # also bounds how far a pure state's squared norm may be off 1
 PSD_TOL = 1e-9  # most negative eigenvalue a density operator may have
+MAX_COMPONENT = 1e150  # largest real or imaginary part of a state file: its squares stay finite
 # orjson 3.8 builds nested arrays and objects by recursion on the C stack,
 # about 160 bytes a level, and crashes the process instead of raising once
 # the stack runs out: past some 50000 levels of objects on an 8 MB stack, far
@@ -146,13 +147,13 @@ def save_chain(chain, path) -> None:
 def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
     """Inverse of :func:`_encode`: ``[real, imag]`` pairs to a complex array.
 
-    Each level of ``entries`` must be a list as long as ``shape`` says, and
-    each pair must hold two ``float`` or ``int`` components (no ``bool``).
-    Below the top level only lengths are checked: ``len`` of a number
-    raises, and a string or an object of the right length flattens into
-    strings, which the component check refuses.  The array is new and owns
-    its data; its shape is ``out_shape`` (of the same size) when given, else
-    ``shape``.
+    Only the codec: each level of ``entries`` must be a list as long as
+    ``shape`` says, and each pair must hold two ``float`` or ``int``
+    components (no ``bool``); a string or an object of the right length
+    flattens into strings, which the type check refuses.  Values are left to
+    :func:`load_state`, which bounds them by ``MAX_COMPONENT`` before any
+    arithmetic.  The array is new and owns its data, of shape ``out_shape``
+    (of the same size) when given, else ``shape``.
     """
     if type(entries) is not list or len(entries) != shape[0]:  # checked apart: no copy of it
         raise _not_pairs(shape)
@@ -167,13 +168,7 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
     if not set(map(type, level)) <= {float, int}:
         raise _not_pairs(shape)
     out = np.empty(shape if out_shape is None else out_shape, dtype=np.complex128)
-    comps = out.reshape(-1).view(np.float64)  # a view: filling it fills out
-    try:
-        comps[:] = np.fromiter(level, np.float64, len(level))
-    except OverflowError:  # an int past the float range
-        raise _not_pairs(shape) from None
-    if not np.all(np.isfinite(comps)):
-        raise StateFileError("data has non-finite components")
+    out.reshape(-1).view(np.float64)[:] = np.fromiter(level, np.float64, len(level))
     return out
 
 
@@ -242,9 +237,10 @@ def load_state(path) -> StateData:
 
     The file must be a JSON object whose ``dims`` are positive integers, as
     many as :func:`_check_state` allows its ``kind``, and whose ``data``
-    holds finite components.  A pure state must have unit norm; a density
-    operator must be hermitian, positive semidefinite and of unit trace.
-    Anything else raises StateFileError.
+    components are at most ``MAX_COMPONENT`` (1e150) in size: judged before
+    any arithmetic, so no later check overflows.  A pure state must have
+    unit norm; a density operator must be hermitian, positive semidefinite
+    and of unit trace.  Anything else raises StateFileError.
 
     Positivity is tried first by a Cholesky factorisation of the hermitian
     part plus ``PSD_TOL / 2`` on its diagonal.  It succeeds only if the
@@ -311,29 +307,32 @@ def _parse_state(path, raw: bytes) -> StateData:
         raise StateFileError(str(exc)) from None
     d = prod(dims)
 
-    if kind == "pure":
-        psi = _decode(doc["data"], (d,), dims)
-        norm2 = float(np.vdot(psi, psi).real)
+    pure = kind == "pure"
+    arr = _decode(doc["data"], (d,) if pure else (d, d), dims if pure else None)
+    top = float(np.max(np.abs(arr.reshape(-1).view(np.float64))))
+    if not top <= MAX_COMPONENT:  # NaN fails too
+        raise StateFileError(f"data has a component of size {top}, above {MAX_COMPONENT:g}")
+    if pure:
+        norm2 = float(np.vdot(arr, arr).real)
         if abs(norm2 - 1.0) > TRACE_TOL:
             raise StateFileError(f"pure state has squared norm {norm2:.12g}, not 1")
-        return StateData(kind, dims, Tensor._wrap(psi))
+        return StateData(kind, dims, Tensor._wrap(arr))
 
-    mat = _decode(doc["data"], (d, d))
-    adjoint = mat.conj().T
-    herm = float(np.max(np.abs(mat - adjoint)))
+    adjoint = arr.conj().T
+    herm = float(np.max(np.abs(arr - adjoint)))
     if herm > HERMITICITY_TOL:
         raise StateFileError(f"density operator fails hermiticity by {herm:.3e}")
-    part = (mat + adjoint) / 2
+    part = (arr + adjoint) / 2
     try:
         np.linalg.cholesky(part + PSD_TOL / 2 * np.eye(d))
     except np.linalg.LinAlgError:  # eigvalsh decides
         low = float(np.linalg.eigvalsh(part)[0])
         if low < -PSD_TOL:
             raise StateFileError(f"density operator has negative eigenvalue {low:.3e}") from None
-    tr = complex(np.trace(mat))
+    tr = complex(np.trace(arr))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateFileError(f"density operator has trace {tr:.12g}, not 1")
-    return StateData(kind, dims, Tensor._wrap(mat))
+    return StateData(kind, dims, Tensor._wrap(arr))
 
 
 def random_pure_state(dims: Sequence[int], seed=None) -> Tensor:

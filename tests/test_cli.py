@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tninv
-from tninv import cli, invariants, states
+from tninv import cli, entropy, invariants, states
 from tninv import (
     StateData,
     Tensor,
@@ -148,6 +148,36 @@ def test_malformed_state_file_exits_2(tmp_path, capsys):
         assert main(["entropy", str(path), "--keep", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+# Files with components past states.MAX_COMPONENT.  Before the bound each
+# overflowed in a load check or a later command: warnings on stderr, or NaN
+# and inf values printed with exit 0.
+HUGE_FILES = [
+    ("pure", [2], [[1e308, 1e308], [1e308, 0]]),
+    ("pure", [2, 2], [[1e308, 1e308], [1e308, 0], [0, 0], [0, 0]]),
+    ("density", [2], [[[1e308, 1e308], [0, 0]], [[0, 0], [0, 0]]]),
+    ("density", [2], [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]),
+    ("density", [2], [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]),
+    ("density", [2], [[[0.5, 0], [1e308, 1e308]], [[1e308, -1e308], [0.5, 0]]]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, dims, data", HUGE_FILES)
+def test_huge_components_are_refused_by_every_command(kind, dims, data, tmp_path, capsys):
+    path = str(tmp_path / "huge.json")
+    with open(path, "w") as fh:
+        json.dump({"kind": kind, "dims": dims, "data": data}, fh)
+    runs = [["entropy", path, "--keep", "0"], ["invariants", "eval", path, "-k", "2"],
+            ["invariants", "verify", path, "-k", "2", "--trials", "3"]]
+    if len(dims) == 2:
+        runs.append(["factor", path])
+    for argv in runs:
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: data has a component of size 1e+308, above 1e+150\n", argv
 
 
 def test_state_file_components_must_be_json_numbers(tmp_path, capsys):
@@ -665,6 +695,23 @@ def test_invariants_verify_output_is_pinned_in_both_modes(bell_path, capsys, mon
     assert capsys.readouterr().out == want
 
 
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_invariants_verify_fails_on_a_nan_deviation(at, bell_path, capsys, monkeypatch):
+    # the exit code follows the comparison that labels each line, and the NaN
+    # is carried into max_deviation wherever it falls among the labels
+    devs = [0.0, 1e-10, 0.0, 2e-9]
+    devs[at] = math.nan
+    monkeypatch.setattr(invariants, "verify_classes", lambda tuples, *a, **kw: devs)
+    argv = ["invariants", "verify", bell_path, "-k", "2"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit("  ", 1)[1] for line in lines[:4]] == ["FAIL" if i == at else "ok" for i in range(4)]
+    assert lines[4] == "max deviation: nan"
+    assert main(argv + ["--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exit_code"] == 1 and math.isnan(doc["diagnostics"]["max_deviation"])
+
+
 def test_json_formats_no_human_lines(ghz5_path, bell_path, tmp_path, capsys, monkeypatch):
     def refuse(x):
         raise AssertionError("a human line was formatted for --json")
@@ -753,6 +800,26 @@ def test_entropy_alpha_one_is_von_neumann(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["values"]["S_1"] == doc["values"]["S_vn"] > 0.0
     assert doc["diagnostics"]["crosscheck_dev_2"] <= 1e-9
+
+
+def test_entropy_crosscheck_past_its_threshold_exits_1(bell_path, capsys, monkeypatch):
+    # tr(rho_A^2) of a Bell pair is 1/2; a contraction that gave 0.6 puts the
+    # order-2 cross-check log(1.2) off S_2
+    monkeypatch.setattr(invariants, "evaluate_many", lambda labels, *a, **kw: [0.6 + 0j] * len(labels))
+    assert main(["entropy", bell_path, "--keep", "0", "--alpha", "2", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    dev = abs(entropy.renyi_from_invariant(0.6, 2) - doc["values"]["S_2"])
+    assert doc["exit_code"] == 1 and doc["diagnostics"]["crosscheck_dev_2"] == dev
+    assert dev == pytest.approx(math.log(1.2), rel=1e-12)
+
+
+def test_entropy_nan_crosscheck_exits_1(bell_path, capsys, monkeypatch):
+    # a NaN trace gives a NaN deviation, which fails like one past the threshold
+    monkeypatch.setattr(invariants, "evaluate_many", lambda labels, *a, **kw: [complex(math.nan)] * len(labels))
+    for alpha in ("2", "3,2", "2,3"):
+        assert main(["entropy", bell_path, "--keep", "0", "--alpha", alpha, "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["exit_code"] == 1 and math.isnan(doc["diagnostics"]["crosscheck_dev_2"])
 
 
 def test_entropy_bad_keep(bell_path, capsys):

@@ -18,7 +18,7 @@ from tninv import (
     MAXIMALLY_ENTANGLED,
     GENERIC,
 )
-from tninv.decompose import RANK_TOL
+from tninv.decompose import RANK_TOL, _count_rank
 
 RNG = np.random.default_rng(7)
 
@@ -414,3 +414,8 @@ def test_isometry_right_direction():
     assert verify_isometry(site, "right") < 1e-12
     with pytest.raises(ValueError):
         verify_isometry(site, "up")
+
+
+def test_rank_of_a_zero_vector_is_zero():
+    assert _count_rank(np.zeros(3)) == 0
+    assert schmidt(Tensor(np.zeros((2, 2))), ([0], [1])).rank == 0

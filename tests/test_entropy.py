@@ -323,3 +323,44 @@ def test_schmidt_from_jk_limits():
         schmidt_from_jk([])
     with pytest.raises(ValueError):
         schmidt_from_jk([1.0] * 9)
+
+
+def test_char_poly_relation_of_a_one_by_one_operator():
+    # lambda - 1: one coefficient, and tr(rho) + c_1 folds to exactly 0 in both forms
+    rel = char_poly_relation(np.array([[1.0]]))
+    assert rel.coeffs.tolist() == [-1.0]
+    assert (rel.residual, rel.trace_residual) == (0.0, 0.0)
+
+
+def test_schmidt_from_one_power_sum():
+    assert schmidt_from_jk([0.25]).tolist() == [0.5]
+    assert schmidt_from_jk([-1e-13]).tolist() == [0.0]  # within CLAMP_TOL of 0
+
+
+def test_schmidt_from_one_negative_power_sum_is_refused():
+    with pytest.raises(ValueError, match=r"^J_1 = -0\.001 is negative$"):
+        schmidt_from_jk([-1e-3])
+
+
+def test_schmidt_from_two_inconsistent_power_sums_is_refused():
+    # J_2 > J_1^2: no pair of sigma^2 has these power sums
+    with pytest.raises(ValueError, match=r"^inconsistent power sums: need J2 <= J1\^2 <= 2 J2, "
+                                         r"got 1\.0, 2\.0$"):
+        schmidt_from_jk([1.0, 2.0])
+
+
+def test_schmidt_from_jk_refuses_complex_roots():
+    # J = (0, 0, 1): sigma^2 would be the cube roots of 1/3, two of them complex
+    with pytest.raises(ValueError, match=r"^inconsistent power sums: complex sigma\^2 "):
+        schmidt_from_jk([0.0, 0.0, 1.0])
+
+
+def test_schmidt_from_jk_refuses_a_negative_root():
+    # the power sums of sigma^2 = 1, 1/2 and -1/2
+    with pytest.raises(ValueError, match=r"^inconsistent power sums: negative sigma\^2 "):
+        schmidt_from_jk([1.0, 1.5, 1.0])
+
+
+def test_pure_jk_refuses_k_below_one():
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
+        pure_jk(random_pure_state((2, 2), seed=3), ([0], [1]), 0)

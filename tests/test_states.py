@@ -10,7 +10,7 @@ import orjson
 import pytest
 
 from tninv import states
-from tninv.states import MAX_DEPTH, PSD_TOL, _decode, as_operator, random_local_unitaries
+from tninv.states import MAX_COMPONENT, MAX_DEPTH, PSD_TOL, _decode, as_operator, random_local_unitaries
 from tninv import (
     Spectrum,
     StateData,
@@ -300,6 +300,57 @@ def test_load_rejects_wrong_trace(tmp_path):
         path.write_text(json.dumps({"kind": kind, "dims": dims, "data": pairs}))
         with pytest.raises(StateFileError, match=match):
             load_state(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_components_under_the_bound_keep_their_physics_messages(tmp_path):
+    # 1e149 is under MAX_COMPONENT: every check runs on it without overflow
+    for i, (kind, data, message) in enumerate([
+        ("pure", [[1e149, 1e149], [1e149, 0]], "pure state has squared norm 3e+298, not 1"),
+        ("density", [[[0.5, 0], [1e149, 1e149]], [[1e149, -1e149], [0.5, 0]]],
+         "density operator has negative eigenvalue -1.414e+149"),
+    ]):
+        path = tmp_path / f"big{i}.json"
+        path.write_text(json.dumps({"kind": kind, "dims": [2], "data": data}))
+        with pytest.raises(StateFileError) as exc:
+            load_state(path)
+        assert str(exc.value) == message
+
+
+@pytest.mark.filterwarnings("error")
+def test_components_are_bounded_before_any_check(tmp_path):
+    # the bound itself passes to the norm check; the next double up is refused
+    # in its place, and so is a file that would fail hermiticity as well
+    path = tmp_path / "edge.json"
+    above = float(np.nextafter(MAX_COMPONENT, np.inf))
+    for kind, data, message in [
+        ("pure", [[MAX_COMPONENT, 0], [0, 0]], "pure state has squared norm 1e+300, not 1"),
+        ("pure", [[0, 0], [0, -above]], f"data has a component of size {above!r}, above 1e+150"),
+        ("density", [[[0.5, 0], [above, 0]], [[0, 0], [0.5, 0]]],
+         f"data has a component of size {above!r}, above 1e+150"),
+    ]:
+        path.write_text(json.dumps({"kind": kind, "dims": [2], "data": data}))
+        with pytest.raises(StateFileError) as exc:
+            load_state(path)
+        assert str(exc.value) == message
+
+
+def test_load_state_names_a_missing_path(tmp_path):
+    path = tmp_path / "missing.json"
+    with pytest.raises(StateFileError) as exc:
+        load_state(path)
+    assert str(exc.value).startswith(f"cannot read state file {path}: [Errno 2] ")
+    assert isinstance(exc.value.__cause__, FileNotFoundError)
+
+
+def test_random_pure_state_refuses_empty_dims():
+    with pytest.raises(ShapeError, match="^dims must be nonempty$"):
+        random_pure_state(())
+
+
+def test_random_local_unitaries_refuse_empty_dims():
+    with pytest.raises(ShapeError, match="^dims must be nonempty$"):
+        random_local_unitaries((), [0])
 
 
 def test_psd_gate_accepts_exactly_what_eigvalsh_accepts(tmp_path, monkeypatch):

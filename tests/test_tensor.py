@@ -230,3 +230,12 @@ def test_scalar_tensor():
     t = Tensor(np.array(2.0 + 1.0j))
     assert t.dims == ()
     assert complex(t.data) == 2.0 + 1.0j
+
+
+def test_tensor_refuses_a_zero_length_leg():
+    with pytest.raises(ShapeError, match=r"^leg dimensions must be positive, got \(2, 0\)$"):
+        Tensor(np.zeros((2, 0)))
+
+
+def test_tensor_repr_names_its_dims():
+    assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(dims=(2, 3))"
