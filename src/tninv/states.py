@@ -5,7 +5,13 @@ a ``[real, imag]`` pair, so doubles round-trip bit-exactly.  orjson is the
 one codec: it writes compact JSON and reads any standard JSON writer's
 output.  A state file has ``kind`` (``pure`` or ``density``), ``dims`` and
 ``data`` (a flat list for pure states, rows for density operators); see
-:func:`save_chain` for chains.
+:func:`save_chain` for chains, which :func:`load_state` does not read yet.
+
+:func:`load_state` reads a file in stages, each rule written once: the
+bytes and the memo; :func:`_document`, the JSON object and its fields;
+:func:`_check_state`, the kind and the number of subsystems; then the
+kind's checker from ``_KINDS``, which decodes ``data`` through
+:func:`_bounded`, the one decode that bounds every component.
 
 Haar trials are drawn and rotated a chunk at a time:
 :func:`random_local_unitaries` gives one stack of unitaries per subsystem
@@ -14,9 +20,9 @@ one state by the whole chunk in one pass per leg.  One trial is the
 one-row case of the same code, with the same bits as its row in any
 chunk.
 
-:func:`load_state` serves a file it has read before from a per-process memo
-of at most ``LOAD_MEMO_BYTES`` of arrays, checked against the SHA-256 of
-the bytes it reads on every call.
+A file read before is served from a per-process memo of at most
+``LOAD_MEMO_BYTES`` of arrays, checked against the SHA-256 of the bytes
+:func:`load_state` reads on every call.
 """
 
 from __future__ import annotations
@@ -94,15 +100,15 @@ class StateData:
 
 
 def _check_state(kind: str, dims: Sequence[int]) -> None:
-    """Refuse a kind but ``pure`` or ``density``, or more subsystems than numpy can stack.
+    """Refuse a kind not in ``_KINDS``, or more subsystems than numpy can stack.
 
     Every route views a stack of states with a batch axis and one axis per
     subsystem, two for an operator: 1 + n axes for psi, 1 + 2n for rho.
     numpy's axis limit is probed by building such an array of one element.
     """
-    if kind not in ("pure", "density"):
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list or object kind is unhashable
         raise ShapeError(f"unknown kind {kind!r}")
-    axes = 1 + len(dims) * (1 if kind == "pure" else 2)
+    axes = 1 + len(dims) * _KINDS[kind][0]
     try:
         np.empty((1,) * axes)
     except ValueError:
@@ -151,9 +157,10 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
     ``shape`` says, and each pair must hold two ``float`` or ``int``
     components (no ``bool``); a string or an object of the right length
     flattens into strings, which the type check refuses.  Values are left to
-    :func:`load_state`, which bounds them by ``MAX_COMPONENT`` before any
-    arithmetic.  The array is new and owns its data, of shape ``out_shape``
-    (of the same size) when given, else ``shape``.
+    :func:`_bounded`, the decode every kind calls, which bounds them by
+    ``MAX_COMPONENT`` before any arithmetic.  The array is new and owns its
+    data, of shape ``out_shape`` (of the same size) when given, else
+    ``shape``.
     """
     if type(entries) is not list or len(entries) != shape[0]:  # checked apart: no copy of it
         raise _not_pairs(shape)
@@ -233,21 +240,16 @@ def _remember(path, kept: _Kept | None) -> None:
 
 
 def load_state(path) -> StateData:
-    """Read a StateData from ``path``.
+    """Read a StateData from ``path``; any fault raises StateFileError.
 
-    The file must be a JSON object whose ``dims`` are positive integers, as
-    many as :func:`_check_state` allows its ``kind``, and whose ``data``
-    components are at most ``MAX_COMPONENT`` (1e150) in size: judged before
-    any arithmetic, so no later check overflows.  A pure state must have
-    unit norm; a density operator must be hermitian, positive semidefinite
-    and of unit trace.  Anything else raises StateFileError.
-
-    Positivity is tried first by a Cholesky factorisation of the hermitian
-    part plus ``PSD_TOL / 2`` on its diagonal.  It succeeds only if the
-    lowest eigenvalue is above -``PSD_TOL / 2`` less a rounding of order
-    d * eps * ||rho||, far inside the other half of the tolerance at unit
-    trace, so it accepts nothing that ``eigvalsh`` would refuse.  Only when
-    it fails does ``eigvalsh`` decide, and the error names the eigenvalue.
+    The stages run in order, and the first fault is the one reported:
+    :func:`_document` (depth, a JSON object, the ``kind``, ``dims`` and
+    ``data`` fields, positive integer ``dims``), :func:`_check_state` (the
+    kind, and as many subsystems as it allows), then the kind's checker in
+    ``_KINDS``.  That checker decodes ``data`` through :func:`_bounded`, so
+    every component is at most ``MAX_COMPONENT`` (1e150) before any
+    arithmetic, and then judges the physics: :func:`_pure` or
+    :func:`_density`.
 
     Every call reads the file's bytes.  A first successful load of ``path``
     keeps only a mark that it was read.  A second parses again and keeps the
@@ -273,7 +275,13 @@ def load_state(path) -> StateData:
         digest = _sha256(raw)
         if digest == kept.digest:
             return StateData(kept.kind, kept.dims, kept.tensor)
-    state = _parse_state(path, raw)
+    doc = _document(path, raw)
+    kind, dims = doc["kind"], tuple(int(d) for d in doc["dims"])
+    try:
+        _check_state(kind, dims)
+    except ShapeError as exc:
+        raise StateFileError(str(exc)) from None
+    state = StateData(kind, dims, Tensor._wrap(_KINDS[kind][1](doc["data"], dims)))
     if not seen:
         _remember(path, None)
     elif state.tensor.data.nbytes <= LOAD_MEMO_BYTES:  # a larger array is never kept
@@ -281,15 +289,14 @@ def load_state(path) -> StateData:
     return state
 
 
-def _parse_state(path, raw: bytes) -> StateData:
-    """Parse and check the bytes of a state file; see :func:`load_state`."""
+def _document(path, raw: bytes) -> dict:
+    """The JSON object in the bytes of a state file, its ``kind``, ``dims`` and ``data`` checked."""
     try:
         if _too_deep(raw):
             raise StateFileError(f"{path} nests arrays or objects deeper than {MAX_DEPTH}")
         doc = orjson.loads(raw)
     except orjson.JSONDecodeError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
-
     if not isinstance(doc, dict):
         raise StateFileError(f"{path} does not hold a JSON object")
     for field in ("kind", "dims", "data"):
@@ -300,39 +307,59 @@ def _parse_state(path, raw: bytes) -> StateData:
             raise StateFileError(f"field {field!r} is not a list in {path}")
     if not doc["dims"] or not all(_is_dim(d) for d in doc["dims"]):
         raise StateFileError(f"dims must be positive integers, got {doc['dims']!r}")
-    kind, dims = doc["kind"], tuple(int(d) for d in doc["dims"])
-    try:
-        _check_state(kind, dims)
-    except ShapeError as exc:
-        raise StateFileError(str(exc)) from None
-    d = prod(dims)
+    return doc
 
-    pure = kind == "pure"
-    arr = _decode(doc["data"], (d,) if pure else (d, d), dims if pure else None)
+
+def _bounded(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
+    """:func:`_decode`, then refuse a real or imaginary part above ``MAX_COMPONENT``."""
+    arr = _decode(entries, shape, out_shape)
     top = float(np.max(np.abs(arr.reshape(-1).view(np.float64))))
     if not top <= MAX_COMPONENT:  # NaN fails too
         raise StateFileError(f"data has a component of size {top}, above {MAX_COMPONENT:g}")
-    if pure:
-        norm2 = float(np.vdot(arr, arr).real)
-        if abs(norm2 - 1.0) > TRACE_TOL:
-            raise StateFileError(f"pure state has squared norm {norm2:.12g}, not 1")
-        return StateData(kind, dims, Tensor._wrap(arr))
+    return arr
 
-    adjoint = arr.conj().T
-    herm = float(np.max(np.abs(arr - adjoint)))
+
+def _pure(data, dims: tuple[int, ...]) -> np.ndarray:
+    """psi in the ``dims`` shape, of unit norm."""
+    psi = _bounded(data, (prod(dims),), dims)
+    norm2 = float(np.vdot(psi, psi).real)
+    if abs(norm2 - 1.0) > TRACE_TOL:
+        raise StateFileError(f"pure state has squared norm {norm2:.12g}, not 1")
+    return psi
+
+
+def _density(data, dims: tuple[int, ...]) -> np.ndarray:
+    """rho as a square matrix: hermitian, positive semidefinite and of unit trace.
+
+    Positivity is tried first by a Cholesky factorisation of the hermitian
+    part plus ``PSD_TOL / 2`` on its diagonal.  It succeeds only if the
+    lowest eigenvalue is above -``PSD_TOL / 2`` less a rounding of order
+    d * eps * ||rho||, far inside the other half of the tolerance at unit
+    trace, so it accepts nothing that ``eigvalsh`` would refuse.  Only when
+    it fails does ``eigvalsh`` decide, and the error names the eigenvalue.
+    """
+    d = prod(dims)
+    rho = _bounded(data, (d, d))
+    adjoint = rho.conj().T
+    herm = float(np.max(np.abs(rho - adjoint)))
     if herm > HERMITICITY_TOL:
         raise StateFileError(f"density operator fails hermiticity by {herm:.3e}")
-    part = (arr + adjoint) / 2
+    part = (rho + adjoint) / 2
     try:
         np.linalg.cholesky(part + PSD_TOL / 2 * np.eye(d))
     except np.linalg.LinAlgError:  # eigvalsh decides
         low = float(np.linalg.eigvalsh(part)[0])
         if low < -PSD_TOL:
             raise StateFileError(f"density operator has negative eigenvalue {low:.3e}") from None
-    tr = complex(np.trace(arr))
+    tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateFileError(f"density operator has trace {tr:.12g}, not 1")
-    return StateData(kind, dims, Tensor._wrap(arr))
+    return rho
+
+
+# kind -> (axes a subsystem takes in a stack of states, the check that turns a
+# file's data into the state's array)
+_KINDS = {"pure": (1, _pure), "density": (2, _density)}
 
 
 def random_pure_state(dims: Sequence[int], seed=None) -> Tensor:

@@ -114,6 +114,21 @@ def test_factor_writes_chain(tmp_path, capsys):
     assert abs(overlap) ** 2 >= 1 - 1e-12
 
 
+@pytest.mark.parametrize("command", [["entropy", "CHAIN", "--keep", "0"],
+                                     ["invariants", "eval", "CHAIN", "-k", "2"],
+                                     ["factor", "CHAIN"]], ids=["entropy", "eval", "factor"])
+def test_chain_file_is_not_read_as_a_state_yet(command, tmp_path, capsys):
+    # a chain has no dims: the field checks refuse it before its kind is looked at
+    path = tmp_path / "psi.json"
+    save_state(StateData.pure(random_pure_state((2, 2, 2), seed=1)), path)
+    chain = tmp_path / "chain.json"
+    assert main(["factor", str(path), "--out", str(chain)]) == 0
+    capsys.readouterr()
+    assert main([str(chain) if arg == "CHAIN" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: missing field 'dims' in {chain}\n" and captured.out == ""
+
+
 def test_factor_unwritable_out_exits_2(product4_path, tmp_path, capsys):
     out_path = tmp_path / "missing" / "chain.json"
     assert main(["factor", product4_path, "--out", str(out_path)]) == 2

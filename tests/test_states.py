@@ -335,6 +335,44 @@ def test_components_are_bounded_before_any_check(tmp_path):
         assert str(exc.value) == message
 
 
+# A file of each kind that loads; a kind added to states._KINDS adds its own.
+VALID_FILES = {
+    "pure": {"kind": "pure", "dims": [2], "data": [[1.0, 0.0], [0.0, 0.0]]},
+    "density": {"kind": "density", "dims": [2],
+                "data": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(states._KINDS))
+def test_every_kind_bounds_its_components(kind, tmp_path):
+    path = tmp_path / f"{kind}.json"
+    doc = json.loads(json.dumps(VALID_FILES[kind]))
+    path.write_text(json.dumps(doc))
+    assert load_state(path).kind == kind
+    # the last imaginary part at 1e151: a physics fault too, so a kind whose
+    # checker skipped the bound would report that instead
+    pair = doc["data"]
+    while isinstance(pair[-1], list):
+        pair = pair[-1]
+    pair[-1] = 1e151
+    path.write_text(json.dumps(doc))
+    with pytest.raises(StateFileError) as exc:
+        load_state(path)
+    assert str(exc.value) == "data has a component of size 1e+151, above 1e+150"
+
+
+@pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
+def test_unhashable_kind_is_unknown(kind, tmp_path):
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({"kind": kind, "dims": [1], "data": [[1.0, 0.0]]}))
+    with pytest.raises(StateFileError) as exc:
+        load_state(path)
+    assert str(exc.value) == f"unknown kind {kind!r}"
+    with pytest.raises(ShapeError, match="^unknown kind"):
+        StateData(kind, (1,), Tensor(np.ones(1)))
+
+
 def test_load_state_names_a_missing_path(tmp_path):
     path = tmp_path / "missing.json"
     with pytest.raises(StateFileError) as exc:
