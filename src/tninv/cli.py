@@ -13,6 +13,7 @@ import functools
 import gc
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .states import StateFileError
 from .tensor import ShapeError
 
 VERIFY_THRESHOLD = 1e-8
+_NUMBER_AFTER_MINUS = re.compile(r"-\.?\d")  # a value such as -1,0 or -.5, not an option
 ENTROPY_CROSSCHECK_THRESHOLD = 1e-9
 PRECISION = 12  # significant digits in human-readable output
 
@@ -139,6 +141,8 @@ def cmd_invariants(args) -> CommandResult:
         tuples, data, data.dims, trials=args.trials, seed=args.seed, cost=cost
     )
     res.diagnostics["contraction"] = _cost_doc(cost)
+    purified = cost.purification  # None unless verify contracted the operator's purification
+    res.diagnostics["purification"] = None if purified is None else purified._asdict()
     worst = float(np.max(devs, initial=0.0))  # a NaN deviation is carried, not dropped
     for t, dev in zip(tuples, devs):
         label = t.label()
@@ -242,16 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("entropy", help="entropies of a reduced state")
     e.add_argument("state", help="state JSON file")
-    e.add_argument(
-        "--keep", required=True,
-        help="comma-separated subsystems to keep; a list that starts with a minus sign "
-             "is written --keep=-1,0",
-    )
-    e.add_argument(
-        "--alpha", default="2,3",
-        help="comma-separated Renyi orders; a list that starts with a minus sign "
-             "is written --alpha=-2,3",
-    )
+    e.add_argument("--keep", required=True, help="comma-separated subsystems to keep")
+    e.add_argument("--alpha", default="2,3", help="comma-separated Renyi orders")
     e.add_argument("--json", action="store_true")
     e.set_defaults(run=lambda args: cmd_entropy(args))
 
@@ -283,8 +279,24 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def _joined(argv: list[str]) -> list[str]:
+    """``argv`` with ``--keep -1,0`` written ``--keep=-1,0``, and so for ``--alpha``.
+
+    argparse reads a value after a space that starts with a minus sign as an
+    option unless the whole value is one number, so a list such as ``-1,0``
+    would never reach the checks that name what is wrong with it.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--keep", "--alpha") and _NUMBER_AFTER_MINUS.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _main(argv) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
     try:
         res = args.run(args)
     except (StateFileError, ShapeError, ValueError, OSError) as exc:

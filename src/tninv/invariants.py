@@ -53,9 +53,18 @@ qubits), 20 trials peak at 0.03-1.6 MB for psi of 2 to 10 qubits and of
 on 2 x 2 x 2 x 2).  Batching pays for small operands, where Python
 overhead per step sets the cost.  For a 64 x 64 operator the transposed
 copies dominate, and batch-first stacks of them cost more than separate
-ones, so the budget keeps such operators at two rows.  Its oracle,
-:func:`max_unitary_deviation`, takes one trial at a time and shares only
-the draw and the rotation with it.
+ones, so the budget gives such an operator two rows a chunk.  A low-rank
+operator is verified through its purification instead when that takes
+fewer chunks: rho = tr_P |psi><psi| for psi = V sqrt(lambda) on
+``dims + (r,)``, each label of rho is the same label with ``e`` appended
+for the purifying party P, and a trial rotates psi's system legs, D r
+amplitudes in one pass instead of D^2 entries in two.  A rank-2 64 x 64
+density then takes the 7 rows of 6 trials in one chunk, not 4.  The
+choice reads only ``BATCH_BYTES``, the rank and the two plans' largest
+intermediates; an operator whose rows fit one chunk is never
+diagonalised, and :func:`evaluate_many` never purifies.  Its oracle,
+:func:`max_unitary_deviation`, takes one trial at a time on the operator
+and shares only the draw and the rotation with the operator route.
 :func:`evaluate`, the reference that tests compare against, sums
 tr(T rho^(x)k) over T's index map, building neither T nor the power.
 
@@ -93,6 +102,7 @@ import numpy as np
 
 from . import perms
 from .decompose import schmidt
+from .entropy import CLAMP_TOL
 from .tensor import Tensor, ShapeError
 from .states import (
     StateData, _check_state, _checked_keep, apply_local_unitary, as_operator,
@@ -592,17 +602,31 @@ def _network(t: PermTuple, dims: tuple[int, ...], pure: bool) -> tuple[tuple, _P
     return (axes, fused), _program(fused, subscripts, pure)
 
 
+class Purification(NamedTuple):
+    """psi = V sqrt(lambda) of an operator, over its eigenvalues above ``CLAMP_TOL``.
+
+    ``rank`` is psi's last leg, the purifying party P; ``discarded_weight``
+    is the sum of |lambda| over the eigenvalues cut.
+    """
+
+    rank: int
+    discarded_weight: float
+
+
 @dataclass
 class ContractionCost:
     """Summed FLOPs and largest intermediate (elements) of compiled programs.
 
     ``flops`` is the planned sum over labels: a self-trace that several
     labels share is counted in each, though the replay computes it once per
-    grouping, so it bounds the replayed work from above.
+    grouping, so it bounds the replayed work from above.  ``purification``
+    is set by :func:`verify_classes` when it contracted an operator's
+    purification instead of the operator.
     """
 
     flops: int = 0
     largest: int = 0
+    purification: Purification | None = None
 
     def add(self, program: _Program) -> None:
         self.flops += program.flops
@@ -704,6 +728,59 @@ def _batch_rows(elements: int) -> int:
     return max(1, BATCH_BYTES // (np.dtype(np.complex128).itemsize * elements))
 
 
+def _chunks(elements: int, trials: int) -> int:
+    """Chunks of verify's trials + 1 rows when a row's arrays hold at most ``elements`` entries."""
+    return -(-(trials + 1) // _batch_rows(elements))
+
+
+def _purify(op: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, Purification] | None:
+    """psi on ``dims + (r,)`` with tr_P |psi><psi| = op to ``CLAMP_TOL``, or None if there is none.
+
+    One ``eigh`` gives psi = V sqrt(lambda) over the r eigenvalues above
+    ``CLAMP_TOL``.  An operator that is not hermitian to ``CLAMP_TOL``, has
+    an eigenvalue below ``-CLAMP_TOL`` or none above it has no such psi.
+    """
+    d = prod(dims)
+    mat = op.reshape(d, d)
+    if not np.abs(mat - mat.conj().T).max() <= CLAMP_TOL:  # eigh reads one triangle; NaN fails too
+        return None
+    lam, vecs = np.linalg.eigh(mat)
+    kept = lam > CLAMP_TOL
+    if lam[0] < -CLAMP_TOL or not kept.any():
+        return None
+    psi = (vecs[:, kept] * np.sqrt(lam[kept])).reshape(*dims, -1)
+    return psi, Purification(psi.shape[-1], float(np.abs(lam[~kept]).sum()))
+
+
+def _verify_route(tuples, state, dims: tuple[int, ...], trials: int):
+    """What :func:`verify_classes` rotates and contracts: ``(state, src, plan, cost)``.
+
+    The route of :func:`evaluate_many` is planned first.  When an operator
+    needs more than one chunk for its trials + 1 rows, the purification of
+    :func:`_purify` is planned too, every label with ``e`` appended for P,
+    and taken only if it needs fewer chunks; a tie stays on the operator.
+    ``cost`` is the taken plan's, with its ``purification``.
+    """
+    src, cost = _operand(state, dims), ContractionCost()
+    plan = _plan(tuples, dims, src.pure, cost)
+    chunks = _chunks(max(src.array.size, cost.largest, len(tuples)), trials)
+    found = None if src.pure or chunks == 1 else _purify(src.array, dims)
+    if found is None or _chunks(max(found[0].size, len(tuples)), trials) >= chunks:
+        return state, src, plan, cost  # no plan of psi can take fewer chunks
+    psi, purification = found
+    psi_cost = ContractionCost(purification=purification)
+    try:
+        psi_plan = _plan(
+            [PermTuple._trusted(t.k, (*t.sigmas, tuple(range(t.k)))) for t in tuples],
+            psi.shape, True, psi_cost,
+        )
+    except ShapeError:  # P's leg took a label past MAX_LABELS
+        return state, src, plan, cost
+    if _chunks(max(psi.size, psi_cost.largest, len(tuples)), trials) >= chunks:
+        return state, src, plan, cost
+    return StateData("pure", psi.shape, Tensor._wrap(psi)), _Operand(True, psi), psi_plan, psi_cost
+
+
 def _modulus(z: np.ndarray) -> np.ndarray:
     """|z| as Python's ``abs`` rounds it (``hypot``); ``np.abs`` differs in the last bit."""
     return np.hypot(z.real, z.imag)
@@ -747,10 +824,15 @@ def verify_classes(
     """Empirical invariance check: each tuple's max relative deviation over Haar trials.
 
     ``state`` takes its :func:`evaluate_many` route: a pure StateData stays
-    psi, so rho is never formed.  Each chunk of trials draws its local
-    unitaries with one :func:`~tninv.states.random_local_unitaries` call
-    and rotates that state with one :func:`~tninv.states.apply_local_unitary`
-    call, once for all the tuples.  The call is planned once.
+    psi, so rho is never formed.  An operator whose rows need more than
+    one chunk is contracted through its purification psi on ``dims + (r,)``
+    instead, with ``e`` appended to every label for the purifying party P,
+    when that takes fewer chunks (:func:`_verify_route`); the trials rotate
+    psi's system legs by the same draws and leave P alone, so a seed keeps
+    its meaning.  Each chunk of trials draws its local unitaries with one
+    :func:`~tninv.states.random_local_unitaries` call and rotates that
+    state with one :func:`~tninv.states.apply_local_unitary` call, once for
+    all the tuples.  The call is planned once.
     One stack of ``max(1, BATCH_BYTES // size)`` rows, at most trials + 1,
     holds a chunk: the unrotated state in row 0 of the first, then the
     rotated states in trial order.  Size is the bytes of the widest row of
@@ -759,18 +841,21 @@ def verify_classes(
     per grouping and every program replays once per chunk.  Memory follows
     the chunk, not the trial count; the module docstring gives measured
     peaks.  Trial i draws from child i of ``SeedSequence(seed)``, spawned a
-    chunk at a time.  The deviations do not depend on the chunk size; for an
-    operator they equal :func:`max_unitary_deviation` of :func:`evaluate_fast`
-    bit for bit.
-    A ``cost`` passed in is charged with every tuple's program once.
+    chunk at a time.  The deviations do not depend on the chunk size; on the
+    operator route they equal :func:`max_unitary_deviation` of
+    :func:`evaluate_fast` bit for bit.
+    A ``cost`` passed in is charged with every program of the route taken
+    once per tuple, and its ``purification`` says which route that was.
     """
     if trials < 1:  # before any label is planned and memoised
         raise ValueError(f"trials must be >= 1, got {trials}")
     dims = tuple(int(d) for d in dims)
-    src = _operand(state, dims)
-    plan = _plan(tuples, dims, src.pure, cost)
-    largest = max((p.largest for members in plan.values() for _, p in members), default=0)
-    rows = min(_batch_rows(max(src.array.size, largest, len(tuples))), trials + 1)
+    state, src, plan, spent = _verify_route(tuples, state, dims, trials)
+    if cost is not None:
+        cost.flops += spent.flops
+        cost.largest = max(cost.largest, spent.largest)
+        cost.purification = spent.purification
+    rows = min(_batch_rows(max(src.array.size, spent.largest, len(tuples))), trials + 1)
     stack = np.empty((rows, *src.array.shape), dtype=np.complex128)
     stack[0], start, left = src.array, 1, trials
     parent, worst = np.random.SeedSequence(seed), np.zeros(len(tuples))

@@ -497,15 +497,18 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
     U_s multiplies row leg s alone, one matrix product per subsystem, so
     the d^n x d^n Kronecker product is never formed.  A pure StateData
     comes back as the pure StateData U psi, one row pass in O(n d D) for
-    D = prod(dims).  Anything else is read by :func:`as_operator` and comes
-    back as the Tensor U rho U^H = (U (U rho)^H)^H: two passes, O(n d D^2).
+    D = prod(dims).  Legs of psi past ``dims``, such as the party that
+    purifies an operator, are left alone.  Anything else is read by
+    :func:`as_operator` and comes back as the Tensor U rho U^H =
+    (U (U rho)^H)^H: two passes, O(n d D^2).
 
     ``unitaries`` holds one d x d matrix per subsystem, or, for a chunk of
     T trials, one ``(T, d, d)`` stack per subsystem as
     :func:`random_local_unitaries` draws them.  A chunk comes back as one
-    array of the T rotated states, ``(T, *dims)`` for psi and ``(T, D, D)``
-    for an operator, from the same passes over the whole chunk; row i has
-    the bits that trial i's matrices alone give.
+    array of the T rotated states, ``(T, *dims)`` for psi (its legs past
+    ``dims`` appended) and ``(T, D, D)`` for an operator, from the same
+    passes over the whole chunk; row i has the bits that trial i's matrices
+    alone give.
     """
     dims = tuple(int(d) for d in dims)
     if len(unitaries) != len(dims):
@@ -525,8 +528,11 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
         return mat.reshape(trials, full, cols)
 
     if isinstance(state, StateData) and state.kind == "pure":
-        psi = rows(state.tensor.data[None], 1).reshape(trials, *dims)
-        return psi if chunk else StateData("pure", dims, Tensor._wrap(psi[0]))
+        shape = dims if state.tensor.data.size == full else state.dims
+        if shape[:len(dims)] != dims:
+            raise ShapeError(f"a pure state of dims {state.dims} does not start with dims {dims}")
+        psi = rows(state.tensor.data[None], prod(shape[len(dims):])).reshape(trials, *shape)
+        return psi if chunk else StateData("pure", shape, Tensor._wrap(psi[0]))
     half = rows(as_operator(state, dims)[None], full)
     half = np.conjugate(half.swapaxes(1, 2), order="C")  # (U rho)^H
     lead = slice(None) if chunk else 0  # one trial: conjugate its row alone, into an array it owns

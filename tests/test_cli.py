@@ -704,6 +704,7 @@ def test_invariants_verify_output_is_pinned_in_both_modes(bell_path, capsys, mon
     diagnostics = {
         "contraction": {"flops": 0, "largest_intermediate": 0},
         "max_deviation": 3.5e-08,
+        "purification": None,
         "threshold": cli.VERIFY_THRESHOLD,
     }
     want = _doc("invariants verify", dict(zip(labels, devs)), diagnostics, exit_code=1)
@@ -849,27 +850,29 @@ def test_entropy_keep_refusal_names_the_flag(bell_path, capsys):
         assert (captured.out, captured.err) == ("", f"error: --keep {keep!r} is refused: {message}\n")
 
 
-def test_comma_list_with_a_leading_minus_needs_the_equals_spelling(bell_path, capsys):
-    # argparse reads "-1,0" after a space as an option, so only the "=" spelling
-    # reaches the range checks; both exit 2
+def test_comma_list_with_a_leading_minus_reads_alike_with_or_without_equals(bell_path, capsys):
+    # a list such as "-1,0" after a space reaches the same range checks as "--keep=-1,0"
     for option, value, message in (
         ("--keep", "-1,0",
          "--keep '-1,0' is refused: keep [-1, 0] out of range for 2 subsystems (0..1)"),
+        ("--keep", "-1", "--keep '-1' is refused: keep [-1] out of range for 2 subsystems (0..1)"),
         ("--alpha", "-2,3", "alpha must be positive and finite, got -2.0"),
+        ("--alpha", "-1", "alpha must be positive and finite, got -1.0"),
+        ("--alpha", "-.5", "alpha must be positive and finite, got -0.5"),
     ):
         head = ["entropy", bell_path] + ([] if option == "--keep" else ["--keep", "0"])
-        with pytest.raises(SystemExit) as exc:
-            main(head + [option, value])
-        captured = capsys.readouterr()
-        assert exc.value.code == 2 and captured.out == ""
-        assert captured.err.endswith(f"error: argument {option}: expected one argument\n")
-        assert main(head + [f"{option}={value}"]) == 2
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", f"error: {message}\n")
-    with pytest.raises(SystemExit):
-        main(["entropy", "--help"])
-    text = capsys.readouterr().out
-    assert "--keep=-1,0" in text and "--alpha=-2,3" in text
+        for argv in (head + [option, value], head + [f"{option}={value}"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+
+
+def test_an_option_after_keep_is_still_no_value(bell_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", bell_path, "--keep", "--json"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith("error: argument --keep: expected one argument\n")
 
 
 def test_entropy_non_finite_alpha_exits_2(bell_path, capsys):

@@ -1396,7 +1396,8 @@ def test_verify_cli_json_labels_order_and_keys(tmp_path, capsys):
     assert _verify_cli(tmp_path, (2, 2, 2), 3, "--trials", "2", "--json") == 0
     doc = json.loads(capsys.readouterr().out)
     assert list(doc["values"]) == sorted(labels)
-    assert set(doc["diagnostics"]) == {"contraction", "max_deviation", "threshold"}
+    assert set(doc["diagnostics"]) == {"contraction", "max_deviation", "purification", "threshold"}
+    assert doc["diagnostics"]["purification"] is None  # an 8 x 8 operator fits one chunk
     assert doc["diagnostics"]["threshold"] == VERIFY_THRESHOLD
     assert doc["diagnostics"]["max_deviation"] == max(doc["values"].values()) <= 1e-9
     assert doc["exit_code"] == 0 and doc["command"] == "invariants verify"
@@ -1415,6 +1416,134 @@ def test_verify_memory_does_not_grow_with_trials(tmp_path, capsys):
             tracemalloc.stop()
     capsys.readouterr()
     assert peaks[40] - peaks[2] < 64 * 64 * 16  # one complex 64 x 64 operator
+
+
+# ------------------------------------------------ verify through a purification
+
+
+def rank_r_density(dims, r, seed):
+    """A density of rank r on ``dims``: r seeded pure states mixed with unequal weights."""
+    rng = np.random.default_rng(seed)
+    vecs = [random_pure_state(dims, seed=rng).data.reshape(-1) for _ in range(r)]
+    weights = np.arange(1, r + 1) / (r * (r + 1) / 2)
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+    return (rho + rho.conj().T) / 2
+
+
+def _spy_stacks(monkeypatch) -> list:
+    """``(pure, values)`` of each ``_contract_all`` call, in call order."""
+    seen, contract_all = [], invariants._contract_all
+
+    def spy(plan, src, count):
+        seen.append((src.pure, contract_all(plan, src, count)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(invariants, "_contract_all", spy)
+    return seen
+
+
+@pytest.mark.parametrize("dims, ks", [((2,) * 6, (1, 2)), ((4, 4, 4), (1, 2, 3)), ((8, 8), (1, 2, 3))])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_verify_contracts_a_low_rank_density_through_its_purification(dims, ks, rank, monkeypatch):
+    seen = _spy_stacks(monkeypatch)
+    rho, trials, seed = rank_r_density(dims, rank, 100 + rank), 6, 101
+    for k in ks:
+        tuples = [c.representative for c in enumerate_invariants(len(dims), k)]
+        seen.clear()
+        cost = ContractionCost()
+        devs = verify_classes(tuples, rho, dims, trials=trials, seed=seed, cost=cost)
+        assert cost.purification.rank == rank and cost.purification.discarded_weight <= 1e-12
+        assert [pure for pure, _ in seen] == [True]  # psi, in one chunk
+        # row 0 is psi itself: every label of rho, with e appended for P
+        want = np.array(evaluate_many(tuples, rho, dims))
+        assert np.all(np.abs(seen[0][1][:, 0] - want) <= 1e-12 * np.abs(want)), (dims, k)
+        oracle = [
+            max_unitary_deviation(lambda r: evaluate_fast(t, r, dims), rho, dims, trials, seed)
+            for t in tuples
+        ]
+        assert np.abs(np.subtract(devs, oracle)).max() <= 1e-13, (dims, k)
+        assert max(devs) <= 1e-12
+
+
+def test_verify_keeps_the_operator_when_values_fill_the_row(monkeypatch):
+    # the 8051 values of (6, 3) outgrow psi and the operator alike: one row a
+    # chunk either way, a tie, so psi's programs are not even planned
+    tuples = [c.representative for c in enumerate_invariants(6, 3)]
+    rho = rank_r_density((2,) * 6, 2, 102)
+    planned, plan = [], invariants._plan
+    monkeypatch.setattr(invariants, "_plan", lambda *args: planned.append(args[1]) or plan(*args))
+    state, src, _, cost = invariants._verify_route(tuples, rho, (2,) * 6, 6)
+    assert state is rho and not src.pure and cost.purification is None
+    assert planned == [(2,) * 6]
+
+
+def test_purified_verify_replays_each_program_once(monkeypatch):
+    rows_seen = _spy_replay_rows(monkeypatch)
+    dims = (2,) * 6
+    tuples = [c.representative for c in enumerate_invariants(6, 2)]
+    rho = rank_r_density(dims, 2, 103)
+    # the operator takes 2 rows a chunk, so 4 chunks for 7 rows; psi takes them in one
+    assert invariants._batch_rows(_row_bytes(tuples, rho, dims) // 16) == 2
+    rows_seen.clear()
+    devs = verify_classes(tuples, rho, dims, trials=6, seed=104)
+    assert rows_seen == [7] * len(tuples) and max(devs) <= 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_density(64, np.random.default_rng(105)),  # full rank: psi is as large, a tie
+    lambda: rank_r_density((8, 8), 2, 106) - 0.5 * rank_r_density((8, 8), 1, 107),  # indefinite
+    lambda: rank_r_density((8, 8), 2, 108) + np.triu(np.full((64, 64), 0.01), 1),  # eigh reads one triangle
+])
+def test_verify_keeps_the_operator_route_bit_for_bit(make, monkeypatch):
+    seen = _spy_stacks(monkeypatch)
+    dims, rho = (8, 8), make()
+    tuples = [c.representative for k in (1, 2) for c in enumerate_invariants(2, k)]
+    cost = ContractionCost()
+    devs = verify_classes(tuples, rho, dims, trials=3, seed=110, cost=cost)
+    assert cost.purification is None and [pure for pure, _ in seen] == [False, False]
+    oracle = [
+        max_unitary_deviation(lambda r: evaluate_fast(t, r, dims), rho, dims, trials=3, seed=110)
+        for t in tuples
+    ]
+    assert same_bits(devs, oracle)
+
+
+def test_verify_keeps_the_operator_when_p_takes_a_label_past_max_labels():
+    # 2 groups x degree 18 = 36 indices; P's e would add an 18-index third group
+    cycle = "(" + " ".join(str(c) for c in range(1, 19)) + ")"
+    t = parse_label(f"18; {cycle} | (12)")
+    rho = rank_r_density((8, 8), 2, 114)
+    cost = ContractionCost()
+    [dev] = verify_classes([t], rho, (8, 8), trials=3, seed=115, cost=cost)
+    assert cost.purification is None and dev <= 1e-9
+    oracle = max_unitary_deviation(lambda r: evaluate_fast(t, r, (8, 8)), rho, (8, 8), 3, 115)
+    assert same_bits(dev, oracle)
+
+
+def test_verify_of_an_operator_that_fits_one_chunk_never_diagonalises(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rho = rank_r_density((2, 2, 2), 2, 111)
+    tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(3, k)]
+    cost = ContractionCost()
+    assert max(verify_classes(tuples, rho, (2, 2, 2), trials=20, seed=112, cost=cost)) <= 1e-12
+    assert cost.purification is None
+
+
+def test_verify_cli_reports_the_purification(tmp_path, capsys):
+    dims = (2,) * 6
+    path = tmp_path / "rho.json"
+    save_state(StateData.density(Tensor(rank_r_density(dims, 2, 113)), dims), path)
+    argv = ["invariants", "verify", str(path), "-k", "2", "--trials", "4"]
+    assert main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    purification = doc["diagnostics"]["purification"]
+    assert set(purification) == {"rank", "discarded_weight"} and purification["rank"] == 2
+    assert 0 <= purification["discarded_weight"] <= 1e-12
+    assert main(argv) == 0
+    assert "purif" not in capsys.readouterr().out  # the human lines do not change
 
 
 # ---------------------------------------------------- single-subsystem laws

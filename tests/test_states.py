@@ -603,6 +603,21 @@ def test_apply_local_unitary_rotates_pure_state_data():
         apply_local_unitary(StateData.pure(psi), dims, us[:2])
 
 
+def test_apply_local_unitary_leaves_legs_past_dims_alone():
+    # a purification's party P rides along: U (x) I on psi of dims + (3,)
+    dims = (2, 3)
+    psi = random_pure_state(dims + (3,), seed=35)
+    us = random_local_unitary(dims, seed=36)
+    got = apply_local_unitary(StateData.pure(psi), dims, us)
+    assert got.kind == "pure" and got.dims == dims + (3,)
+    want = np.kron(np.kron(us[0], us[1]), np.eye(3)) @ psi.data.reshape(-1)
+    assert np.max(np.abs(got.tensor.data.reshape(-1) - want)) < 1e-12
+    stacked = apply_local_unitary(StateData.pure(psi), dims, [u[None] for u in us])
+    assert stacked.shape == (1, 2, 3, 3) and np.array_equal(stacked[0], got.tensor.data)
+    with pytest.raises(ShapeError, match="does not start with dims"):
+        apply_local_unitary(StateData.pure(psi), (3, 2), us[::-1])
+
+
 def test_as_operator_reads_density_state_data_only():
     psi = random_pure_state((2, 3), seed=34)
     rho = density_from_pure(psi)
