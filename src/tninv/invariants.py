@@ -34,6 +34,9 @@ input no two are alike.
 Every program acts on a stack of states: axis 0 of each operand is a
 batch, kept first by every transpose and led by -1 in every reshape, all
 fixed when the program is compiled, and ``@`` broadcasts over it.
+:func:`evaluate_many` and :func:`verify_classes` share one route: the
+private ``_route`` picks the operand, plans it, charges the cost and
+sizes the chunks of the trials + 1 rows, eval's one row being trials = 0.
 :func:`evaluate_many` replays a stack of one.  :func:`verify_classes`
 is the one verify loop: it writes the unrotated state and its rotated
 copies into one stack of ``max(1, BATCH_BYTES // size)`` rows, at most
@@ -62,7 +65,8 @@ amplitudes in one pass instead of D^2 entries in two.  A rank-2 64 x 64
 density then takes the 7 rows of 6 trials in one chunk, not 4.  The
 choice reads only ``BATCH_BYTES``, the rank and the two plans' largest
 intermediates; an operator whose rows fit one chunk is never
-diagonalised, and :func:`evaluate_many` never purifies.  Its oracle,
+diagonalised, so :func:`evaluate_many`, whose one row always fits one
+chunk, never purifies.  Its oracle,
 :func:`max_unitary_deviation`, takes one trial at a time on the operator
 and shares only the draw and the rotation with the operator route.
 :func:`evaluate`, the reference that tests compare against, sums
@@ -94,6 +98,7 @@ would; a warm one compiles nothing and returns the same values bit for bit.
 from __future__ import annotations
 
 import functools
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import isnan, prod
 from typing import Callable, NamedTuple, Sequence
@@ -489,23 +494,18 @@ def _compile(
     dim = size.__getitem__
     labels, numel, traces, steps, flops, largest = [], [], [], [], 0, 0
     for slot, term in enumerate(terms):
-        if len(set(term)) < len(term):
-            first: dict[int, int] = {}  # label -> axis, for the labels seen once so far
-            twice = []  # (first axis, second axis) of each label carried twice
-            for i, x in enumerate(term):
-                if x in first:
-                    twice.append((first.pop(x), i))
-                else:
-                    first[x] = i
-            pairs = []  # each pair's axes once the earlier pairs are gone, after the batch
-            for i, j in twice:
-                gone = [g for pair in twice[:len(pairs)] for g in pair]
-                pairs.append(tuple(1 + a - sum(g < a for g in gone) for a in (i, j)))
-            outer, inner = prod(map(dim, first)), prod(size[term[i]] for i, _ in twice)
-            traces.append(_Trace(slot, tuple(pairs)))
-            flops, largest, term = flops + outer * inner, max(largest, outer), list(first)
-        labels.append(list(term))
+        term, pairs, inner = list(term), [], 1
+        while len(set(term)) < len(term):  # trace the label whose second axis comes first
+            j = min(range(len(term)), key=lambda j: (term[j] not in term[:j], j))
+            i = term.index(term[j])
+            pairs.append((1 + i, 1 + j))  # after the batch, with the earlier pairs gone
+            inner *= size[term[j]]
+            del term[j], term[i]
+        labels.append(term)
         numel.append(prod(map(dim, term)))
+        if pairs:  # each of the numel[-1] kept entries sums inner traced ones
+            traces.append(_Trace(slot, tuple(pairs)))
+            flops, largest = flops + numel[-1] * inner, max(largest, numel[-1])
     owner: dict[int, tuple[int, int]] = {}  # label -> the two slots that carry it, ascending
     for slot, term in enumerate(labels):
         for x in term:
@@ -628,7 +628,8 @@ class ContractionCost:
     largest: int = 0
     purification: Purification | None = None
 
-    def add(self, program: _Program) -> None:
+    def add(self, program: _Program | ContractionCost) -> None:
+        """Charge the flops of a program, or of a whole cost, and keep the larger largest."""
         self.flops += program.flops
         self.largest = max(self.largest, program.largest)
 
@@ -676,14 +677,14 @@ def evaluate_many(
     Tuples whose networks match share one compiled program.  Tuples that
     group the subsystems alike share one fused operand, so the reduced
     powers of one cut (:func:`reduced_power_label` at several orders)
-    transpose the operator once.  A ``cost`` passed in is charged with
-    every tuple's program.  A tuple with other than ``len(dims)``
-    subsystems raises ShapeError naming its label.
+    transpose the operator once.  The route is :func:`verify_classes`'s
+    with no trials: one row fits one chunk, so an operator is never
+    purified.  A ``cost`` passed in is charged with every tuple's program,
+    and its ``purification`` is left as it was.  A tuple with other than
+    ``len(dims)`` subsystems raises ShapeError naming its label.
     """
-    dims = tuple(int(d) for d in dims)
-    pure, array = _operand(state, dims)
-    plan = _plan(tuples, dims, pure, cost)
-    return _contract_all(plan, _Operand(pure, array[None]), len(tuples))[:, 0].tolist()
+    _, src, plan, _ = _route(tuples, state, tuple(int(d) for d in dims), 0, cost)
+    return _contract_all(plan, _Operand(src.pure, src.array[None]), len(tuples))[:, 0].tolist()
 
 
 def evaluate_fast(t: PermTuple, state, dims: Sequence[int]) -> complex:
@@ -723,14 +724,42 @@ def pure_jk(state: Tensor, bipartition, k: int) -> float:
     return float(np.sum(form.sigma ** (2 * k)))
 
 
-def _batch_rows(elements: int) -> int:
-    """Rows in one chunk of trials whose arrays hold at most ``elements`` complex entries a row."""
-    return max(1, BATCH_BYTES // (np.dtype(np.complex128).itemsize * elements))
+def _route(tuples, state, dims: tuple[int, ...], trials: int, cost: ContractionCost | None):
+    """What :func:`evaluate_many` and :func:`verify_classes` contract: ``(state, src, plan, rows)``.
 
+    The trials + 1 rows (eval's one row is trials = 0) go in chunks of
+    ``rows``, as many as ``BATCH_BYTES`` holds at the widest row of any
+    array of a chunk: the operand, the plan's largest intermediate or one
+    value per tuple.  The state's own route is planned first.  Only when an
+    operator needs more than one chunk is the purification of
+    :func:`_purify` planned too, every label with ``e`` appended for P, and
+    taken if it needs fewer chunks; a tie stays on the operator.  So eval,
+    whose one row fits one chunk, never purifies.  A ``cost`` passed in is
+    charged with the plan taken.  A verify's sets its ``purification`` to
+    say which plan that was; eval's keeps the one it had.
+    """
+    def chunking(array: np.ndarray, largest: int) -> tuple[int, int]:
+        width = max(array.size, largest, len(tuples)) * np.dtype(np.complex128).itemsize
+        rows = min(max(1, BATCH_BYTES // width), trials + 1)
+        return rows, -(-(trials + 1) // rows)
 
-def _chunks(elements: int, trials: int) -> int:
-    """Chunks of verify's trials + 1 rows when a row's arrays hold at most ``elements`` entries."""
-    return -(-(trials + 1) // _batch_rows(elements))
+    src, spent = _operand(state, dims), ContractionCost()
+    plan = _plan(tuples, dims, src.pure, spent)
+    rows, chunks = chunking(src.array, spent.largest)
+    found = None if src.pure or chunks == 1 else _purify(src.array, dims)
+    if found is not None and chunking(found[0], 0)[1] < chunks:  # else no plan of psi takes fewer
+        psi, psi_spent, psi_plan = found[0], ContractionCost(purification=found[1]), None
+        psi_tuples = [PermTuple._trusted(t.k, (*t.sigmas, tuple(range(t.k)))) for t in tuples]
+        with suppress(ShapeError):  # P's leg may take a label past MAX_LABELS
+            psi_plan = _plan(psi_tuples, psi.shape, True, psi_spent)
+        if psi_plan is not None and (taken := chunking(psi, psi_spent.largest))[1] < chunks:
+            state = StateData("pure", psi.shape, Tensor._wrap(psi))
+            src, spent, plan, rows = _Operand(True, psi), psi_spent, psi_plan, taken[0]
+    if cost is not None:
+        cost.add(spent)
+        if trials:  # a verify's cost says which route it took
+            cost.purification = spent.purification
+    return state, src, plan, rows
 
 
 def _purify(op: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, Purification] | None:
@@ -750,35 +779,6 @@ def _purify(op: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, Purifica
         return None
     psi = (vecs[:, kept] * np.sqrt(lam[kept])).reshape(*dims, -1)
     return psi, Purification(psi.shape[-1], float(np.abs(lam[~kept]).sum()))
-
-
-def _verify_route(tuples, state, dims: tuple[int, ...], trials: int):
-    """What :func:`verify_classes` rotates and contracts: ``(state, src, plan, cost)``.
-
-    The route of :func:`evaluate_many` is planned first.  When an operator
-    needs more than one chunk for its trials + 1 rows, the purification of
-    :func:`_purify` is planned too, every label with ``e`` appended for P,
-    and taken only if it needs fewer chunks; a tie stays on the operator.
-    ``cost`` is the taken plan's, with its ``purification``.
-    """
-    src, cost = _operand(state, dims), ContractionCost()
-    plan = _plan(tuples, dims, src.pure, cost)
-    chunks = _chunks(max(src.array.size, cost.largest, len(tuples)), trials)
-    found = None if src.pure or chunks == 1 else _purify(src.array, dims)
-    if found is None or _chunks(max(found[0].size, len(tuples)), trials) >= chunks:
-        return state, src, plan, cost  # no plan of psi can take fewer chunks
-    psi, purification = found
-    psi_cost = ContractionCost(purification=purification)
-    try:
-        psi_plan = _plan(
-            [PermTuple._trusted(t.k, (*t.sigmas, tuple(range(t.k)))) for t in tuples],
-            psi.shape, True, psi_cost,
-        )
-    except ShapeError:  # P's leg took a label past MAX_LABELS
-        return state, src, plan, cost
-    if _chunks(max(psi.size, psi_cost.largest, len(tuples)), trials) >= chunks:
-        return state, src, plan, cost
-    return StateData("pure", psi.shape, Tensor._wrap(psi)), _Operand(True, psi), psi_plan, psi_cost
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
@@ -823,11 +823,11 @@ def verify_classes(
 ) -> list[float]:
     """Empirical invariance check: each tuple's max relative deviation over Haar trials.
 
-    ``state`` takes its :func:`evaluate_many` route: a pure StateData stays
-    psi, so rho is never formed.  An operator whose rows need more than
-    one chunk is contracted through its purification psi on ``dims + (r,)``
-    instead, with ``e`` appended to every label for the purifying party P,
-    when that takes fewer chunks (:func:`_verify_route`); the trials rotate
+    ``state`` takes the route :func:`evaluate_many` shares: a pure StateData
+    stays psi, so rho is never formed.  An operator whose rows need more
+    than one chunk is contracted through its purification psi on
+    ``dims + (r,)`` instead, with ``e`` appended to every label for the
+    purifying party P, when that takes fewer chunks; the trials rotate
     psi's system legs by the same draws and leave P alone, so a seed keeps
     its meaning.  Each chunk of trials draws its local unitaries with one
     :func:`~tninv.states.random_local_unitaries` call and rotates that
@@ -850,12 +850,7 @@ def verify_classes(
     if trials < 1:  # before any label is planned and memoised
         raise ValueError(f"trials must be >= 1, got {trials}")
     dims = tuple(int(d) for d in dims)
-    state, src, plan, spent = _verify_route(tuples, state, dims, trials)
-    if cost is not None:
-        cost.flops += spent.flops
-        cost.largest = max(cost.largest, spent.largest)
-        cost.purification = spent.purification
-    rows = min(_batch_rows(max(src.array.size, spent.largest, len(tuples))), trials + 1)
+    state, src, plan, rows = _route(tuples, state, dims, trials, cost)
     stack = np.empty((rows, *src.array.shape), dtype=np.complex128)
     stack[0], start, left = src.array, 1, trials
     parent, worst = np.random.SeedSequence(seed), np.zeros(len(tuples))

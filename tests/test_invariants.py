@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -566,6 +567,38 @@ def test_compiled_program_matches_greedy_einsum():
         for t, got in zip(tuples, evaluate_many(tuples, pure, (2, 3, 2))):
             want = greedy_einsum(t, pure, (2, 3, 2))
             assert abs(got - want) <= 1e-12 * abs(want), t.label()
+
+
+def planner_digest(cases) -> str:
+    """SHA-256 of each (tuple, dims) case's grouping and programs on both routes.
+
+    Every NamedTuple is flattened to a plain tuple first, so renaming a
+    field does not change the digest.
+    """
+    def flat(x):
+        return tuple(map(flat, x)) if isinstance(x, tuple) else x
+
+    digest = hashlib.sha256()
+    for t, dims in cases:
+        for pure in (False, True):
+            grouping, p = invariants._network.__wrapped__(t, dims, pure)
+            record = (grouping, p.sources, p.traces, p.steps, p.result, p.flops, p.largest)
+            digest.update(repr(flat(record)).encode())
+    return digest.hexdigest()
+
+
+def test_planner_programs_are_pinned():
+    # every program of every class of n <= 4, k <= 3, operator and psi, tuple
+    # for tuple: a planner change that moves an axis, a pair order, a flop
+    # count or an intermediate changes the digest
+    cases = [
+        (c.representative, dims)
+        for dims in ((3,), (2, 3), (2, 3, 2), (2, 2, 3, 2))
+        for k in (1, 2, 3)
+        for c in enumerate_invariants(len(dims), k)
+    ]
+    digest = planner_digest(cases)
+    assert digest == "a061c6ad869ac9bad40d48e564fd1263fcb092865f49d5e335bd4aeea03ec09c"
 
 
 @pytest.mark.parametrize("label", ["5; (12345) | (13524)", "6; (123456) | (135)(246)"])
@@ -1472,8 +1505,9 @@ def test_verify_keeps_the_operator_when_values_fill_the_row(monkeypatch):
     rho = rank_r_density((2,) * 6, 2, 102)
     planned, plan = [], invariants._plan
     monkeypatch.setattr(invariants, "_plan", lambda *args: planned.append(args[1]) or plan(*args))
-    state, src, _, cost = invariants._verify_route(tuples, rho, (2,) * 6, 6)
-    assert state is rho and not src.pure and cost.purification is None
+    cost = ContractionCost()
+    state, src, _, rows = invariants._route(tuples, rho, (2,) * 6, 6, cost)
+    assert state is rho and not src.pure and cost.purification is None and rows == 1
     assert planned == [(2,) * 6]
 
 
@@ -1483,7 +1517,9 @@ def test_purified_verify_replays_each_program_once(monkeypatch):
     tuples = [c.representative for c in enumerate_invariants(6, 2)]
     rho = rank_r_density(dims, 2, 103)
     # the operator takes 2 rows a chunk, so 4 chunks for 7 rows; psi takes them in one
-    assert invariants._batch_rows(_row_bytes(tuples, rho, dims) // 16) == 2
+    assert invariants.BATCH_BYTES // _row_bytes(tuples, rho, dims) == 2
+    _, src, _, rows = invariants._route(tuples, rho, dims, 6, None)
+    assert src.pure and rows == 7
     rows_seen.clear()
     devs = verify_classes(tuples, rho, dims, trials=6, seed=104)
     assert rows_seen == [7] * len(tuples) and max(devs) <= 1e-12
@@ -1530,6 +1566,32 @@ def test_verify_of_an_operator_that_fits_one_chunk_never_diagonalises(monkeypatc
     cost = ContractionCost()
     assert max(verify_classes(tuples, rho, (2, 2, 2), trials=20, seed=112, cost=cost)) <= 1e-12
     assert cost.purification is None
+
+
+@pytest.mark.parametrize("dims, step", [((8, 8), 1), ((2,) * 6, 500)])
+def test_eval_of_a_low_rank_density_never_diagonalises(dims, step, monkeypatch):
+    # eval's one row fits one chunk, so the route never purifies; verify of
+    # the same density, whose 3 rows take 2 operator chunks, does
+    def refuse(*args):
+        raise AssertionError("np.linalg.eigh called")
+
+    eigh, diagonalised = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    rho = rank_r_density(dims, 2, 116)
+    tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(len(dims), k)]
+    sentinel = invariants.Purification(5, 0.25)
+    cost = ContractionCost(purification=sentinel)
+    values = evaluate_many(tuples, rho, dims, cost=cost)
+    assert cost.purification is sentinel and cost.flops > 0
+    # the index sum takes 58 ms a degree-3 label of 2^6: 1 in 500 of its 8051
+    for i, (t, got) in enumerate(zip(tuples, values)):
+        if t.k < 3 or i % step == 0:
+            want = evaluate(t, rho, dims)
+            assert abs(got - want) <= 1e-10 * abs(want), (dims, t.label())
+    monkeypatch.setattr(np.linalg, "eigh", lambda mat: diagonalised.append(mat.shape) or eigh(mat))
+    few = [t for t in tuples if t.k < 3]
+    verify_classes(few, rho, dims, trials=2, seed=117, cost=cost)
+    assert diagonalised == [(64, 64)] and cost.purification.rank == 2
 
 
 def test_verify_cli_reports_the_purification(tmp_path, capsys):
