@@ -180,7 +180,6 @@ def cmd_entropy(args) -> CommandResult:
     spec = entropy.Spectrum.from_state(data, keep)  # a pure state never becomes rho
     svn = entropy.von_neumann(spec)
     res.values["S_vn"] = svn
-    res.add(f"S_vn = {_fmt(svn)}")
     s_alphas = [svn if alpha == 1 else entropy.renyi(spec, alpha) for alpha in alphas]
 
     # Cross-check integer orders through tr(rho_keep^k), contracted from the
@@ -190,25 +189,29 @@ def cmd_entropy(args) -> CommandResult:
     labels = [invariants.reduced_power_label(n, keep, k) for k in orders]
     traces = dict(zip(orders, invariants.evaluate_many(labels, data, data.dims)))
 
-    devs, skipped = [], []
+    devs, skipped = {}, []  # devs: order -> cross-check deviation
     for alpha, s_alpha in zip(alphas, s_alphas):
-        key = f"S_{alpha:g}"
-        res.values[key] = s_alpha
-        line = f"{key} = {_fmt(s_alpha)}"
+        res.values[f"S_{alpha:g}"] = s_alpha
         if alpha in traces:
             k = int(alpha)
-            dev = abs(entropy.renyi_from_invariant(traces[k].real, k) - s_alpha)
-            devs.append(dev)
-            res.diagnostics[f"crosscheck_dev_{k}"] = dev
-            line += f"  (invariant cross-check dev={_fmt(dev)})"
+            devs[k] = abs(entropy.renyi_from_invariant(traces[k].real, k) - s_alpha)
+            res.diagnostics[f"crosscheck_dev_{k}"] = devs[k]
         elif alpha in checked:
             skipped.append(alpha)
-            line += f"  (invariant cross-check skipped: needs over {invariants.MAX_LABELS} indices)"
-        res.add(line)
     if skipped:
         res.diagnostics["crosscheck_skipped"] = skipped
-    if not np.max(devs, initial=0.0) <= ENTROPY_CROSSCHECK_THRESHOLD:  # NaN fails too
+    if not np.max(list(devs.values()), initial=0.0) <= ENTROPY_CROSSCHECK_THRESHOLD:  # NaN fails too
         res.exit_code = 1
+    if args.json:  # the lines below only feed the human output
+        return res
+    res.add(f"S_vn = {_fmt(svn)}")
+    for alpha, s_alpha in zip(alphas, s_alphas):
+        line = f"S_{alpha:g} = {_fmt(s_alpha)}"
+        if alpha in traces:
+            line += f"  (invariant cross-check dev={_fmt(devs[int(alpha)])})"
+        elif alpha in checked:
+            line += f"  (invariant cross-check skipped: needs over {invariants.MAX_LABELS} indices)"
+        res.add(line)
     return res
 
 

@@ -75,24 +75,30 @@ tr(T rho^(x)k) over T's index map, building neither T nor the power.
 A label's grouping and program depend only on the label, the dims and
 the route, and a program only on the fused dims, the subscripts and the
 route, never on the state.  Both are memoised per process on exactly
-those keys, at most ``MEMO_ENTRIES`` (4096) of each; a label entry holds
-its shared program, so a warm call makes one lookup per label.  Only a
-call's first ``MEMO_ENTRIES`` labels go through the label memo, so a
-repeated call over more labels still hits that many.  Measured
-with tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
+those keys, in LRUs of at most ``MEMO_ENTRIES`` (4096) entries each; a
+label entry holds its shared program, so a warm call makes one lookup per
+label.  Every label of a call goes through the label memo, so a call over
+more labels than it holds evicts its own first ones.  Measured with
+tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
 a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
 if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants`
 keeps an LRU of ``MEMO_ENUMERATIONS`` (8) enumerations of at most
-``MEMO_CLASSES`` (4096) classes.  Its stabiliser-chain walk labels each
-representative as it finds it, and an entry keeps the labels beside its
-classes, which ``invariants list`` copies: a repeated list, or an eval or
-verify over a kept enumeration, formats no label again.  A labelled class
+``MEMO_ENTRIES`` classes, the one memo bound.  Its stabiliser-chain walk
+labels each representative as it finds it, and an entry keeps the labels
+beside its classes, which ``invariants list`` copies: a repeated list, or
+an eval or verify over a kept enumeration, formats no label again.  A labelled class
 takes 0.4-0.5 KB, its tuple sharing the table's permutation tuples
 (tracemalloc, 4096 classes of n = 12, k = 2 to 901 of n = 2, k = 6): an
 entry holds at most about 2.1 MB, or 80 B more a subsystem at k = 1, and
-all of them about 17 MB.  Past ``MEMO_CLASSES`` each call builds fresh,
+all of them about 17 MB.  Past ``MEMO_ENTRIES`` each call builds fresh,
 labelled tuples.  A cold call compiles exactly what an unmemoised one
 would; a warm one compiles nothing and returns the same values bit for bit.
+
+A :class:`ContractionCost` passed to :func:`evaluate_many` or
+:func:`verify_classes` is charged once per tuple with the program of the
+route the call took, and its ``purification`` is set to that route's:
+``None`` unless the call contracted an operator's purification, so it is
+``None`` after every eval.
 """
 
 from __future__ import annotations
@@ -127,7 +133,6 @@ MAX_SUBSYSTEMS = 32
 MAX_LABELS = 52
 # Memo bounds; see the module docstring for the memory they retain.
 MEMO_ENTRIES = 4096
-MEMO_CLASSES = 4096
 MEMO_ENUMERATIONS = 8
 # Bytes of states that verify_classes stacks into one batch of Haar trials;
 # see the module docstring.
@@ -290,7 +295,7 @@ def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
     of n-tuples over S_k, sorted by the lexicographic tuple encoding (the
     representative is the orbit minimum).  The list is the caller's own;
     the memo behind it keeps the ``MEMO_ENUMERATIONS`` most recently used
-    enumerations that have at most ``MEMO_CLASSES`` classes.  Raises
+    enumerations that have at most ``MEMO_ENTRIES`` classes.  Raises
     ValueError, before it allocates, past ``MAX_CLASSES`` classes or
     ``MAX_SUBSYSTEMS`` subsystems.
     """
@@ -302,7 +307,7 @@ def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
     count = _class_count(n, k)  # memoised; the bounds below are read on every call
     if count > MAX_CLASSES:
         raise ValueError(f"n={n}, k={k} has {count} classes, more than {MAX_CLASSES}")
-    scan = _scan if count <= MEMO_CLASSES else _scan.__wrapped__
+    scan = _scan if count <= MEMO_ENTRIES else _scan.__wrapped__
     return list(scan(n, k)[0])
 
 
@@ -310,9 +315,9 @@ def _kept_labels(n: int, k: int, classes: list[CanonicalClass]) -> list[str]:
     """The labels of ``classes``, which :func:`enumerate_invariants` just returned for (n, k).
 
     A kept enumeration's labels are copied from its memo entry; past
-    ``MEMO_CLASSES`` the scan has labelled each fresh tuple.
+    ``MEMO_ENTRIES`` the scan has labelled each fresh tuple.
     """
-    if len(classes) > MEMO_CLASSES:
+    if len(classes) > MEMO_ENTRIES:
         return [c.label() for c in classes]
     return list(_scan(n, k)[1])
 
@@ -619,9 +624,10 @@ class ContractionCost:
 
     ``flops`` is the planned sum over labels: a self-trace that several
     labels share is counted in each, though the replay computes it once per
-    grouping, so it bounds the replayed work from above.  ``purification``
-    is set by :func:`verify_classes` when it contracted an operator's
-    purification instead of the operator.
+    grouping, so it bounds the replayed work from above.  Each call of
+    :func:`evaluate_many` or :func:`verify_classes` that charges a cost
+    sets its ``purification`` to the route that call took: the operator's
+    purification when it contracted that, else ``None``.
     """
 
     flops: int = 0
@@ -634,23 +640,20 @@ class ContractionCost:
         self.largest = max(self.largest, program.largest)
 
 
-def _plan(tuples, dims, pure: bool, cost: ContractionCost | None) -> dict:
-    """Each grouping ``(axes, fused)``: its ``(position, program)`` per tuple.
+def _plan(tuples, dims, pure: bool) -> tuple[dict, ContractionCost]:
+    """Each grouping ``(axes, fused)``: its ``(position, program)`` per tuple; and their cost.
 
-    Tuples whose networks agree on the fused dims and the subscripts share
-    one memoised program.  A ``cost`` passed in is charged once per tuple.
-    Only the first ``MEMO_ENTRIES`` tuples go through the label memo: past
-    that, a scan in class order would evict each entry before it came round
-    again, so a repeated call would hit none.
+    Every tuple goes through the label memo.  Tuples whose networks agree
+    on the fused dims and the subscripts share one memoised program.  The
+    cost is a fresh one, charged once per tuple.
     """
     plan: dict[tuple, list] = {}
+    cost = ContractionCost()
     for i, t in enumerate(tuples):
-        network = _network if i < MEMO_ENTRIES else _network.__wrapped__
-        grouping, program = network(t, dims, pure)
-        if cost is not None:
-            cost.add(program)
+        grouping, program = _network(t, dims, pure)
+        cost.add(program)
         plan.setdefault(grouping, []).append((i, program))
-    return plan
+    return plan, cost
 
 
 def _contract_all(plan: dict, src: _Operand, count: int) -> np.ndarray:
@@ -680,10 +683,10 @@ def evaluate_many(
     transpose the operator once.  The route is :func:`verify_classes`'s
     with no trials: one row fits one chunk, so an operator is never
     purified.  A ``cost`` passed in is charged with every tuple's program,
-    and its ``purification`` is left as it was.  A tuple with other than
+    and its ``purification`` is set to ``None``.  A tuple with other than
     ``len(dims)`` subsystems raises ShapeError naming its label.
     """
-    _, src, plan, _ = _route(tuples, state, tuple(int(d) for d in dims), 0, cost)
+    _, src, plan, _ = _route(tuples, state, dims, 0, cost)
     return _contract_all(plan, _Operand(src.pure, src.array[None]), len(tuples))[:, 0].tolist()
 
 
@@ -724,7 +727,7 @@ def pure_jk(state: Tensor, bipartition, k: int) -> float:
     return float(np.sum(form.sigma ** (2 * k)))
 
 
-def _route(tuples, state, dims: tuple[int, ...], trials: int, cost: ContractionCost | None):
+def _route(tuples, state, dims: Sequence[int], trials: int, cost: ContractionCost | None):
     """What :func:`evaluate_many` and :func:`verify_classes` contract: ``(state, src, plan, rows)``.
 
     The trials + 1 rows (eval's one row is trials = 0) go in chunks of
@@ -735,30 +738,32 @@ def _route(tuples, state, dims: tuple[int, ...], trials: int, cost: ContractionC
     :func:`_purify` planned too, every label with ``e`` appended for P, and
     taken if it needs fewer chunks; a tie stays on the operator.  So eval,
     whose one row fits one chunk, never purifies.  A ``cost`` passed in is
-    charged with the plan taken.  A verify's sets its ``purification`` to
-    say which plan that was; eval's keeps the one it had.
+    charged with the plan taken, and its ``purification`` is set to say
+    which plan that was, on every call.  A purified state keeps one copy of
+    psi, which ``src`` shares.
     """
     def chunking(array: np.ndarray, largest: int) -> tuple[int, int]:
         width = max(array.size, largest, len(tuples)) * np.dtype(np.complex128).itemsize
         rows = min(max(1, BATCH_BYTES // width), trials + 1)
         return rows, -(-(trials + 1) // rows)
 
-    src, spent = _operand(state, dims), ContractionCost()
-    plan = _plan(tuples, dims, src.pure, spent)
+    dims = tuple(int(d) for d in dims)
+    src = _operand(state, dims)
+    plan, spent = _plan(tuples, dims, src.pure)
     rows, chunks = chunking(src.array, spent.largest)
     found = None if src.pure or chunks == 1 else _purify(src.array, dims)
     if found is not None and chunking(found[0], 0)[1] < chunks:  # else no plan of psi takes fewer
-        psi, psi_spent, psi_plan = found[0], ContractionCost(purification=found[1]), None
+        psi, psi_plan = found[0], None
         psi_tuples = [PermTuple._trusted(t.k, (*t.sigmas, tuple(range(t.k)))) for t in tuples]
         with suppress(ShapeError):  # P's leg may take a label past MAX_LABELS
-            psi_plan = _plan(psi_tuples, psi.shape, True, psi_spent)
+            psi_plan, psi_spent = _plan(psi_tuples, psi.shape, True)
         if psi_plan is not None and (taken := chunking(psi, psi_spent.largest))[1] < chunks:
             state = StateData("pure", psi.shape, Tensor._wrap(psi))
-            src, spent, plan, rows = _Operand(True, psi), psi_spent, psi_plan, taken[0]
+            src, spent, plan, rows = _Operand(True, state.tensor.data), psi_spent, psi_plan, taken[0]
+            spent.purification = found[1]
     if cost is not None:
         cost.add(spent)
-        if trials:  # a verify's cost says which route it took
-            cost.purification = spent.purification
+        cost.purification = spent.purification
     return state, src, plan, rows
 
 
@@ -845,11 +850,11 @@ def verify_classes(
     operator route they equal :func:`max_unitary_deviation` of
     :func:`evaluate_fast` bit for bit.
     A ``cost`` passed in is charged with every program of the route taken
-    once per tuple, and its ``purification`` says which route that was.
+    once per tuple, and its ``purification`` is set to say which route that
+    was: the purification's rank and discarded weight, or ``None``.
     """
     if trials < 1:  # before any label is planned and memoised
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dims = tuple(int(d) for d in dims)
     state, src, plan, rows = _route(tuples, state, dims, trials, cost)
     stack = np.empty((rows, *src.array.shape), dtype=np.complex128)
     stack[0], start, left = src.array, 1, trials

@@ -298,8 +298,8 @@ def test_invariants_list_enumerates_through_enumerate_invariants(capsys, monkeyp
     enum = invariants.enumerate_invariants
     monkeypatch.setattr(invariants, "enumerate_invariants", lambda n, k: calls.append((n, k)) or enum(n, k))
     clear_memos()
-    for memo in (invariants.MEMO_CLASSES, 0):
-        monkeypatch.setattr(invariants, "MEMO_CLASSES", memo)
+    for memo in (invariants.MEMO_ENTRIES, 0):
+        monkeypatch.setattr(invariants, "MEMO_ENTRIES", memo)
         for argv in (["-n", "3", "-k", "3"], ["-n", "3", "-k", "3", "--json"]):
             assert main(["invariants", "list", *argv]) == 0
             out = capsys.readouterr().out
@@ -739,6 +739,8 @@ def test_json_formats_no_human_lines(ghz5_path, bell_path, tmp_path, capsys, mon
         ["factor", ghz5_path, "--truncate-chi", "1"],
         ["invariants", "eval", bell_path, "-k", "2"],
         ["invariants", "verify", bell_path, "-k", "2", "--trials", "2"],
+        # a cross-checked order, one skipped past MAX_LABELS, and S_vn
+        ["entropy", bell_path, "--keep", "0", "--alpha", "1,2,3,30"],
     ):
         assert main(argv + ["--json"]) == 0, argv
         assert json.loads(capsys.readouterr().out)["exit_code"] == 0

@@ -811,7 +811,7 @@ def test_kept_labels_are_the_scans_labels(monkeypatch):
     assert all(a is c.label() for a, c in zip(labels, classes))  # formatted once, by the scan
     again = invariants._kept_labels(3, 3, enumerate_invariants(3, 3))
     assert again == labels and again is not labels  # the caller's own list
-    monkeypatch.setattr(invariants, "MEMO_CLASSES", 0)  # fresh tuples, labelled by their scan
+    monkeypatch.setattr(invariants, "MEMO_ENTRIES", 0)  # fresh tuples, labelled by their scan
     fresh = enumerate_invariants(3, 3)
     assert all(c.representative._label is not None for c in fresh)
     assert invariants._kept_labels(3, 3, fresh) == labels
@@ -1086,18 +1086,17 @@ def test_warm_calls_look_up_no_program():
         assert same_bits(warm[0], cold[0]) and same_bits(warm[1], cold[1])
 
 
-def test_repeated_call_over_more_labels_than_the_memo_hits_a_full_memo():
+def test_repeated_call_over_more_labels_than_the_memo_keeps_it_full_and_plans_alike():
+    # every label goes through the label memo, which the LRU keeps at its bound
     clear_memos()
     dims = (2,) * 6
     tuples = [c.representative for c in enumerate_invariants(6, 3)]
     assert len(tuples) == 8051 > invariants.MEMO_ENTRIES
-    invariants._plan(tuples, dims, False, None)
-    first = invariants._network.cache_info()
-    assert first.currsize == invariants.MEMO_ENTRIES
-    invariants._plan(tuples, dims, False, None)
-    second = invariants._network.cache_info()
-    assert second.currsize == invariants.MEMO_ENTRIES
-    assert (second.hits - first.hits, second.misses) == (invariants.MEMO_ENTRIES, first.misses)
+    first = invariants._plan(tuples, dims, False)
+    assert invariants._network.cache_info().currsize == invariants.MEMO_ENTRIES
+    second = invariants._plan(tuples, dims, False)
+    assert invariants._network.cache_info().currsize == invariants.MEMO_ENTRIES
+    assert second == first  # the same programs, and the same cost
 
 
 def _row_bytes(tuples, state, dims) -> int:
@@ -1300,7 +1299,7 @@ def enumeration_memo():
 
 
 def test_enumeration_memo_keeps_only_small_recent_enumerations(monkeypatch):
-    assert invariants.MEMO_CLASSES == 4096 and invariants.MEMO_ENUMERATIONS == 8
+    assert invariants.MEMO_ENTRIES == 4096 and invariants.MEMO_ENUMERATIONS == 8
     clear_memos()
     assert len(enumerate_invariants(5, 3)) == 1393
     assert len(enumerate_invariants(6, 3)) == 8051
@@ -1308,14 +1307,14 @@ def test_enumeration_memo_keeps_only_small_recent_enumerations(monkeypatch):
     assert enumeration_memo() == (0, 1, 1)
     enumerate_invariants(5, 3)
     assert enumeration_memo() == (1, 1, 1)  # (5, 3) was the one kept
-    monkeypatch.setattr(invariants, "MEMO_CLASSES", 49)
+    monkeypatch.setattr(invariants, "MEMO_ENTRIES", 49)
     enumerate_invariants(3, 3)  # 49 classes: kept
     enumerate_invariants(4, 3)  # 251: not kept
     assert enumeration_memo() == (1, 2, 2)
     for n in range(1, 8):  # one class each; the least recently used entry makes room
         enumerate_invariants(n, 1)
     assert enumeration_memo() == (1, 9, 8)
-    monkeypatch.setattr(invariants, "MEMO_CLASSES", 4096)
+    monkeypatch.setattr(invariants, "MEMO_ENTRIES", 4096)
     for n in range(1, 8):
         enumerate_invariants(n, 1)
     enumerate_invariants(3, 3)
@@ -1365,7 +1364,7 @@ def test_warm_relabeling_lists_no_permutations(monkeypatch):
     tau = (1, 2, 0)
     cold = (canonicalize(t), conjugate_tuple(t, tau), enumerate_invariants(3, 3))
     assert listed == [3]  # once, by the conjugation table
-    monkeypatch.setattr(invariants, "MEMO_CLASSES", 0)  # every enumeration scans again
+    monkeypatch.setattr(invariants, "MEMO_ENTRIES", 0)  # every enumeration scans again
     warm = (canonicalize(t), conjugate_tuple(t, tau), enumerate_invariants(3, 3))
     assert listed == [3] and warm == cold
 
@@ -1579,10 +1578,10 @@ def test_eval_of_a_low_rank_density_never_diagonalises(dims, step, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     rho = rank_r_density(dims, 2, 116)
     tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(len(dims), k)]
-    sentinel = invariants.Purification(5, 0.25)
-    cost = ContractionCost(purification=sentinel)
+    stale = invariants.Purification(5, 0.25)  # eval sets its own route's: None
+    cost = ContractionCost(purification=stale)
     values = evaluate_many(tuples, rho, dims, cost=cost)
-    assert cost.purification is sentinel and cost.flops > 0
+    assert cost.purification is None and cost.flops > 0
     # the index sum takes 58 ms a degree-3 label of 2^6: 1 in 500 of its 8051
     for i, (t, got) in enumerate(zip(tuples, values)):
         if t.k < 3 or i % step == 0:
@@ -1592,6 +1591,21 @@ def test_eval_of_a_low_rank_density_never_diagonalises(dims, step, monkeypatch):
     few = [t for t in tuples if t.k < 3]
     verify_classes(few, rho, dims, trials=2, seed=117, cost=cost)
     assert diagonalised == [(64, 64)] and cost.purification.rank == 2
+
+
+def test_a_cost_records_the_route_of_the_call_that_charged_it():
+    # a verify through the purification, then an eval on the operator, into one cost
+    dims = (2,) * 6
+    tuples = [c.representative for c in enumerate_invariants(6, 2)]
+    rho = rank_r_density(dims, 2, 118)
+    verified, evaluated, cost = ContractionCost(), ContractionCost(), ContractionCost()
+    verify_classes(tuples, rho, dims, trials=6, seed=119, cost=verified)
+    evaluate_many(tuples, rho, dims, cost=evaluated)
+    verify_classes(tuples, rho, dims, trials=6, seed=119, cost=cost)
+    assert cost.purification.rank == 2 and cost == verified
+    evaluate_many(tuples, rho, dims, cost=cost)
+    assert cost.purification is None and evaluated.purification is None
+    assert cost.flops == verified.flops + evaluated.flops
 
 
 def test_verify_cli_reports_the_purification(tmp_path, capsys):
