@@ -4,6 +4,12 @@ Every command prints a human-readable report by default and a
 machine-readable JSON document with --json.  Exit code 0 means all
 requested computations succeeded and every verification passed its
 threshold.
+
+A command computes its result once: it fills ``values`` and
+``diagnostics`` and sets ``human``, a callable that yields the report's
+lines.  Only :meth:`CommandResult.render` reads the output mode, so a
+``--json`` run never formats a human line.  A report closure reads the
+command's locals, never its result, so it forms no reference cycle.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +42,7 @@ class CommandResult:
     values: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     exit_code: int = 0
-    lines: list = field(default_factory=list)
-
-    def add(self, line: str):
-        self.lines.append(line)
+    human: Callable[[], Iterable[str]] = tuple  # yields the human report's lines
 
     def render(self, as_json: bool) -> str:
         if as_json:
@@ -49,7 +53,7 @@ class CommandResult:
                 "exit_code": self.exit_code,
             }
             return json.dumps(doc, indent=2, sort_keys=True)
-        return "\n".join(self.lines)
+        return "\n".join(self.human())
 
 
 def _fmt(x) -> str:
@@ -72,19 +76,16 @@ def cmd_factor(args) -> CommandResult:
     res.values["fidelity"] = fid
     if args.out:
         states.save_chain(chain, args.out)
-    if args.json:  # every singular value below only feeds the human lines
-        return res
-    for b, sig in enumerate(chain.bond_sigmas):
-        res.add(f"bond {b}: chi={len(sig)} sigma=" + " ".join(_fmt(s) for s in sig))
-    res.add(f"fidelity: {_fmt(fid)}")
-    if args.out:
-        res.add(f"chain written to {args.out}")
+
+    def human():
+        for b, sig in enumerate(chain.bond_sigmas):
+            yield f"bond {b}: chi={len(sig)} sigma=" + " ".join(_fmt(s) for s in sig)
+        yield f"fidelity: {_fmt(fid)}"
+        if args.out:
+            yield f"chain written to {args.out}"
+
+    res.human = human
     return res
-
-
-def _cost_doc(cost: invariants.ContractionCost) -> dict:
-    """Summed FLOPs and largest intermediate (elements) of the compiled programs."""
-    return {"flops": cost.flops, "largest_intermediate": cost.largest}
 
 
 def cmd_invariants(args) -> CommandResult:
@@ -98,17 +99,19 @@ def cmd_invariants(args) -> CommandResult:
         classes = invariants.enumerate_invariants(args.n, args.k)
         res.values["count"] = len(classes)
         res.values["labels"] = labels = invariants._kept_labels(args.n, args.k, classes)
-        if args.json:  # the tags below only feed the human lines
-            return res
-        for c, label in zip(classes, labels):
-            tags = []
-            parts = len(invariants.connected_components(c.representative))
-            if parts > 1:
-                tags.append(f"components={parts}")
-            if invariants.is_real_guaranteed(c.representative):
-                tags.append("real")
-            tag = (" [" + ", ".join(tags) + "]") if tags else ""
-            res.add(f"{label}  orbit={c.orbit_size}{tag}")
+
+        def human():
+            for c, label in zip(classes, labels):
+                tags = []
+                parts = len(invariants.connected_components(c.representative))
+                if parts > 1:
+                    tags.append(f"components={parts}")
+                if invariants.is_real_guaranteed(c.representative):
+                    tags.append("real")
+                tag = (" [" + ", ".join(tags) + "]") if tags else ""
+                yield f"{label}  orbit={c.orbit_size}{tag}"
+
+        res.human = human
         return res
 
     if not args.state:
@@ -127,34 +130,31 @@ def cmd_invariants(args) -> CommandResult:
     cost = invariants.ContractionCost()
     if args.action == "eval":
         vals = invariants.evaluate_many(tuples, data, data.dims, cost=cost)
-        res.diagnostics["contraction"] = _cost_doc(cost)
-        for t, val in zip(tuples, vals):
-            label = t.label()
-            res.values[label] = [val.real, val.imag]
-            if not args.json:
-                res.add(f"{label} = {_fmt(val)}")
-        return res
+        res.values = {t.label(): [val.real, val.imag] for t, val in zip(tuples, vals)}
+        res.human = lambda: (f"{t.label()} = {_fmt(val)}" for t, val in zip(tuples, vals))
+    else:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+        devs = invariants.verify_classes(
+            tuples, data, data.dims, trials=args.trials, seed=args.seed, cost=cost
+        )
+        purified = cost.purification  # None unless verify contracted the operator's purification
+        res.diagnostics["purification"] = None if purified is None else purified._asdict()
+        worst = float(np.max(devs, initial=0.0))  # a NaN deviation is carried, not dropped
+        res.values = {t.label(): dev for t, dev in zip(tuples, devs)}
+        res.diagnostics.update(max_deviation=worst, threshold=VERIFY_THRESHOLD)
+        if not worst <= VERIFY_THRESHOLD:  # the comparison that labels each line ok
+            res.exit_code = 1
 
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-    devs = invariants.verify_classes(
-        tuples, data, data.dims, trials=args.trials, seed=args.seed, cost=cost
-    )
-    res.diagnostics["contraction"] = _cost_doc(cost)
-    purified = cost.purification  # None unless verify contracted the operator's purification
-    res.diagnostics["purification"] = None if purified is None else purified._asdict()
-    worst = float(np.max(devs, initial=0.0))  # a NaN deviation is carried, not dropped
-    for t, dev in zip(tuples, devs):
-        label = t.label()
-        res.values[label] = dev
-        if not args.json:
-            status = "ok" if dev <= VERIFY_THRESHOLD else "FAIL"
-            res.add(f"{label}  deviation={_fmt(dev)}  {status}")
-    res.diagnostics.update(max_deviation=worst, threshold=VERIFY_THRESHOLD)
-    if not worst <= VERIFY_THRESHOLD:  # the comparison that labels each line ok
-        res.exit_code = 1
-    if not args.json:
-        res.add(f"max deviation: {_fmt(worst)}")
+        def human():
+            for t, dev in zip(tuples, devs):
+                status = "ok" if dev <= VERIFY_THRESHOLD else "FAIL"
+                yield f"{t.label()}  deviation={_fmt(dev)}  {status}"
+            yield f"max deviation: {_fmt(worst)}"
+
+        res.human = human
+    # summed FLOPs and largest intermediate (elements) of the compiled programs
+    res.diagnostics["contraction"] = {"flops": cost.flops, "largest_intermediate": cost.largest}
     return res
 
 
@@ -189,9 +189,11 @@ def cmd_entropy(args) -> CommandResult:
     labels = [invariants.reduced_power_label(n, keep, k) for k in orders]
     traces = dict(zip(orders, invariants.evaluate_many(labels, data, data.dims)))
 
+    # an order's key: its :g text when that reads back as the order, else its repr
+    names = [text if float(text := f"{a:g}") == a else repr(a) for a in alphas]
     devs, skipped = {}, []  # devs: order -> cross-check deviation
-    for alpha, s_alpha in zip(alphas, s_alphas):
-        res.values[f"S_{alpha:g}"] = s_alpha
+    for alpha, name, s_alpha in zip(alphas, names, s_alphas):
+        res.values[f"S_{name}"] = s_alpha
         if alpha in traces:
             k = int(alpha)
             devs[k] = abs(entropy.renyi_from_invariant(traces[k].real, k) - s_alpha)
@@ -202,16 +204,18 @@ def cmd_entropy(args) -> CommandResult:
         res.diagnostics["crosscheck_skipped"] = skipped
     if not np.max(list(devs.values()), initial=0.0) <= ENTROPY_CROSSCHECK_THRESHOLD:  # NaN fails too
         res.exit_code = 1
-    if args.json:  # the lines below only feed the human output
-        return res
-    res.add(f"S_vn = {_fmt(svn)}")
-    for alpha, s_alpha in zip(alphas, s_alphas):
-        line = f"S_{alpha:g} = {_fmt(s_alpha)}"
-        if alpha in traces:
-            line += f"  (invariant cross-check dev={_fmt(devs[int(alpha)])})"
-        elif alpha in checked:
-            line += f"  (invariant cross-check skipped: needs over {invariants.MAX_LABELS} indices)"
-        res.add(line)
+
+    def human():
+        yield f"S_vn = {_fmt(svn)}"
+        for alpha, name, s_alpha in zip(alphas, names, s_alphas):
+            line = f"S_{name} = {_fmt(s_alpha)}"
+            if alpha in traces:
+                line += f"  (invariant cross-check dev={_fmt(devs[int(alpha)])})"
+            elif alpha in checked:
+                line += f"  (invariant cross-check skipped: needs over {invariants.MAX_LABELS} indices)"
+            yield line
+
+    res.human = human
     return res
 
 
@@ -269,9 +273,9 @@ def main(argv=None) -> int:
     A command builds tens of thousands of short-lived containers (state
     files' ``[real, imag]`` pairs, compiled programs, enumeration classes)
     that hold no reference cycles; the only cycles it leaves are stdlib
-    ``json``'s indent encoder closures, which the next automatic collection
-    frees.  The collector is left as it was found on every exit, including
-    argparse's ``SystemExit``.
+    ``json``'s indent encoder closures of a ``--json`` run, which the next
+    automatic collection frees.  The collector is left as it was found on
+    every exit, including argparse's ``SystemExit``.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -746,6 +746,60 @@ def test_json_formats_no_human_lines(ghz5_path, bell_path, tmp_path, capsys, mon
         assert json.loads(capsys.readouterr().out)["exit_code"] == 0
 
 
+def _report_commands(tmp_path, ghz5_path, bell_path):
+    """One argv of each report: factor, list, eval, verify and entropy."""
+    rho = density_from_pure(random_pure_state((2,) * 3, seed=1))
+    rho3 = str(tmp_path / "rho3.json")
+    save_state(StateData.density(rho, (2,) * 3), rho3)
+    a, b = (density_from_pure(random_pure_state((2,) * 6, seed=s)).data for s in (4, 5))
+    rho6r2 = str(tmp_path / "rho6r2.json")  # rank 2: verify contracts its purification
+    save_state(StateData.density(Tensor(0.3 * a + 0.7 * b), (2,) * 6), rho6r2)
+    return [
+        ["factor", ghz5_path, "--out", str(tmp_path / "chain.json")],
+        ["factor", ghz5_path, "--truncate-chi", "1"],
+        ["invariants", "list", "-n", "3", "-k", "3"],
+        ["invariants", "eval", rho3, "-k", "3"],
+        ["invariants", "verify", rho3, "-k", "2", "--trials", "3"],
+        ["invariants", "verify", rho6r2, "-k", "2", "--trials", "9", "--seed", "5"],
+        # a cross-checked order, one skipped past MAX_LABELS, and S_vn
+        ["entropy", bell_path, "--keep", "0", "--alpha", "1,2,3,30"],
+    ]
+
+
+def test_one_result_renders_both_reports(ghz5_path, bell_path, tmp_path, capsys):
+    # a command never reads the output mode: with --json deleted from its
+    # arguments it still runs, and its result renders what main prints
+    purified = []
+    for argv in _report_commands(tmp_path, ghz5_path, bell_path):
+        args = cli._parser().parse_args(argv)
+        del args.json
+        res = args.run(args)
+        assert main(argv + ["--json"]) == res.exit_code, argv
+        assert capsys.readouterr().out == res.render(True) + "\n", argv
+        assert main(argv) == res.exit_code, argv
+        assert capsys.readouterr().out == res.render(False) + "\n", argv
+        purified.append(res.diagnostics.get("purification"))
+    assert purified[4] is None and purified[5]["rank"] == 2
+
+
+def test_a_human_command_leaves_no_reference_cycle(ghz5_path, bell_path, tmp_path, capsys):
+    # main runs with the collector paused, so a cycle a report leaves (say a
+    # closure that holds its result) stays until the next collection
+    was = gc.isenabled()
+    try:
+        for argv in _report_commands(tmp_path, ghz5_path, bell_path):
+            for _ in range(2):  # warm the memos and the lazy hashlib import
+                assert main(argv) == 0, argv
+            gc.collect()
+            gc.disable()
+            assert main(argv) == 0, argv
+            assert gc.collect() == 0, argv
+            gc.enable()
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
 def test_invariants_and_entropy_never_form_rho_for_pure_file(bell_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("density_from_pure called")
@@ -818,6 +872,26 @@ def test_entropy_alpha_one_is_von_neumann(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["values"]["S_1"] == doc["values"]["S_vn"] > 0.0
     assert doc["diagnostics"]["crosscheck_dev_2"] <= 1e-9
+
+
+def test_entropy_orders_that_print_alike_keep_their_own_keys(tmp_path, capsys):
+    # 2.0000001 prints as 2 with :g; its key is its repr, so order 2 keeps
+    # S_2 beside its own cross-check, and orders of at most 6 digits keep :g
+    rho = density_from_pure(random_pure_state((2,) * 3, seed=1))
+    path = str(tmp_path / "rho3.json")
+    save_state(StateData.density(rho, (2,) * 3), path)
+    alone = {}
+    for alpha in ("2", "2.0000001", "0.5", "1e-05"):
+        alone.update(_entropy_json(capsys, path, "--keep", "1", "--alpha", alpha)["values"])
+    doc = _entropy_json(capsys, path, "--keep", "1", "--alpha", "2,2.0000001,0.5,1e-05")
+    assert doc["values"] == alone
+    assert set(alone) == {"S_vn", "S_2", "S_2.0000001", "S_0.5", "S_1e-05"}
+    assert alone["S_2"] != alone["S_2.0000001"]
+    assert set(doc["diagnostics"]) == {"crosscheck_dev_2"}
+    assert main(["entropy", path, "--keep", "1", "--alpha", "2,2.0000001"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == ["S_vn", "S_2", "S_2.0000001"]
+    assert "cross-check" in lines[1] and "cross-check" not in lines[2]
 
 
 def test_entropy_crosscheck_past_its_threshold_exits_1(bell_path, capsys, monkeypatch):
