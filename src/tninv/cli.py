@@ -10,6 +10,8 @@ A command computes its result once: it fills ``values`` and
 lines.  Only :meth:`CommandResult.render` reads the output mode, so a
 ``--json`` run never formats a human line.  A report closure reads the
 command's locals, never its result, so it forms no reference cycle.
+``--json`` output is stdlib ``json.dumps(doc, indent=2, sort_keys=True)``
+byte for byte, written by :func:`_json` a block at a time.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import json
 import os
 import re
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -52,8 +55,84 @@ class CommandResult:
                 "diagnostics": self.diagnostics,
                 "exit_code": self.exit_code,
             }
-            return json.dumps(doc, indent=2, sort_keys=True)
+            return _json(doc)
         return "\n".join(self.human())
+
+
+def _json(o, ind: str = "\n") -> str:
+    """``json.dumps(o, indent=2, sort_keys=True)``, written a block at a time.
+
+    A list, or a dict's sorted keys and its values, is one block, and how
+    to write it is decided once: ``str`` items that need no escape are
+    quoted as they are, floats are their ``float.__repr__`` unless one is
+    NaN or infinite, and float pairs are joined by one separator.  Other
+    items follow stdlib's rules one at a time.  Keys must be ``str``.
+    """
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if isinstance(o, float):
+        text = float.__repr__(o)
+        return text if "n" not in text else {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}[text]
+    if isinstance(o, (list, tuple)):
+        return "[" + _lines(*_texts(o, ind + "  "), ind) + "]" if o else "[]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        keys = sorted(o)
+        head, texts, tail = _texts(list(map(o.__getitem__, keys)), ind + "  ")
+        if _plain(keys):
+            quote = '"'
+        else:  # TypeError for a key that is not a str
+            quote, keys = "", list(map(encode_basestring_ascii, keys))
+        return "{" + _lines(quote, map((quote + ": " + head).join, zip(keys, texts)), tail, ind) + "}"
+    if o is None or isinstance(o, bool):
+        return {None: "null", True: "true", False: "false"}[o]
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _texts(items, ind: str) -> tuple[str, Iterable[str], str]:
+    """``(head, middles, tail)``: the JSON text of each of ``items`` at indent
+    ``ind`` is ``head + middle + tail``, with one rule for the whole block."""
+    if _plain(items):
+        return '"', items, '"'
+    types = set(map(type, items))
+    if types == {float} and (texts := _finite(items)):
+        return "", texts, ""
+    if types == {list} and set(map(len, items)) == {2}:
+        flat = list(chain.from_iterable(items))
+        if set(map(type, flat)) == {float} and (texts := _finite(flat)):
+            inner = ind + "  "
+            return "[" + inner, map(("," + inner).join, zip(texts[0::2], texts[1::2])), ind + "]"
+    return "", [_json(x, ind) for x in items], ""
+
+
+def _plain(items) -> bool:
+    """Whether every item is a ``str`` that stdlib writes as it is between
+    quotes.  ``unicode_escape`` lengthens exactly the text that holds a
+    ``\\``, a control character or anything past ``~``; stdlib escapes
+    those and ``"``."""
+    if not (isinstance(items[0], str) and isinstance(items[-1], str)):
+        return False
+    try:
+        text = "".join(items)
+    except TypeError:  # an item between the ends is not a str
+        return False
+    return '"' not in text and len(text.encode("unicode_escape")) == len(text)
+
+
+def _finite(floats: list) -> list | None:
+    """Each float's ``float.__repr__``, or None if one is NaN or infinite."""
+    texts = list(map(float.__repr__, floats))
+    return None if "n" in "".join(texts) else texts  # a finite repr holds no n
+
+
+def _lines(head: str, middles: Iterable[str], tail: str, ind: str) -> str:
+    """``head + middle + tail`` for each middle, comma-separated, one a
+    line, indented two spaces past ``ind``."""
+    inner = ind + "  "
+    return inner + head + (tail + "," + inner + head).join(middles) + tail + ind
 
 
 def _fmt(x) -> str:
@@ -272,10 +351,9 @@ def main(argv=None) -> int:
 
     A command builds tens of thousands of short-lived containers (state
     files' ``[real, imag]`` pairs, compiled programs, enumeration classes)
-    that hold no reference cycles; the only cycles it leaves are stdlib
-    ``json``'s indent encoder closures of a ``--json`` run, which the next
-    automatic collection frees.  The collector is left as it was found on
-    every exit, including argparse's ``SystemExit``.
+    that hold no reference cycles, and it leaves none in either output
+    mode.  The collector is left as it was found on every exit, including
+    argparse's ``SystemExit``.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -153,7 +153,7 @@ class PermTuple:
             raise ValueError(f"degree must be >= 1, got {self.k}")
         if not self.sigmas:
             raise ValueError("need at least one subsystem permutation")
-        norm = tuple(tuple(int(x) for x in s) for s in self.sigmas)
+        norm = tuple(tuple(map(int, s)) for s in self.sigmas)
         object.__setattr__(self, "sigmas", norm)
         for s in norm:
             if sorted(s) != list(range(self.k)):
@@ -356,7 +356,7 @@ def _scan(n: int, k: int) -> tuple[tuple[CanonicalClass, ...], tuple[str, ...]]:
 
 def _index_map(t: PermTuple, dims: Sequence[int]) -> np.ndarray:
     """Where T sends each copy-major index x: copy c of s reads x's copy sigma_s^-1(c)."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     if len(dims) != t.n:
         raise ShapeError(f"label {t.label()!r} has {t.n} subsystems, state has {len(dims)}")
     full_dims, inv = dims * t.k, [perms.inverse(s) for s in t.sigmas]
@@ -747,7 +747,7 @@ def _route(tuples, state, dims: Sequence[int], trials: int, cost: ContractionCos
         rows = min(max(1, BATCH_BYTES // width), trials + 1)
         return rows, -(-(trials + 1) // rows)
 
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     src = _operand(state, dims)
     plan, spent = _plan(tuples, dims, src.pure)
     rows, chunks = chunking(src.array, spent.largest)
@@ -803,7 +803,7 @@ def max_unitary_deviation(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     rho_t = Tensor._wrap(as_operator(rho, dims))
     base = value_fn(rho_t)
     scale = max(abs(base), 1e-300)

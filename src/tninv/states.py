@@ -276,7 +276,7 @@ def load_state(path) -> StateData:
         if digest == kept.digest:
             return StateData(kept.kind, kept.dims, kept.tensor)
     doc = _document(path, raw)
-    kind, dims = doc["kind"], tuple(int(d) for d in doc["dims"])
+    kind, dims = doc["kind"], tuple(map(int, doc["dims"]))
     try:
         _check_state(kind, dims)
     except ShapeError as exc:
@@ -369,7 +369,7 @@ def random_pure_state(dims: Sequence[int], seed=None) -> Tensor:
     standard normal block in the ``dims`` shape; the state is their sum
     divided by its norm.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     if not dims:
         raise ShapeError("dims must be nonempty")
     real, imag = np.random.default_rng(seed).standard_normal((2, *dims))
@@ -397,7 +397,7 @@ def random_local_unitaries(dims: Sequence[int], children: Sequence) -> list[np.n
     drawn: every invariant contracts as many copies of U as of U^H, so it
     would cancel.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     if not dims:
         raise ShapeError("dims must be nonempty")
     ends = list(itertools.accumulate(2 * d * d for d in dims))
@@ -464,7 +464,7 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> Tensor:
     ``keep`` is a nonempty set of subsystem positions; the reduced operator
     orders them ascending.  Returns the square matrix over the kept space.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     n = len(dims)
     keep = _checked_keep(keep, n)
     arr = as_operator(rho, dims).reshape(dims + dims)
@@ -481,7 +481,7 @@ def bipartition_density(rho, dims: Sequence[int], keep: Sequence[int]):
     block dimensions ``(d_keep, d_rest)``.  Used to evaluate bipartite
     invariant labels against a chosen cut of a many-body state.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     n = len(dims)
     keep = _checked_keep(keep, n)
     order = keep + [i for i in range(n) if i not in keep]
@@ -510,7 +510,7 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
     passes over the whole chunk; row i has the bits that trial i's matrices
     alone give.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(int, dims))
     if len(unitaries) != len(dims):
         raise ShapeError(f"{len(unitaries)} unitaries for {len(dims)} subsystems")
     chunk = bool(unitaries) and np.ndim(unitaries[0]) == 3

@@ -782,22 +782,40 @@ def test_one_result_renders_both_reports(ghz5_path, bell_path, tmp_path, capsys)
     assert purified[4] is None and purified[5]["rank"] == 2
 
 
-def test_a_human_command_leaves_no_reference_cycle(ghz5_path, bell_path, tmp_path, capsys):
+def test_a_command_leaves_no_reference_cycle(ghz5_path, bell_path, tmp_path, capsys):
     # main runs with the collector paused, so a cycle a report leaves (say a
-    # closure that holds its result) stays until the next collection
+    # closure that holds its result, or stdlib json's indent encoder) stays
+    # until the next collection
     was = gc.isenabled()
     try:
-        for argv in _report_commands(tmp_path, ghz5_path, bell_path):
-            for _ in range(2):  # warm the memos and the lazy hashlib import
+        for human in _report_commands(tmp_path, ghz5_path, bell_path):
+            for argv in (human, human + ["--json"]):
+                for _ in range(2):  # warm the memos and the lazy hashlib import
+                    assert main(argv) == 0, argv
+                gc.collect()
+                gc.disable()
                 assert main(argv) == 0, argv
-            gc.collect()
-            gc.disable()
-            assert main(argv) == 0, argv
-            assert gc.collect() == 0, argv
-            gc.enable()
+                assert gc.collect() == 0, argv
+                gc.enable()
     finally:
         (gc.enable if was else gc.disable)()
     capsys.readouterr()
+
+
+def test_json_report_is_stdlib_bytes(ghz5_path, bell_path, tmp_path):
+    for argv in _report_commands(tmp_path, ghz5_path, bell_path):
+        args = cli._parser().parse_args(argv)
+        res = args.run(args)
+        doc = {"command": res.command, "values": res.values,
+               "diagnostics": res.diagnostics, "exit_code": res.exit_code}
+        assert res.render(True) == json.dumps(doc, indent=2, sort_keys=True), argv
+
+
+@pytest.mark.parametrize("value", [object(), np.int64(1), np.bool_(True), {1: "a"}, [1.0, {2}]])
+def test_json_writer_refuses_what_stdlib_cannot_write(value):
+    # a key must be a str: every key the CLI builds is one
+    with pytest.raises(TypeError):
+        cli._json({"values": value})
 
 
 def test_invariants_and_entropy_never_form_rho_for_pure_file(bell_path, capsys, monkeypatch):

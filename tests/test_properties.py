@@ -2,8 +2,9 @@
 one planned call of many labels against each label on its own, LU
 invariance, the component product rule, invariance under relabelling the
 copies, label and state-file round trips, label text that parses back or
-is refused, the CLI's state loader on arbitrary and near-valid JSON, and
-a file rewritten after the loader's memo has kept it."""
+is refused, the CLI's state loader on arbitrary and near-valid JSON, a
+file rewritten after the loader's memo has kept it, and the CLI's
+``--json`` writer against stdlib ``json.dumps``."""
 
 import contextlib
 import io
@@ -18,6 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from tninv import perms  # noqa: E402
+from tninv import cli  # noqa: E402
 from tninv.cli import main  # noqa: E402
 from tninv import (  # noqa: E402
     PermTuple,
@@ -280,3 +282,35 @@ def test_rewritten_memoised_file_loads_as_a_fresh_one(dims, seed, doc):
             want = want.replace(fresh, path)
         for _ in range(2):  # parsed again, then perhaps kept and hit
             assert _outcome(path) == want
+
+
+# Text stdlib quotes as it is, and text it escapes: non-ASCII, '"', '\\',
+# control characters and DEL.
+writer_texts = st.text(alphabet="ab (12)|;e", max_size=8) | st.text(
+    alphabet=st.sampled_from('a"\\\x00\x1f\n\x7f\xe9\u03c3\U0001f600') | st.characters(), max_size=8
+)
+writer_floats = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 1e-05, 1e16, 0.1, 1.0]
+)
+writer_pairs = st.lists(writer_floats, min_size=2, max_size=2)
+writer_leaves = st.none() | st.booleans() | st.integers() | writer_floats | writer_texts
+# each kind of block the writer decides at once (all str, all float, float
+# pairs), and mixed ones
+writer_documents = st.recursive(
+    writer_leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(writer_texts, children, max_size=4)
+    | st.lists(writer_texts, max_size=6)
+    | st.lists(writer_floats, max_size=6)
+    | st.lists(writer_pairs, max_size=4)
+    | st.dictionaries(writer_texts, writer_pairs, max_size=4)
+    | st.dictionaries(writer_texts, writer_floats, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(writer_documents)
+def test_json_writer_equals_stdlib(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
