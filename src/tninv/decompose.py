@@ -3,9 +3,11 @@
 A state tensor is cut into two leg groups, bent into a linear map, and
 factored with the SVD; iterating the cut from left to right produces a
 matrix product chain whose internal tensors are isometries and whose bond
-vectors are the singular values across each cut.  A cut with fewer rows
-than columns is factored through the triangle of a QR of its adjoint, so
-the sweep never builds the long orthogonal factor of a wide matrix.
+vectors are the singular values across each cut.  The sweep takes a cut's
+singular values first and builds singular vectors only where the
+truncation policy drops a value; a cut that keeps every value takes the
+identity or the Q of a QR as its isometry (the gauge freedom of the
+chain).
 """
 
 from __future__ import annotations
@@ -177,15 +179,22 @@ def mps_factor(
 ) -> MPSChain:
     """Factor a state into a left-canonical matrix product chain.
 
-    Sweeps left to right, cutting one physical leg at a time and applying
-    the SVD across the cut.  A wide cut M (m rows, n > m columns) is not
-    handed to the SVD whole: the m x m triangle R of the QR of M^dagger
-    gives M = R^dagger Q^dagger, the SVD of R^dagger gives the site u and
-    the bond vector s, and the remainder is u^dagger M, which is
-    diag(s) V^dagger of the SVD of M.  Square and tall cuts take the plain
-    thin SVD.  With no truncation policy the chain reconstructs the state
-    exactly (up to float noise) and every site but the last is a left
-    isometry.
+    Sweeps left to right, cutting one physical leg at a time.  Each cut M
+    (m rows, n columns) first takes only its singular values: from the
+    m x m triangle R of ``qr(M^dagger, mode="r")`` when it is wide
+    (m < n), from M itself when square, and from the triangle of its
+    reduced QR, M = Q R, when tall.  This pass is skipped when ``max_chi``
+    is below min(m, n).  If the policy keeps all min(m, n) values, no
+    singular vector is built: a wide or square cut's site is the identity
+    and M is the remainder, and a tall cut's site is Q and R is the
+    remainder.  Any isometry onto the cut's range gives the same state and
+    the same bond spectra.  A cut that drops values takes the SVD: a wide
+    one through R (the SVD of R^dagger gives the site u and the bond
+    vector s, and the remainder is u^dagger M), a square or tall one as the
+    plain thin SVD, so a truncation keeps the largest singular values.
+    With no truncation policy the chain reconstructs the state exactly (up
+    to float noise).  Every site but the last is a left isometry; it is
+    the cut's left singular basis only where values were dropped.
 
     Parameters
     ----------
@@ -212,21 +221,38 @@ def mps_factor(
     sites, bond_sigmas = [], []
     work, r = state.data, 1
     for i in range(len(dims) - 1):
-        mat = work.reshape(r * dims[i], -1)
-        wide = mat.shape[0] < mat.shape[1]
-        if wide:  # mat = R^dagger Q^dagger, and R^dagger has mat's u and s
-            tri = np.linalg.qr(mat.conj().T, mode="r")
-            u, s, _ = np.linalg.svd(tri.conj().T)
-        else:
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
-        chi = _apply_policy(s, max(_count_rank(s), 1), max_chi, sigma_cutoff)
-        site = u[:, :chi]
-        sites.append(Tensor._wrap(site.reshape(r, dims[i], chi)))
-        bond_sigmas.append(s[:chi].copy())
-        work = site.conj().T @ mat if wide else s[:chi, None] * vh[:chi]
-        r = chi
+        site, s, work = _cut(work.reshape(r * dims[i], -1), max_chi, sigma_cutoff)
+        r = site.shape[1]
+        sites.append(Tensor._wrap(site.reshape(-1, dims[i], r)))
+        bond_sigmas.append(s)
     sites.append(Tensor._wrap(work.reshape(r, dims[-1], 1)))
     return MPSChain(sites=sites, bond_sigmas=bond_sigmas)
+
+
+def _cut(mat, max_chi, sigma_cutoff):
+    """One cut of the sweep: (site, kept singular values, remainder).
+
+    The site is a left isometry, and site @ remainder is mat, or its best
+    approximation of the kept rank.  Singular vectors are built only when
+    the policy drops a value; a cut that keeps them all is free to take
+    any isometry onto its range.
+    """
+    m, n = mat.shape
+    if m < n:  # mat = R^dagger Q^dagger, and R^dagger has mat's u and s
+        tri = np.linalg.qr(mat.conj().T, mode="r")
+    if max_chi is None or max_chi >= min(m, n):
+        if m > n:
+            q, tri = np.linalg.qr(mat)
+        s = np.linalg.svd(mat if m == n else tri, compute_uv=False)
+        if _keep(s, max_chi, sigma_cutoff) == len(s):
+            return (np.eye(m, dtype=mat.dtype), s, mat) if m <= n else (q, s, tri)
+    if m < n:
+        u, s, _ = np.linalg.svd(tri.conj().T)
+    else:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    chi = _keep(s, max_chi, sigma_cutoff)
+    site = u[:, :chi]
+    return site, s[:chi].copy(), site.conj().T @ mat if m < n else s[:chi, None] * vh[:chi]
 
 
 def _check_policy(max_chi, sigma_cutoff):
@@ -236,7 +262,9 @@ def _check_policy(max_chi, sigma_cutoff):
         raise ValueError(f"sigma_cutoff must be >= 0, got {sigma_cutoff}")
 
 
-def _apply_policy(s, chi, max_chi, sigma_cutoff):
+def _keep(s, max_chi, sigma_cutoff):
+    """How many of the singular values s the policy keeps: at least one."""
+    chi = max(_count_rank(s), 1)
     if sigma_cutoff is not None:
         chi = min(chi, max(int(np.count_nonzero(s > sigma_cutoff)), 1))
     if max_chi is not None:

@@ -351,10 +351,12 @@ def _product(n):
     return Tensor(ket)
 
 
-ROUTE_DIMS = [(2,) * 10, (2, 3, 2, 3), (3, 3, 3, 3), (4, 2, 5), (1, 2, 3), (3, 1, 2)]
+ROUTE_DIMS = [(2,) * 10, (2, 3, 2, 3), (3, 3, 3, 3), (4, 2, 5), (1, 2, 3), (3, 1, 2), (6, 2, 2)]
 ROUTE_STATES = [random_pure_state(d, seed=90 + i) for i, d in enumerate(ROUTE_DIMS)]
 ROUTE_STATES += [_ghz(3), _ghz(7), _product(4), _product(7)]
-POLICIES = [{}, {"max_chi": 2}, {"sigma_cutoff": 0.1}]
+# max_chi 4 and sigma_cutoff 1e-3 mix cuts that keep every value with cuts
+# that drop some in one sweep
+POLICIES = [{}, {"max_chi": 2}, {"max_chi": 4}, {"sigma_cutoff": 0.1}, {"sigma_cutoff": 1e-3}]
 
 
 def test_mps_routes_agree_with_the_plain_svd_sweep():
@@ -380,6 +382,38 @@ def test_mps_chi_is_the_exact_rank_on_ghz_and_product_states(policy):
     for n in (3, 7):
         assert mps_factor(_ghz(n), **policy).bond_dims == (2,) * (n - 1)
         assert mps_factor(_product(n), **policy).bond_dims == (1,) * (n - 1)
+
+
+def _svd_calls(monkeypatch, psi, **policy):
+    """The chain, and (min(m, n), compute_uv) of each SVD the sweep takes."""
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append((min(a.shape), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    chain = mps_factor(psi, **policy)
+    monkeypatch.undo()
+    return chain, calls
+
+
+def test_mps_builds_singular_vectors_only_at_cuts_that_drop_values(monkeypatch):
+    # full rank and no policy: every cut keeps all its values, so no SVD
+    # builds vectors; the cuts of 10 qubits have min(m, n) 2, 4, ..., 32, ..., 2
+    psi = random_pure_state((2,) * 10, seed=12)
+    chain, calls = _svd_calls(monkeypatch, psi)
+    assert calls == [(k, False) for k in (2, 4, 8, 16, 32, 16, 8, 4, 2)]
+    assert all(verify_isometry(site) <= 1e-13 for site in chain.sites[:-1])
+    # max_chi 4: a cut with min(m, n) > 4 goes straight to the SVD with vectors
+    chain, calls = _svd_calls(monkeypatch, psi, max_chi=4)
+    assert chain.bond_dims == (2, 4, 4, 4, 4, 4, 4, 4, 2)
+    assert calls == [(k, k > 4) for k in (2, 4, 8, 8, 8, 8, 8, 4, 2)]
+    # GHZ has rank 2 at every cut: the cuts with min(m, n) 4 drop values by the
+    # rank cut, so they take the values and then the vectors
+    chain, calls = _svd_calls(monkeypatch, _ghz(7))
+    assert chain.bond_dims == (2,) * 6
+    assert calls == [(2, False)] + [(4, False), (4, True)] * 4 + [(2, False)]
 
 
 # ---------------------------------------------------------------- isometry
