@@ -12,6 +12,10 @@ lines.  Only :meth:`CommandResult.render` reads the output mode, so a
 command's locals, never its result, so it forms no reference cycle.
 ``--json`` output is stdlib ``json.dumps(doc, indent=2, sort_keys=True)``
 byte for byte, written by :func:`_json` a block at a time.
+
+argv is read once: a command word hands the rest of argv to that
+command's parser, and the top-level parser reads only argv that starts
+with no command, so help, usage and error text are argparse's own.
 """
 
 from __future__ import annotations
@@ -306,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Each subcommand sets ``run``.  Its function is looked up when it runs, so
     # a wrapper put on the module after the parser is built is the one called.
     sub = p.add_subparsers(dest="cmd", required=True)
+    # command word -> its parser, the map argparse itself delegates through
+    p.commands = sub.choices
 
     f = sub.add_parser("factor", help="factor a pure state into an MPS chain")
     f.add_argument("state", help="pure-state JSON file")
@@ -354,6 +360,10 @@ def main(argv=None) -> int:
     that hold no reference cycles, and it leaves none in either output
     mode.  The collector is left as it was found on every exit, including
     argparse's ``SystemExit``.
+
+    A command word hands the rest of ``argv`` to that command's parser;
+    the top-level parser reads only ``argv`` that starts with no command,
+    so help, usage and error text are argparse's own.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -380,8 +390,27 @@ def _joined(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed once: a command word hands the rest to its own parser.
+
+    This is the hand-off argparse's subcommand action makes, on the same
+    parser objects, without the top-level pass that scans all of ``argv``
+    only to find the command.  Any other ``argv`` (empty, an option first,
+    an unknown word) goes to the top-level parser for its help or error.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.cmd = argv[0]
+    return args
+
+
 def _main(argv) -> int:
-    args = _parser().parse_args(_joined(sys.argv[1:] if argv is None else list(argv)))
+    args = _parse(_joined(sys.argv[1:] if argv is None else list(argv)))
     try:
         res = args.run(args)
     except (StateFileError, ShapeError, ValueError, OSError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import itertools
@@ -1192,3 +1193,66 @@ def test_parser_is_built_once_and_keeps_no_labels(bell_path, capsys, monkeypatch
     assert len(calls) == 1
     assert first.splitlines() == ["2; e | e = 1+0j"]
     assert [line.split(" = ")[0] for line in second.splitlines()] == ["2; (12) | e"]
+
+
+# ------------------------------------------------------- argument parsing
+
+# help, argparse errors at either level, and namespaces, for every command
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["--he"], ["bogus"], ["--"], ["--", "factor", "f.json"],
+    ["-x", "factor", "f.json"], ["--json", "factor", "f.json"], ["-h", "factor"],
+    ["factor"], ["factor", "-h"], ["factor", "f.json", "--bogus"], ["factor", "f.json", "extra"],
+    ["factor", "f.json", "--truncate-c", "2"], ["factor", "f.json", "--truncate-chi", "x"],
+    ["factor", "f.json", "--truncate-chi", "2", "--truncate-tol", "0.1"],
+    ["factor", "f.json", "--truncate-tol", "1e-3", "--out", "c.json", "--json"],
+    ["factor", "f.json", "--out"], ["factor", "--", "f.json"], ["factor", "f.json", "--"],
+    ["factor", "factor"], ["factor", "f.json", "--he"], ["factor", "f.json", "-h", "--bogus"],
+    ["invariants"], ["invariants", "-h"], ["invariants", "list", "--bogus"],
+    ["invariants", "eval", "f.json", "extra"], ["invariants", "list", "-n", "2", "--tri", "3"],
+    ["invariants", "list", "-n", "two"], ["invariants", "list", "-n", "2", "-n", "3"],
+    ["invariants", "list", "-n2", "-k2"], ["invariants", "list", "-n", "5", "-k", "3", "--json"],
+    ["invariants", "eval", "f.json", "--label", "2; e | e", "--label", "2; (12) | e"],
+    ["invariants", "verify", "f.json", "-k", "2", "--trials", "3", "--seed", "-5"],
+    ["invariants", "bogus"], ["invariants", "--json", "list"], ["invariants", "list", "--json=1"],
+    ["invariants", "--", "list", "-n", "2"], ["invariants", "list", "-n", "2", "-k", "2", "factor"],
+    ["entropy"], ["entropy", "-h"], ["entropy", "f.json", "--keep", "0", "--bogus"],
+    ["entropy", "f.json", "extra", "--keep", "0"], ["entropy", "f.json", "--ke", "0", "--al", "2"],
+    ["entropy", "f.json"], ["entropy", "f.json", "--keep=-1,0"], ["entropy", "f.json", "--keep", "0", "--alpha"],
+    ["entropy", "f.json", "--keep", "0", "--", "x"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        args = vars(parse(list(argv)))
+    except SystemExit as exc:
+        return ("exit", exc.code, *capsys.readouterr())
+    args["run"] = args["run"].__code__  # each build of the parser makes its own
+    return ("args", args, *capsys.readouterr())
+
+
+def test_one_pass_parse_matches_argparse_on_every_argv(capsys):
+    assert len(PARSE_CORPUS) >= 42
+    differ = [
+        argv for argv in PARSE_CORPUS
+        if _parse_outcome(cli._parse, argv, capsys)
+        != _parse_outcome(cli.build_parser().parse_args, argv, capsys)
+    ]
+    assert differ == []
+
+
+def test_a_command_word_skips_the_top_level_parse(capsys, monkeypatch):
+    top, calls = cli._parser(), []
+    known = argparse.ArgumentParser.parse_known_args
+
+    def spy(self, *args, **kwargs):
+        calls.append(self is top)
+        return known(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+    assert main(["invariants", "list", "-n", "2", "-k", "2", "--json"]) == 0
+    assert calls == [False]  # the invariants parser alone
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus"])
+    assert exc.value.code == 2 and calls[1] is True
+    assert "invalid choice" in capsys.readouterr().err
