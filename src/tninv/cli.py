@@ -149,7 +149,7 @@ def _fmt(x) -> str:
 def cmd_factor(args) -> CommandResult:
     res = CommandResult(command="factor")
     data = states.load_state(args.state)
-    if data.kind != "pure":
+    if data.legs != 1:
         raise StateFileError(f"{args.state}: expected a pure state, got {data.kind}")
     chain = decompose.mps_factor(data.tensor, args.truncate_chi, args.truncate_tol)
     rebuilt = decompose.mps_reconstruct(chain)

@@ -65,7 +65,7 @@ class Spectrum:
         formed.  The zeros this leaves out change no entropy.
         """
         keep = _checked_keep(keep, len(state.dims))
-        if state.kind != "pure":
+        if state.legs != 1:
             return cls.from_density(partial_trace(state.tensor, state.dims, keep))
         rest = [i for i in range(len(state.dims)) if i not in keep]
         bent = group_legs(state.tensor, (keep, rest)).data

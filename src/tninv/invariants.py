@@ -399,15 +399,13 @@ class _Operand(NamedTuple):
 
 
 def _operand(state, dims: tuple[int, ...]) -> _Operand:
-    """A pure StateData as psi, anything else as its operator; one leg per dim."""
-    pure = isinstance(state, StateData) and state.kind == "pure"
-    _check_state("pure" if pure else "density", dims)
-    if pure:
-        psi = state.tensor.data
-        if psi.size != prod(dims):
-            raise ShapeError(f"state of size {psi.size} does not match dims {dims}")
-        return _Operand(True, psi.reshape(dims))
-    return _Operand(False, as_operator(state, dims).reshape(dims + dims))
+    """A pure StateData as psi, anything else as its operator, viewed on ``dims * legs`` axes."""
+    layout = _check_state(dims, state.kind) if isinstance(state, StateData) else _check_state(dims)
+    legs = len(layout)
+    array = state.tensor.data if legs == 1 else as_operator(state, dims)
+    if array.size != prod(layout):  # as_operator has refused an operator of another size
+        raise ShapeError(f"state of size {array.size} does not match dims {dims}")
+    return _Operand(legs == 1, array.reshape(dims * legs))
 
 
 class _Trace(NamedTuple):
@@ -758,7 +756,7 @@ def _route(tuples, state, dims: Sequence[int], trials: int, cost: ContractionCos
         with suppress(ShapeError):  # P's leg may take a label past MAX_LABELS
             psi_plan, psi_spent = _plan(psi_tuples, psi.shape, True)
         if psi_plan is not None and (taken := chunking(psi, psi_spent.largest))[1] < chunks:
-            state = StateData("pure", psi.shape, Tensor._wrap(psi))
+            state = StateData.pure(Tensor._wrap(psi))
             src, spent, plan, rows = _Operand(True, state.tensor.data), psi_spent, psi_plan, taken[0]
             spent.purification = found[1]
     if cost is not None:

@@ -4,14 +4,23 @@ This module owns the file formats: UTF-8 JSON with each complex component
 a ``[real, imag]`` pair, so doubles round-trip bit-exactly.  orjson is the
 one codec: it writes compact JSON and reads any standard JSON writer's
 output.  A state file has ``kind`` (``pure`` or ``density``), ``dims`` and
-``data`` (a flat list for pure states, rows for density operators); see
-:func:`save_chain` for chains, which :func:`load_state` does not read yet.
+``data``; see :func:`save_chain` for chains, which :func:`load_state` does
+not read yet.
+
+A kind is its ``legs`` plus its physics check, both in ``_KINDS``: 1 leg
+per subsystem for psi, 2 (row and column) for an operator.  Only this
+module reads the table, and every kind-dependent shape follows from
+``legs``: with D the product of ``dims``, a file's ``data`` holds
+``(D,) * legs`` entries of ``[real, imag]`` pairs (a flat list for psi,
+rows for an operator), a stack of states takes ``1 + len(dims) * legs``
+numpy axes, and the invariant engine views a state on ``dims * legs``
+axes.  Other modules test a StateData's ``legs``, never its kind.
 
 :func:`load_state` reads a file in stages, each rule written once: the
 bytes and the memo; :func:`_document`, the JSON object and its fields;
-:func:`_check_state`, the kind and the number of subsystems; then the
-kind's checker from ``_KINDS``, which decodes ``data`` through
-:func:`_bounded`, the one decode that bounds every component.
+:func:`_check_state`, the kind, the number of subsystems and the layout;
+:func:`_bounded`, the one decode, which bounds every component; then the
+kind's physics check from ``_KINDS``.
 
 Haar trials are drawn and rotated a chunk at a time:
 :func:`random_local_unitaries` gives one stack of unitaries per subsystem
@@ -69,23 +78,30 @@ class StateFileError(ValueError):
 class StateData:
     """A state or operator plus the metadata needed to interpret it.
 
-    kind: ``pure`` (tensor has one leg per subsystem) or ``density``
-    (tensor is the square matrix over the product space); the tensor is
-    reshaped to fit ``dims``.  What :func:`_check_state` refuses, or a size
-    that does not fit, raises ShapeError.
+    kind: ``pure`` or ``density``.  A kind is its ``legs`` plus its physics
+    check, both read from ``_KINDS``: the tensor is psi in the ``dims``
+    shape (1 leg per subsystem), or the square matrix over the product
+    space (2 legs, row and column).  Its file holds ``(D,) * legs``
+    entries of ``[real, imag]`` pairs, D the product of ``dims``.  The
+    tensor is reshaped to fit.  What :func:`_check_state` refuses, or a
+    size that does not fit, raises ShapeError.
     """
 
     kind: str
     dims: tuple[int, ...]
     tensor: Tensor
 
+    @property
+    def legs(self) -> int:
+        """Axes per subsystem: 1 for psi, 2 for an operator."""
+        return _KINDS[self.kind][0]
+
     def __post_init__(self):
         self.dims = tuple(self.dims)
-        _check_state(self.kind, self.dims)
-        d = prod(self.dims)
-        shape = self.dims if self.kind == "pure" else (d, d)
-        if self.tensor.data.size != prod(shape):
-            what = "tensor" if self.kind == "pure" else "operator"
+        layout = _check_state(self.dims, self.kind)
+        shape = self.dims if self.legs == 1 else layout
+        if self.tensor.data.size != prod(layout):
+            what = "tensor" if self.legs == 1 else "operator"
             raise ShapeError(f"dims {self.dims} do not match {what} {self.tensor.dims}")
         if self.tensor.dims != shape:
             self.tensor = Tensor._wrap(self.tensor.data.reshape(shape))
@@ -99,21 +115,26 @@ class StateData:
         return cls("density", dims, tensor)
 
 
-def _check_state(kind: str, dims: Sequence[int]) -> None:
-    """Refuse a kind not in ``_KINDS``, or more subsystems than numpy can stack.
+def _check_state(dims: Sequence[int], kind: str = "density") -> tuple[int, ...]:
+    """The file layout ``(prod(dims),) * legs`` of a ``kind`` state on ``dims``.
 
-    Every route views a stack of states with a batch axis and one axis per
-    subsystem, two for an operator: 1 + n axes for psi, 1 + 2n for rho.
+    Refuses a kind not in ``_KINDS``, or more subsystems than numpy can
+    stack: every route views a stack of states with a batch axis and
+    ``legs`` axes per subsystem, 1 + n axes for psi, 1 + 2n for rho.
     numpy's axis limit is probed by building such an array of one element.
+    ``kind`` defaults to ``density``, the kind of an operand that is not a
+    StateData (a Tensor or an array), which is read as an operator.
     """
     if not isinstance(kind, str) or kind not in _KINDS:  # a list or object kind is unhashable
         raise ShapeError(f"unknown kind {kind!r}")
-    axes = 1 + len(dims) * _KINDS[kind][0]
+    legs = _KINDS[kind][0]
+    axes = 1 + len(dims) * legs
     try:
         np.empty((1,) * axes)
     except ValueError:
         raise ShapeError(f"dims has {len(dims)} entries, too many for a {kind} state: "
                          f"a stack of them needs {axes} axes, more than numpy allows") from None
+    return (prod(dims),) * legs
 
 
 def _encode(arr: np.ndarray) -> np.ndarray:
@@ -127,9 +148,8 @@ def _write_json(doc: dict, path) -> None:
 
 
 def save_state(state: StateData, path) -> None:
-    """Write a StateData to ``path`` as JSON."""
-    arr = state.tensor.data  # psi in dims shape, or the square operator
-    data = _encode(arr.reshape(-1) if state.kind == "pure" else arr)
+    """Write a StateData to ``path`` as JSON, ``data`` in the layout :func:`_check_state` gives."""
+    data = _encode(state.tensor.data.reshape(_check_state(state.dims, state.kind)))
     _write_json({"kind": state.kind, "dims": list(state.dims), "data": data}, path)
 
 
@@ -157,10 +177,10 @@ def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
     ``shape`` says, and each pair must hold two ``float`` or ``int``
     components (no ``bool``); a string or an object of the right length
     flattens into strings, which the type check refuses.  Values are left to
-    :func:`_bounded`, the decode every kind calls, which bounds them by
-    ``MAX_COMPONENT`` before any arithmetic.  The array is new and owns its
-    data, of shape ``out_shape`` (of the same size) when given, else
-    ``shape``.
+    :func:`_bounded`, the decode :func:`load_state` makes for every kind,
+    which bounds them by ``MAX_COMPONENT`` before any arithmetic.  The array
+    is new and owns its data, of shape ``out_shape`` (of the same size) when
+    given, else ``shape``.
     """
     if type(entries) is not list or len(entries) != shape[0]:  # checked apart: no copy of it
         raise _not_pairs(shape)
@@ -244,12 +264,13 @@ def load_state(path) -> StateData:
 
     The stages run in order, and the first fault is the one reported:
     :func:`_document` (depth, a JSON object, the ``kind``, ``dims`` and
-    ``data`` fields, positive integer ``dims``), :func:`_check_state` (the
-    kind, and as many subsystems as it allows), then the kind's checker in
-    ``_KINDS``.  That checker decodes ``data`` through :func:`_bounded`, so
-    every component is at most ``MAX_COMPONENT`` (1e150) before any
-    arithmetic, and then judges the physics: :func:`_pure` or
-    :func:`_density`.
+    ``data`` fields, positive integer ``dims``); :func:`_check_state` (the
+    kind, as many subsystems as its ``legs`` allow, and the file layout
+    ``(D,) * legs`` of ``[real, imag]`` pairs, D the product of ``dims``);
+    :func:`_bounded`, called once for every kind, which decodes ``data`` in
+    that layout with every component at most ``MAX_COMPONENT`` (1e150)
+    before any arithmetic; then the kind's physics check in ``_KINDS``,
+    :func:`_pure` or :func:`_density`, on the decoded array.
 
     Every call reads the file's bytes.  A first successful load of ``path``
     keeps only a mark that it was read.  A second parses again and keeps the
@@ -278,10 +299,11 @@ def load_state(path) -> StateData:
     doc = _document(path, raw)
     kind, dims = doc["kind"], tuple(map(int, doc["dims"]))
     try:
-        _check_state(kind, dims)
+        layout = _check_state(dims, kind)
     except ShapeError as exc:
         raise StateFileError(str(exc)) from None
-    state = StateData(kind, dims, Tensor._wrap(_KINDS[kind][1](doc["data"], dims)))
+    arr = _bounded(doc["data"], layout, dims if len(layout) == 1 else None)  # psi decodes into dims
+    state = StateData(kind, dims, Tensor._wrap(_KINDS[kind][1](arr)))
     if not seen:
         _remember(path, None)
     elif state.tensor.data.nbytes <= LOAD_MEMO_BYTES:  # a larger array is never kept
@@ -319,17 +341,16 @@ def _bounded(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:
     return arr
 
 
-def _pure(data, dims: tuple[int, ...]) -> np.ndarray:
-    """psi in the ``dims`` shape, of unit norm."""
-    psi = _bounded(data, (prod(dims),), dims)
+def _pure(psi: np.ndarray) -> np.ndarray:
+    """psi, in the ``dims`` shape, if it has unit norm."""
     norm2 = float(np.vdot(psi, psi).real)
     if abs(norm2 - 1.0) > TRACE_TOL:
         raise StateFileError(f"pure state has squared norm {norm2:.12g}, not 1")
     return psi
 
 
-def _density(data, dims: tuple[int, ...]) -> np.ndarray:
-    """rho as a square matrix: hermitian, positive semidefinite and of unit trace.
+def _density(rho: np.ndarray) -> np.ndarray:
+    """rho, a square matrix, if it is hermitian, positive semidefinite and of unit trace.
 
     Positivity is tried first by a Cholesky factorisation of the hermitian
     part plus ``PSD_TOL / 2`` on its diagonal.  It succeeds only if the
@@ -338,15 +359,13 @@ def _density(data, dims: tuple[int, ...]) -> np.ndarray:
     trace, so it accepts nothing that ``eigvalsh`` would refuse.  Only when
     it fails does ``eigvalsh`` decide, and the error names the eigenvalue.
     """
-    d = prod(dims)
-    rho = _bounded(data, (d, d))
     adjoint = rho.conj().T
     herm = float(np.max(np.abs(rho - adjoint)))
     if herm > HERMITICITY_TOL:
         raise StateFileError(f"density operator fails hermiticity by {herm:.3e}")
     part = (rho + adjoint) / 2
     try:
-        np.linalg.cholesky(part + PSD_TOL / 2 * np.eye(d))
+        np.linalg.cholesky(part + PSD_TOL / 2 * np.eye(len(rho)))
     except np.linalg.LinAlgError:  # eigvalsh decides
         low = float(np.linalg.eigvalsh(part)[0])
         if low < -PSD_TOL:
@@ -357,8 +376,8 @@ def _density(data, dims: tuple[int, ...]) -> np.ndarray:
     return rho
 
 
-# kind -> (axes a subsystem takes in a stack of states, the check that turns a
-# file's data into the state's array)
+# kind -> (legs: the axes a subsystem takes, 1 for psi and 2 for an operator;
+# the physics check of the array decoded from a file's (D,) * legs entries)
 _KINDS = {"pure": (1, _pure), "density": (2, _density)}
 
 
@@ -428,13 +447,14 @@ def as_operator(rho, dims=None) -> np.ndarray:
 
     ``rho`` is a density StateData, a Tensor or an array of any shape
     holding d * d components, where d is the product of ``dims`` (or, with
-    ``dims`` absent, the square root of the size); a pure StateData raises
-    ShapeError, since psi is never read as |psi><psi|.  The result is a view
-    of the input's components whenever numpy can reshape without copying,
-    and keeps their dtype, so real input is not converted to complex.
+    ``dims`` absent, the square root of the size); a StateData of 1 leg,
+    psi, raises ShapeError, since psi is never read as |psi><psi|.  The
+    result is a view of the input's components whenever numpy can reshape
+    without copying, and keeps their dtype, so real input is not converted
+    to complex.
     """
     if isinstance(rho, StateData):
-        if rho.kind != "density":
+        if rho.legs != 2:
             raise ShapeError(f"a {rho.kind} state is not read as an operator")
         rho = rho.tensor
     arr = rho.data if isinstance(rho, Tensor) else np.asarray(rho)
@@ -527,12 +547,12 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
             mat = np.matmul(u[:, None], mat.reshape(shape))
         return mat.reshape(trials, full, cols)
 
-    if isinstance(state, StateData) and state.kind == "pure":
+    if isinstance(state, StateData) and state.legs == 1:
         shape = dims if state.tensor.data.size == full else state.dims
         if shape[:len(dims)] != dims:
             raise ShapeError(f"a pure state of dims {state.dims} does not start with dims {dims}")
         psi = rows(state.tensor.data[None], prod(shape[len(dims):])).reshape(trials, *shape)
-        return psi if chunk else StateData("pure", shape, Tensor._wrap(psi[0]))
+        return psi if chunk else StateData.pure(Tensor._wrap(psi[0]))
     half = rows(as_operator(state, dims)[None], full)
     half = np.conjugate(half.swapaxes(1, 2), order="C")  # (U rho)^H
     lead = slice(None) if chunk else 0  # one trial: conjugate its row alone, into an array it owns

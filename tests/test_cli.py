@@ -137,12 +137,13 @@ def test_factor_unwritable_out_exits_2(product4_path, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_factor_rejects_density_input(tmp_path, capsys):
+def test_factor_rejects_density_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     rho = density_from_pure(random_pure_state((2, 2), seed=1))
-    path = tmp_path / "rho.json"
-    save_state(StateData.density(rho, (2, 2)), path)
-    assert main(["factor", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    save_state(StateData.density(rho, (2, 2)), "rho.json")
+    assert main(["factor", "rho.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: rho.json: expected a pure state, got density\n" and captured.out == ""
 
 
 def test_corrupt_file_fails_loudly(tmp_path, capsys):

@@ -442,6 +442,9 @@ def test_evaluate_dims_mismatch():
         evaluate_fast(PermTuple(2, ((1, 0),)), rho, (2, 2, 2))
     with pytest.raises(ShapeError):
         evaluate_fast(PermTuple(2, ((1, 0), (1, 0))), rho, (2,))
+    psi = StateData.pure(random_pure_state((2, 2, 2), seed=1))
+    with pytest.raises(ShapeError, match=r"^state of size 8 does not match dims \(2, 2\)$"):
+        evaluate_many([PermTuple(2, ((1, 0), (1, 0)))], psi, (2, 2))
 
 
 def test_evaluate_fast_refuses_an_operator_with_more_subsystems_than_a_stack_can_hold():

@@ -362,6 +362,18 @@ def test_every_kind_bounds_its_components(kind, tmp_path):
     assert str(exc.value) == "data has a component of size 1e+151, above 1e+150"
 
 
+@pytest.mark.filterwarnings("error")
+def test_the_bound_is_load_states_stage_not_the_checkers(tmp_path, monkeypatch):
+    # a pure checker that judges nothing: the component past 1e150 must still
+    # be refused, by load_state's one decode, before the checker sees it
+    monkeypatch.setitem(states._KINDS, "pure", (1, lambda psi: psi))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "pure", "dims": [2], "data": [[1.0, 0.0], [0.0, 1e151]]}))
+    with pytest.raises(StateFileError) as exc:
+        load_state(path)
+    assert str(exc.value) == "data has a component of size 1e+151, above 1e+150"
+
+
 @pytest.mark.parametrize("kind", [[], {}], ids=["list", "object"])
 def test_unhashable_kind_is_unknown(kind, tmp_path):
     path = tmp_path / "kind.json"
@@ -625,6 +637,8 @@ def test_as_operator_reads_density_state_data_only():
     assert mat.shape == (6, 6) and np.array_equal(mat, rho.data)
     with pytest.raises(ShapeError, match="pure state is not read as an operator"):
         as_operator(StateData.pure(psi), (2, 3))
+    with pytest.raises(ShapeError, match=r"^operator of size 6 is not a 2 x 2 matrix$"):
+        as_operator(np.ones(6), (2,))
 
 
 def test_random_local_unitary_phase_uniformity():
