@@ -134,11 +134,12 @@ def char_poly_relation(rho) -> CharPolyRelation:
     """Characteristic-polynomial identity among the Renyi entropies.
 
     The traced Cayley-Hamilton identity
-    ``tr(rho^d) + c1 tr(rho^(d-1)) + ... + c_{d-1} tr(rho) + d c_d = 0``
-    becomes, after substituting tr(rho^k) = exp(-(k-1) S_k), a relation
-    among the entropies; the constant folds c_{d-1} tr(rho) + d c_d.
-    Returns the coefficients and both residuals (expected ~1e-8 or below
-    for a valid reduced density operator).
+    ``sum_{m=0..d} c_{d-m} tr(rho^m) = 0``, with c_0 = 1 and tr(rho^0) = d,
+    reads ``tr(rho^d) + c1 tr(rho^(d-1)) + ... + c_{d-1} tr(rho) + d c_d = 0``
+    and becomes, after substituting tr(rho^m) = exp(-(m-1) S_m) for m >= 2,
+    a relation among the entropies; the m = 0 and m = 1 terms fold into the
+    constant c_{d-1} tr(rho) + d c_d.  Returns the coefficients and both
+    residuals (expected ~1e-8 or below for a valid reduced density operator).
     """
     mat = as_operator(rho)
     n = len(mat)
@@ -146,29 +147,16 @@ def char_poly_relation(rho) -> CharPolyRelation:
         raise ValueError(f"dimension {n} too large; expected a reduced operator <= 8")
     herm = (mat + mat.conj().T) / 2.0
     evals = np.linalg.eigvalsh(herm)
-    coeffs = np.real(np.poly(evals)[1:])  # c1..cd, monic leading 1 dropped
+    poly = np.real(np.poly(evals))  # 1, c1..cd
     tr = float(np.trace(herm).real)
-
-    if n == 1:
-        residual = abs(tr + float(coeffs[0]))
-        return CharPolyRelation(coeffs, residual, residual)
-
-    spec = Spectrum(evals)
-    total = coeffs[n - 2] * tr + n * coeffs[n - 1]
-    for m in range(2, n + 1):
-        c = 1.0 if m == n else coeffs[n - 1 - m]
-        total += c * np.exp(-(m - 1) * renyi(spec, m))
-    residual = abs(float(total))
-
-    power = herm.copy()
-    t_total = coeffs[n - 1] * n + coeffs[n - 2] * tr
+    spec = Spectrum(evals) if n > 1 else None  # S_m enters at m >= 2 only; 1 x 1 takes any trace
+    total = t_total = n * poly[n] + poly[n - 1] * tr
+    power = herm
     for m in range(2, n + 1):
         power = power @ herm
-        c = 1.0 if m == n else coeffs[n - 1 - m]
-        t_total += c * float(np.trace(power).real)
-    trace_residual = abs(float(t_total))
-
-    return CharPolyRelation(coeffs, residual, trace_residual)
+        total += poly[n - m] * np.exp(-(m - 1) * renyi(spec, m))
+        t_total += poly[n - m] * float(np.trace(power).real)
+    return CharPolyRelation(poly[1:], abs(float(total)), abs(float(t_total)))
 
 
 def schmidt_from_jk(jvals) -> np.ndarray:
@@ -199,22 +187,20 @@ def schmidt_from_jk(jvals) -> np.ndarray:
                 f"inconsistent power sums: need J2 <= J1^2 <= 2 J2, got {j1!r}, {j2!r}"
             )
         root = np.sqrt(max(2 * j2 - j1**2, 0.0))  # below 0 only within the tolerance above
-        q = np.array([(j1 + root) / 2.0, (j1 - root) / 2.0])
-        q = np.where(q < 0.0, 0.0, q)
-        return np.sqrt(q)
-
-    e = [1.0]
-    for m in range(1, d + 1):
-        total = 0.0
-        for i in range(1, m + 1):
-            total += (-1.0) ** (i - 1) * e[m - i] * j[i - 1]
-        e.append(total / m)
-    poly = [(-1.0) ** m * e[m] for m in range(d + 1)]
-    roots = np.roots(poly)
-    if np.max(np.abs(roots.imag)) > 1e-8:
-        raise ValueError(f"inconsistent power sums: complex sigma^2 {roots!r}")
-    q = roots.real
-    if np.min(q) < -1e-10:
-        raise ValueError(f"inconsistent power sums: negative sigma^2 {q!r}")
+        q = np.array([(j1 - root) / 2.0, (j1 + root) / 2.0])  # ascending: the sort keeps the order
+    else:
+        e = [1.0]
+        for m in range(1, d + 1):
+            total = 0.0
+            for i in range(1, m + 1):
+                total += (-1.0) ** (i - 1) * e[m - i] * j[i - 1]
+            e.append(total / m)
+        poly = [(-1.0) ** m * e[m] for m in range(d + 1)]
+        roots = np.roots(poly)
+        if np.max(np.abs(roots.imag)) > 1e-8:
+            raise ValueError(f"inconsistent power sums: complex sigma^2 {roots!r}")
+        q = roots.real
+        if np.min(q) < -1e-10:
+            raise ValueError(f"inconsistent power sums: negative sigma^2 {q!r}")
     q = np.where(q < 0.0, 0.0, q)
     return np.sqrt(np.sort(q)[::-1])

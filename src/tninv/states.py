@@ -478,36 +478,43 @@ def _checked_keep(keep: Sequence[int], n: int) -> list[int]:
     return keep
 
 
+def _cut(rho, dims: Sequence[int], keep: Sequence[int]):
+    """rho on ``dims + dims`` axes, the checked ``keep`` and the kept block's dim.
+
+    ``keep`` is checked before rho is read, so a bad keep is named first.
+    """
+    dims = tuple(map(int, dims))
+    keep = _checked_keep(keep, len(dims))
+    return as_operator(rho, dims).reshape(dims + dims), keep, prod(dims[i] for i in keep)
+
+
 def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> Tensor:
     """Trace out every subsystem not in ``keep``.
 
     ``keep`` is a nonempty set of subsystem positions; the reduced operator
     orders them ascending.  Returns the square matrix over the kept space.
     """
-    dims = tuple(map(int, dims))
-    n = len(dims)
-    keep = _checked_keep(keep, n)
-    arr = as_operator(rho, dims).reshape(dims + dims)
+    arr, keep, dk = _cut(rho, dims, keep)
+    n = arr.ndim // 2
     col = [n + i if i in keep else i for i in range(n)]
     reduced = np.einsum(arr, list(range(n)) + col, keep + [n + i for i in keep])
-    dk = prod(dims[i] for i in keep)
     return Tensor._wrap(reduced.reshape(dk, dk))
 
 
 def bipartition_density(rho, dims: Sequence[int], keep: Sequence[int]):
     """Regroup a density operator into (kept block, complement block).
 
-    Returns the same operator as a two-subsystem density matrix plus its
-    block dimensions ``(d_keep, d_rest)``.  Used to evaluate bipartite
-    invariant labels against a chosen cut of a many-body state.
+    Returns the same operator as a two-subsystem density matrix, a Tensor
+    whose rows and columns run over the kept subsystems (ascending) and
+    then the rest, plus its block dimensions ``(d_keep, d_rest)``.  No
+    library path calls it; ``tests/test_acceptance.py`` pins it: the
+    bipartite label ``3; (123) | e`` evaluated on it gives the S_3 of
+    :func:`partial_trace`'s kept block.
     """
-    dims = tuple(map(int, dims))
-    n = len(dims)
-    keep = _checked_keep(keep, n)
+    arr, keep, dk = _cut(rho, dims, keep)
+    n = arr.ndim // 2
     order = keep + [i for i in range(n) if i not in keep]
-    arr = as_operator(rho, dims).reshape(dims + dims)
     mat = group_legs(arr, (order, [n + i for i in order]))
-    dk = prod(dims[i] for i in keep)
     return mat, (dk, mat.dims[0] // dk)
 
 
@@ -518,7 +525,9 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
     the d^n x d^n Kronecker product is never formed.  A pure StateData
     comes back as the pure StateData U psi, one row pass in O(n d D) for
     D = prod(dims).  Legs of psi past ``dims``, such as the party that
-    purifies an operator, are left alone.  Anything else is read by
+    purifies an operator, of any size, 1 included, are left alone; a psi
+    whose dims do not start with ``dims`` is viewed on ``dims``, and must
+    hold prod(dims) amplitudes.  Anything else is read by
     :func:`as_operator` and comes back as the Tensor U rho U^H =
     (U (U rho)^H)^H: two passes, O(n d D^2).
 
@@ -548,8 +557,8 @@ def apply_local_unitary(state, dims: Sequence[int], unitaries):
         return mat.reshape(trials, full, cols)
 
     if isinstance(state, StateData) and state.legs == 1:
-        shape = dims if state.tensor.data.size == full else state.dims
-        if shape[:len(dims)] != dims:
+        shape = state.dims if state.dims[:len(dims)] == dims else dims
+        if state.tensor.data.size != prod(shape):
             raise ShapeError(f"a pure state of dims {state.dims} does not start with dims {dims}")
         psi = rows(state.tensor.data[None], prod(shape[len(dims):])).reshape(trials, *shape)
         return psi if chunk else StateData.pure(Tensor._wrap(psi[0]))

@@ -251,6 +251,33 @@ def test_char_poly_random_dim4():
         assert abs(rel.residual - rel.trace_residual) < 1e-10
 
 
+@pytest.mark.parametrize("d", range(2, 9))
+def test_char_poly_keeps_the_bits_of_two_loops(d):
+    # the identity as two loops over m = 2..d, each opening with the folded
+    # constant: the single sum over m = 0..d must give every bit of both
+    for seed in range(3):
+        rho = random_reduced(d, d + seed, seed)
+        herm = (rho.data + rho.data.conj().T) / 2.0
+        evals = np.linalg.eigvalsh(herm)
+        coeffs = np.real(np.poly(evals)[1:])
+        tr = float(np.trace(herm).real)
+        spec = Spectrum(evals)
+        total = coeffs[d - 2] * tr + d * coeffs[d - 1]
+        for m in range(2, d + 1):
+            c = 1.0 if m == d else coeffs[d - 1 - m]
+            total += c * np.exp(-(m - 1) * renyi(spec, m))
+        power = herm.copy()
+        t_total = coeffs[d - 1] * d + coeffs[d - 2] * tr
+        for m in range(2, d + 1):
+            power = power @ herm
+            c = 1.0 if m == d else coeffs[d - 1 - m]
+            t_total += c * float(np.trace(power).real)
+        rel = char_poly_relation(rho)
+        assert rel.coeffs.tolist() == coeffs.tolist()
+        assert rel.residual == abs(float(total))
+        assert rel.trace_residual == abs(float(t_total))
+
+
 def test_char_poly_pure_reduced_state():
     psi = random_pure_state((4,), seed=4)
     rho = density_from_pure(psi)
@@ -329,6 +356,10 @@ def test_char_poly_relation_of_a_one_by_one_operator():
     # lambda - 1: one coefficient, and tr(rho) + c_1 folds to exactly 0 in both forms
     rel = char_poly_relation(np.array([[1.0]]))
     assert rel.coeffs.tolist() == [-1.0]
+    assert (rel.residual, rel.trace_residual) == (0.0, 0.0)
+    # no entropy enters at d = 1, so an operator of trace 2 is no Spectrum to refuse
+    rel = char_poly_relation(np.array([[2.0]]))
+    assert rel.coeffs.tolist() == [-2.0]
     assert (rel.residual, rel.trace_residual) == (0.0, 0.0)
 
 

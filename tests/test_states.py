@@ -628,6 +628,14 @@ def test_apply_local_unitary_leaves_legs_past_dims_alone():
     assert stacked.shape == (1, 2, 3, 3) and np.array_equal(stacked[0], got.tensor.data)
     with pytest.raises(ShapeError, match="does not start with dims"):
         apply_local_unitary(StateData.pure(psi), (3, 2), us[::-1])
+    # a party of size 1, as a rank-1 operator's purification has, rides along too
+    psi1 = Tensor(psi.data[..., :1] / np.linalg.norm(psi.data[..., :1]))
+    got = apply_local_unitary(StateData.pure(psi1), dims, us)
+    assert got.dims == dims + (1,)
+    want = np.kron(us[0], us[1]) @ psi1.data.reshape(-1)
+    assert np.max(np.abs(got.tensor.data.reshape(-1) - want)) < 1e-12
+    stacked = apply_local_unitary(StateData.pure(psi1), dims, [u[None] for u in us])
+    assert stacked.shape == (1, 2, 3, 1) and np.array_equal(stacked[0], got.tensor.data)
 
 
 def test_as_operator_reads_density_state_data_only():
@@ -757,6 +765,11 @@ def test_cut_refuses_negative_and_out_of_range_keep():
             partial_trace(rho, (2, 2), keep)
         with pytest.raises(ShapeError):
             bipartition_density(rho, (2, 2), keep)
+        # keep is checked before the operator is read: an operator of the
+        # wrong size is refused for its keep first
+        for cut in (partial_trace, bipartition_density):
+            with pytest.raises(ShapeError, match="keep"):
+                cut(np.eye(3), (2, 2), keep)
 
 
 def test_bipartition_density_groups_blocks():
