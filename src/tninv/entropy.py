@@ -20,8 +20,9 @@ SUM_TOL = 1e-9
 class Spectrum:
     """Eigenvalue distribution of a density operator.
 
-    Entries within ``-1e-12`` of zero are clamped; NaN, inf, anything more
-    negative, or a total off 1 by more than ``1e-9``, is rejected.
+    Entries from ``-1e-12`` up to 0, -0.0 included, are clamped to +0.0;
+    NaN, inf, anything more negative, or a total off 1 by more than
+    ``1e-9``, is rejected.
     """
 
     probs: np.ndarray
@@ -35,7 +36,7 @@ class Spectrum:
         low = float(p.min())
         if low < -CLAMP_TOL:
             raise ValueError(f"negative probability {low:.3e} beyond clamp tolerance")
-        p = np.where(p < 0.0, 0.0, p)
+        p = _unsigned(p)
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
@@ -88,13 +89,13 @@ def renyi(spectrum: Spectrum, alpha: float) -> float:
     top = float(p.max())
     # alpha / (1 - alpha) rather than alpha * ln(p_max), which overflows near 1e308
     scaled = np.log(np.sum((p / top) ** alpha)) / (1.0 - alpha)
-    return _unsigned(alpha / (1.0 - alpha) * np.log(top) + scaled)
+    return float(_unsigned(alpha / (1.0 - alpha) * np.log(top) + scaled))
 
 
 def von_neumann(spectrum: Spectrum) -> float:
     """-sum p ln p with 0 ln 0 = 0; the alpha -> 1 limit of renyi()."""
     p = spectrum.probs[spectrum.probs > 0.0]
-    return _unsigned(-np.sum(p * np.log(p)))
+    return float(_unsigned(-np.sum(p * np.log(p))))
 
 
 def renyi_from_invariant(value: float, alpha: int) -> float:
@@ -110,11 +111,12 @@ def renyi_from_invariant(value: float, alpha: int) -> float:
     value = float(np.real(value))
     if value <= 0.0:
         raise ValueError(f"invariant value {value!r} is not positive")
-    return _unsigned(np.log(value) / (1.0 - alpha))
+    return float(_unsigned(np.log(value) / (1.0 - alpha)))
 
 
-def _unsigned(entropy) -> float:  # -0.0 and rounding below 0 read +0.0; NaN passes
-    return 0.0 if entropy <= 0.0 else float(entropy)
+def _unsigned(x):
+    """x with every entry below 0 read as +0.0, -0.0 included; NaN passes."""
+    return np.maximum(x, 0.0) + 0.0
 
 
 @dataclass
@@ -143,8 +145,9 @@ def char_poly_relation(rho) -> CharPolyRelation:
     """
     mat = as_operator(rho)
     n = len(mat)
-    if n > 8:
-        raise ValueError(f"dimension {n} too large; expected a reduced operator <= 8")
+    if not 0 < n <= 8:
+        bound = "large; expected a reduced operator <= 8" if n else "small; expected one >= 1"
+        raise ValueError(f"dimension {n} too {bound}")
     herm = (mat + mat.conj().T) / 2.0
     evals = np.linalg.eigvalsh(herm)
     poly = np.real(np.poly(evals))  # 1, c1..cd
@@ -162,11 +165,12 @@ def char_poly_relation(rho) -> CharPolyRelation:
 def schmidt_from_jk(jvals) -> np.ndarray:
     """Recover Schmidt coefficients from the power sums J_k = sum sigma^(2k).
 
-    ``jvals`` lists J_1..J_d.  d = 2 uses the quadratic closed form
+    ``jvals`` lists J_1..J_d.  d = 1 is sigma = sqrt(J_1), refused below
+    ``-CLAMP_TOL``.  d = 2 uses the quadratic closed form
     sigma^2 = (J_1 +- sqrt(2 J_2 - J_1^2)) / 2; larger d converts power
     sums to elementary symmetric polynomials with Newton's identities and
     takes the roots of the resulting polynomial.  Output is sorted
-    non-increasing.
+    non-increasing; every sigma^2 below 0 reads as +0.0, so no entry is -0.0.
 
     The root finding loses accuracy fast as d grows: over 200 Haar-random
     d x d states the worst |sigma error| is about 1e-14 at d = 3, 5e-12 at
@@ -179,14 +183,14 @@ def schmidt_from_jk(jvals) -> np.ndarray:
     if d == 1:
         if j[0] < -CLAMP_TOL:
             raise ValueError(f"J_1 = {float(j[0])!r} is negative")
-        return np.array([np.sqrt(max(j[0], 0.0))])
-    if d == 2:
+        q = j
+    elif d == 2:
         j1, j2 = map(float, j)
         if j2 > j1**2 + 1e-10 or j1**2 > 2 * j2 + 1e-10:
             raise ValueError(
                 f"inconsistent power sums: need J2 <= J1^2 <= 2 J2, got {j1!r}, {j2!r}"
             )
-        root = np.sqrt(max(2 * j2 - j1**2, 0.0))  # below 0 only within the tolerance above
+        root = np.sqrt(_unsigned(2 * j2 - j1**2))  # below 0 only within the tolerance above
         q = np.array([(j1 - root) / 2.0, (j1 + root) / 2.0])  # ascending: the sort keeps the order
     else:
         e = [1.0]
@@ -202,5 +206,4 @@ def schmidt_from_jk(jvals) -> np.ndarray:
         q = roots.real
         if np.min(q) < -1e-10:
             raise ValueError(f"inconsistent power sums: negative sigma^2 {q!r}")
-    q = np.where(q < 0.0, 0.0, q)
-    return np.sqrt(np.sort(q)[::-1])
+    return np.sqrt(np.sort(_unsigned(q))[::-1])

@@ -82,17 +82,19 @@ more labels than it holds evicts its own first ones.  Measured with
 tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
 a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
 if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants`
-keeps an LRU of ``MEMO_ENUMERATIONS`` (8) enumerations of at most
-``MEMO_ENTRIES`` classes, the one memo bound.  Its stabiliser-chain walk
-labels each representative as it finds it, and an entry keeps the labels
-beside its classes, which ``invariants list`` copies: a repeated list, or
-an eval or verify over a kept enumeration, formats no label again.  A labelled class
-takes 0.4-0.5 KB, its tuple sharing the table's permutation tuples
-(tracemalloc, 4096 classes of n = 12, k = 2 to 901 of n = 2, k = 6): an
-entry holds at most about 2.1 MB, or 80 B more a subsystem at k = 1, and
-all of them about 17 MB.  Past ``MEMO_ENTRIES`` each call builds fresh,
-labelled tuples.  A cold call compiles exactly what an unmemoised one
-would; a warm one compiles nothing and returns the same values bit for bit.
+keeps every enumeration of at most ``MEMO_ENTRIES`` classes, so the one
+memo bound also fixes which are kept: within ``MAX_SUBSYSTEMS`` and
+``perms.MAX_DEGREE`` there are 56 such (n, k), 11738 classes in all.  Its
+stabiliser-chain walk labels each representative as it finds it, and an
+entry keeps the labels beside its classes, which ``invariants list``
+copies: a repeated list, or an eval or verify over a kept enumeration,
+formats no label again.  A labelled class takes 0.4-0.5 KB, its tuple
+sharing the table's permutation tuples (tracemalloc, 4096 classes of
+n = 12, k = 2 to 901 of n = 2, k = 6): an entry holds at most about
+2.1 MB, or 80 B more a subsystem at k = 1, and all 56 about 5.5 MiB.
+Past ``MEMO_ENTRIES`` each call builds fresh, labelled tuples and keeps
+none.  A cold call compiles exactly what an unmemoised one would; a warm
+one compiles nothing and returns the same values bit for bit.
 
 A :class:`ContractionCost` passed to :func:`evaluate_many` or
 :func:`verify_classes` is charged once per tuple with the program of the
@@ -131,9 +133,8 @@ MAX_SUBSYSTEMS = 32
 # order such as ``entropy --alpha 1e7`` or a label ``1000000000; e`` is
 # refused instead of building 10^7 copies or a 10^9-point permutation.
 MAX_LABELS = 52
-# Memo bounds; see the module docstring for the memory they retain.
+# Memo bound; see the module docstring for the memory it retains.
 MEMO_ENTRIES = 4096
-MEMO_ENUMERATIONS = 8
 # Bytes of states that verify_classes stacks into one batch of Haar trials;
 # see the module docstring.
 BATCH_BYTES = 128 * 1024
@@ -294,8 +295,8 @@ def enumerate_invariants(n: int, k: int) -> list[CanonicalClass]:
     Returns exactly one representative per simultaneous-conjugation orbit
     of n-tuples over S_k, sorted by the lexicographic tuple encoding (the
     representative is the orbit minimum).  The list is the caller's own;
-    the memo behind it keeps the ``MEMO_ENUMERATIONS`` most recently used
-    enumerations that have at most ``MEMO_ENTRIES`` classes.  Raises
+    the memo behind it keeps every enumeration that has at most
+    ``MEMO_ENTRIES`` classes, 56 of them (5.5 MiB) in all.  Raises
     ValueError, before it allocates, past ``MAX_CLASSES`` classes or
     ``MAX_SUBSYSTEMS`` subsystems.
     """
@@ -322,7 +323,7 @@ def _kept_labels(n: int, k: int, classes: list[CanonicalClass]) -> list[str]:
     return list(_scan(n, k)[1])
 
 
-@functools.lru_cache(maxsize=MAX_SUBSYSTEMS * perms.MAX_DEGREE)
+@functools.cache  # called only once n <= MAX_SUBSYSTEMS and k <= MAX_DEGREE are checked
 def _class_count(n: int, k: int) -> int:
     """Burnside: conjugation by g fixes the tuples of n permutations that commute with g."""
     conj = perms.conjugation_table(k)[2]
@@ -330,7 +331,7 @@ def _class_count(n: int, k: int) -> int:
     return sum(int(c) ** n for c in centralizers) // len(conj)
 
 
-@functools.lru_cache(maxsize=MEMO_ENUMERATIONS)
+@functools.cache  # called only for enumerations of at most MEMO_ENTRIES classes
 def _scan(n: int, k: int) -> tuple[tuple[CanonicalClass, ...], tuple[str, ...]]:
     """The classes in code order and their labels, found down a stabiliser chain.
 

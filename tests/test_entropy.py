@@ -291,6 +291,15 @@ def test_char_poly_rejects_large_dimension():
         char_poly_relation(np.eye(9) / 9)
 
 
+def test_char_poly_refuses_an_empty_operator():
+    # np.poly of no eigenvalues is the scalar 1.0, which has no coefficients to read
+    with pytest.raises(ValueError, match=r"^dimension 0 too small"):
+        char_poly_relation(np.zeros((0, 0)))
+    with pytest.raises(ValueError) as nine:
+        char_poly_relation(np.eye(9) / 9)
+    assert str(nine.value) == "dimension 9 too large; expected a reduced operator <= 8"
+
+
 # --------------------------------------------------------------- J_k solve
 
 
@@ -366,6 +375,13 @@ def test_char_poly_relation_of_a_one_by_one_operator():
 def test_schmidt_from_one_power_sum():
     assert schmidt_from_jk([0.25]).tolist() == [0.5]
     assert schmidt_from_jk([-1e-13]).tolist() == [0.0]  # within CLAMP_TOL of 0
+
+
+def test_spectra_and_schmidt_coefficients_carry_no_signed_zero():
+    # max(-0.0, 0.0) is -0.0, so only a clamp that adds +0.0 reads every zero as +0.0
+    for sigma in (schmidt_from_jk([-0.0]), schmidt_from_jk([-0.0, 0.0])):
+        assert not np.signbit(sigma).any(), sigma
+    assert not np.signbit(Spectrum(np.array([1.0, -0.0])).probs).any()
 
 
 def test_schmidt_from_one_negative_power_sum_is_refused():

@@ -1302,7 +1302,7 @@ def enumeration_memo():
 
 
 def test_enumeration_memo_keeps_only_small_recent_enumerations(monkeypatch):
-    assert invariants.MEMO_ENTRIES == 4096 and invariants.MEMO_ENUMERATIONS == 8
+    assert invariants.MEMO_ENTRIES == 4096
     clear_memos()
     assert len(enumerate_invariants(5, 3)) == 1393
     assert len(enumerate_invariants(6, 3)) == 8051
@@ -1314,29 +1314,39 @@ def test_enumeration_memo_keeps_only_small_recent_enumerations(monkeypatch):
     enumerate_invariants(3, 3)  # 49 classes: kept
     enumerate_invariants(4, 3)  # 251: not kept
     assert enumeration_memo() == (1, 2, 2)
-    for n in range(1, 8):  # one class each; the least recently used entry makes room
+    for n in range(1, 8):  # one class each: kept beside the others
         enumerate_invariants(n, 1)
-    assert enumeration_memo() == (1, 9, 8)
+    assert enumeration_memo() == (1, 9, 9)
     monkeypatch.setattr(invariants, "MEMO_ENTRIES", 4096)
     for n in range(1, 8):
         enumerate_invariants(n, 1)
     enumerate_invariants(3, 3)
-    assert enumeration_memo() == (9, 9, 8)  # (3, 3) and every (n, 1) were kept
+    assert enumeration_memo() == (9, 9, 9)  # (3, 3) and every (n, 1) were kept
     enumerate_invariants(5, 3)
-    assert enumeration_memo() == (9, 10, 8)  # (5, 3) was evicted
+    assert enumeration_memo() == (10, 9, 9)  # nothing is evicted
 
 
-def test_enumeration_memo_hit_refreshes_an_entry():
+def test_enumeration_memo_keeps_every_enumeration_within_its_bound():
     clear_memos()
-    for n in range(1, 9):
-        enumerate_invariants(n, 1)
-    enumerate_invariants(1, 1)  # a hit: (1, 1) is now the most recently used
-    enumerate_invariants(9, 1)  # evicts (2, 1), the least recently used
-    assert enumeration_memo() == (1, 9, 8)
-    enumerate_invariants(1, 1)
-    assert enumeration_memo() == (2, 9, 8)
-    enumerate_invariants(2, 1)
-    assert enumeration_memo() == (2, 10, 8)
+    sizes = [
+        (n, k) for k in range(1, perms.MAX_DEGREE + 1) for n in range(1, invariants.MAX_SUBSYSTEMS + 1)
+        if invariants._class_count(n, k) <= invariants.MEMO_ENTRIES  # the tables are built here
+    ]
+    assert len(sizes) == 56 and (12, 2) in sizes and (6, 3) not in sizes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(len(enumerate_invariants(*nk)) for nk in sizes) == 11738
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert enumeration_memo() == (0, 56, 56)
+    assert grown < 8 * 2**20  # 5.5 MiB measured
+    for nk in sizes:
+        enumerate_invariants(*nk)
+    assert enumeration_memo() == (56, 56, 56)
+    enumerate_invariants(6, 3)  # 8051 classes: never kept
+    assert enumeration_memo() == (56, 56, 56)
 
 
 def test_lowered_class_bound_is_refused_after_the_count_is_memoised(monkeypatch):
@@ -1403,7 +1413,7 @@ def test_memos_hold_under_concurrent_callers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert errors == [] and enumeration_memo()[2] <= invariants.MEMO_ENUMERATIONS
+    assert errors == [] and enumeration_memo()[2] == len(sizes) == 30
 
 
 def _verify_cli(tmp_path, dims, k, *extra):

@@ -22,5 +22,5 @@ def test_readme_example_runs_and_prints_bond_dims():
 def test_readme_names_no_removed_function():
     text = README.read_text(encoding="utf-8")
     for name in ("cut_matrix", "from_pure", "verify_invariance", "CharPolyCoeffs",
-                 "group_dims", "_density_of", "mps_truncate"):
+                 "group_dims", "_density_of", "mps_truncate", "MEMO_ENUMERATIONS"):
         assert not re.search(rf"\b{name}\b", text), name
