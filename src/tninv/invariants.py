@@ -30,6 +30,18 @@ gives the same bits, so sharing changes no value.  On density input most
 traces repeat (608 traces, 68 distinct, over the 251 degree-3 classes of
 2 x 2 x 2 x 2); psi terms carry none.  Products are not shared: on density
 input no two are alike.
+Each program carries, beside the pinned traces and steps, the form that is
+replayed, fixed when it is compiled so that a replay makes only the numpy
+calls that do work.  A transpose whose axes are the identity is left out
+(344 of the 970 transposes of an operator's 485 products over those 251
+classes, 939 of psi's 2442).  A trace is kept under its ``pairs`` alone,
+since only an operator's programs trace and every term of one is that
+operator.  A connected network's value is its last product as it stands:
+the ``1 *`` that ``math.prod`` gives every value is applied to all rows
+of a call in one multiply, and only then are the values of networks in
+several parts written, which ``math.prod`` made in full.  So each value
+keeps the bits of the product over its parts, signed zeros and NaNs
+included.
 
 Every program acts on a stack of states: axis 0 of each operand is a
 batch, kept first by every transpose and led by -1 in every reshape, all
@@ -79,12 +91,16 @@ those keys, in LRUs of at most ``MEMO_ENTRIES`` (4096) entries each; a
 label entry holds its shared program, so a warm call makes one lookup per
 label.  Every label of a call goes through the label memo, so a call over
 more labels than it holds evicts its own first ones.  Measured with
-tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo);
-a program entry takes 1.4-4.5 KB up to degree 6 (18 MB) and up to 24 KB
-if it uses all ``MAX_LABELS`` indices (97 MB).  :func:`enumerate_invariants`
-keeps every enumeration of at most ``MEMO_ENTRIES`` classes, so the one
-memo bound also fixes which are kept: within ``MAX_SUBSYSTEMS`` and
-``perms.MAX_DEGREE`` there are 56 such (n, k), 11738 classes in all.  Its
+tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo).  A
+program entry, its key and replay form included, takes 1.0-2.6 KB up to
+degree 6 (11 MB for a full memo; 0.8-2.6 KB before programs carried the
+replay form) and 2.6-6.4 KB if it uses all ``MAX_LABELS`` indices
+(26 MB), over classes of 2 to 6 subsystems of dimension 2 to 8 on both
+routes.  A tuple that has been hashed keeps its hash, some 40 B more.
+:func:`enumerate_invariants` keeps every enumeration of at most
+``MEMO_ENTRIES`` classes, so the one memo bound also fixes which are
+kept: within ``MAX_SUBSYSTEMS`` and ``perms.MAX_DEGREE`` there are 56
+such (n, k), 11738 classes in all.  Its
 stabiliser-chain walk labels each representative as it finds it, and an
 entry keeps the labels beside its classes, which ``invariants list``
 copies: a repeated list, or an eval or verify over a kept enumeration,
@@ -146,8 +162,9 @@ class PermTuple:
 
     k: int
     sigmas: tuple[tuple[int, ...], ...]
-    # The label text, set by the first label() call; no part of ==, hash or repr.
+    # The label text and the hash, each set by its first call; no part of ==, hash or repr.
     _label: str | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -177,6 +194,11 @@ class PermTuple:
         if self._label is None:
             object.__setattr__(self, "_label", format_label(self))
         return self._label
+
+    def __hash__(self) -> int:  # the dataclass's hash of (k, sigmas), once: each label memo lookup takes one
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.k, self.sigmas)))
+        return self._hash
 
 
 def parse_label(text: str) -> PermTuple:
@@ -446,6 +468,11 @@ class _Program(NamedTuple):
     are their product.  ``flops`` counts two per multiply-add of every
     product and one per traced entry; ``largest`` is the element count of
     the biggest intermediate.  Both are per row.
+
+    ``replay`` is the same program in the form :meth:`contract` runs:
+    ``(steps, last)``, each step as in ``steps`` but with ``None`` for a
+    transpose whose axes are the identity, and ``last`` the one slot of
+    ``result`` when the network is connected, else ``None``.
     """
 
     sources: tuple[int, ...]
@@ -454,31 +481,39 @@ class _Program(NamedTuple):
     result: tuple[int, ...]
     flops: int
     largest: int
+    replay: tuple[tuple[tuple, ...], int | None]
 
     def contract(self, fused: tuple[np.ndarray, ...], traced: dict) -> np.ndarray:
-        """The values of every row of ``fused``.
+        """The values of every row of ``fused``, less ``math.prod``'s ``1 *`` when connected.
 
         ``traced`` holds the partial traces of ``fused`` computed so far,
-        keyed by ``(source, pairs)``; each trace missing from it is computed
-        and added.  Every trace acts on a source operand, so a kept trace
-        has the bits a recomputed one would have.
+        keyed by ``pairs``; each trace missing from it is computed and
+        added.  Only an operator's programs trace, and all their sources
+        are the one operator, so ``pairs`` names a trace of it, and a kept
+        trace has the bits a recomputed one would have.  A connected
+        network's value is returned as its last product left it; the
+        caller owes it the ``1 *`` that ``math.prod`` gives every other
+        value (:func:`_contract_all` does it for all rows at once).
         """
+        steps, last = self.replay
         ops = [fused[s] for s in self.sources]
         for slot, pairs in self.traces:
-            key = (self.sources[slot], pairs)
-            part = traced.get(key)
+            part = traced.get(pairs)
             if part is None:
                 part = ops[slot]
                 for axis1, axis2 in pairs:
                     part = part.trace(axis1=axis1, axis2=axis2)
-                traced[key] = part
+                traced[pairs] = part
             ops[slot] = part
-        for a, b, axes_a, shape_a, axes_b, shape_b, out in self.steps:
-            mat_a = ops[a].transpose(axes_a).reshape(shape_a)
-            mat_b = ops[b].transpose(axes_b).reshape(shape_b)
-            ops[a] = (mat_a @ mat_b).reshape(out)
+        for a, b, axes_a, shape_a, axes_b, shape_b, out in steps:
+            mat_a, mat_b = ops[a], ops[b]
+            if axes_a is not None:
+                mat_a = mat_a.transpose(axes_a)
+            if axes_b is not None:
+                mat_b = mat_b.transpose(axes_b)
+            ops[a] = (mat_a.reshape(shape_a) @ mat_b.reshape(shape_b)).reshape(out)
             ops[b] = None
-        return prod(ops[s] for s in self.result)
+        return ops[last] if last is not None else prod(ops[s] for s in self.result)
 
 
 def _compile(
@@ -544,7 +579,14 @@ def _compile(
             c = sum(owner[x]) - b
             owner[x] = (a, c) if a < c else (c, a)
     result = tuple(slot for slot, term in enumerate(labels) if term is not None)
-    return _Program(sources, tuple(traces), tuple(steps), result, flops, largest)
+
+    def moved(axes: tuple[int, ...]) -> tuple[int, ...] | None:
+        return None if axes == tuple(range(len(axes))) else axes
+
+    replay = tuple((a, b, moved(axes_a), shape_a, moved(axes_b), shape_b, out)
+                   for a, b, axes_a, shape_a, axes_b, shape_b, out in steps)
+    last = result[0] if len(result) == 1 else None
+    return _Program(sources, tuple(traces), tuple(steps), result, flops, largest, (replay, last))
 
 
 def _fuse(src: _Operand, axes: tuple[int, ...], fused: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -633,10 +675,10 @@ class ContractionCost:
     largest: int = 0
     purification: Purification | None = None
 
-    def add(self, program: _Program | ContractionCost) -> None:
-        """Charge the flops of a program, or of a whole cost, and keep the larger largest."""
-        self.flops += program.flops
-        self.largest = max(self.largest, program.largest)
+    def add(self, other: ContractionCost) -> None:
+        """Charge another cost's flops and keep the larger largest."""
+        self.flops += other.flops
+        self.largest = max(self.largest, other.largest)
 
 
 def _plan(tuples, dims, pure: bool) -> tuple[dict, ContractionCost]:
@@ -644,15 +686,16 @@ def _plan(tuples, dims, pure: bool) -> tuple[dict, ContractionCost]:
 
     Every tuple goes through the label memo.  Tuples whose networks agree
     on the fused dims and the subscripts share one memoised program.  The
-    cost is a fresh one, charged once per tuple.
+    cost is a fresh one, summed once over every tuple's program.
     """
     plan: dict[tuple, list] = {}
-    cost = ContractionCost()
+    programs = []
     for i, t in enumerate(tuples):
         grouping, program = _network(t, dims, pure)
-        cost.add(program)
         plan.setdefault(grouping, []).append((i, program))
-    return plan, cost
+        programs.append(program)
+    largest = max((program.largest for program in programs), default=0)
+    return plan, ContractionCost(sum(program.flops for program in programs), largest)
 
 
 def _contract_all(plan: dict, src: _Operand, count: int) -> np.ndarray:
@@ -660,14 +703,25 @@ def _contract_all(plan: dict, src: _Operand, count: int) -> np.ndarray:
 
     Row i of the result holds tuple i's values, one per row of the stack.
     The partial traces of a fused operand live and die with it, so each
-    distinct one is computed once per grouping.
+    distinct one is computed once per grouping.  Every row then takes
+    ``math.prod``'s ``1 *`` in one multiply, and the values of networks in
+    several parts, which ``math.prod`` made in full, are written after it:
+    each value has the bits of the product over its parts.
     """
-    values = np.empty((count, len(src.array)), dtype=np.complex128)
+    values = np.zeros((count, len(src.array)), dtype=np.complex128)  # the multiply reads every row
+    split = []
     for grouping, members in plan.items():
         fused, traced = _fuse(src, *grouping), {}
         for i, program in members:
-            values[i] = program.contract(fused, traced)
+            value = program.contract(fused, traced)
+            if program.replay[1] is None:
+                split.append((i, value))
+            else:
+                values[i] = value
         del fused, traced  # before the next grouping is fused
+    values *= 1  # 1 * z may flip a signed zero or make inf + 0j inf + nan j
+    for i, value in split:
+        values[i] = value
     return values
 
 

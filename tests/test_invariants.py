@@ -1253,6 +1253,103 @@ def test_shared_traces_change_no_bit(monkeypatch):
             assert same_bits(shared, alone) and same_bits(shared_devs, alone_devs), (dims, rows)
 
 
+def reference_contract_all(plan, src, count) -> np.ndarray:
+    """``_contract_all`` with the replay written out in full.
+
+    Every step transposes and reshapes both operands, whatever the axes; a
+    trace is kept under ``(source, pairs)``; each value is ``math.prod``
+    over the program's result slots, connected or not.
+    """
+    values = np.empty((count, len(src.array)), dtype=np.complex128)
+    for grouping, members in plan.items():
+        fused, traced = invariants._fuse(src, *grouping), {}
+        for i, program in members:
+            ops = [fused[s] for s in program.sources]
+            for slot, pairs in program.traces:
+                key = (program.sources[slot], pairs)
+                if key not in traced:
+                    part = ops[slot]
+                    for axis1, axis2 in pairs:
+                        part = part.trace(axis1=axis1, axis2=axis2)
+                    traced[key] = part
+                ops[slot] = traced[key]
+            for a, b, axes_a, shape_a, axes_b, shape_b, out in program.steps:
+                mat_a = ops[a].transpose(axes_a).reshape(shape_a)
+                mat_b = ops[b].transpose(axes_b).reshape(shape_b)
+                ops[a] = (mat_a @ mat_b).reshape(out)
+                ops[b] = None
+            values[i] = math.prod(ops[s] for s in program.result)
+    return values
+
+
+def _replay_cases():
+    """``(dims, tuples, states)``: lu_verify's shapes, then GHZ, product and real states."""
+    rng = np.random.default_rng(97)
+    for dims, ks in (((2, 2, 2), (2, 3)), ((2, 2, 2, 2), (2, 3)), ((2,) * 6, (2,)),
+                     ((3, 3, 3), (2, 3)), ((4, 4, 4), (2, 3)), ((8, 8), (2, 3))):
+        tuples = [c.representative for k in ks for c in enumerate_invariants(len(dims), k)]
+        if dims == (8, 8):
+            tuples.append(parse_label("6; (123456) | (12)(34)(56)"))
+        d = math.prod(dims)
+        pure = StateData.pure(random_pure_state(dims, seed=d))
+        yield dims, tuples, (rank_r_density(dims, 2, d), pure)
+    for dims in ((2, 2, 2), (2, 2, 2, 2)):
+        tuples = [c.representative for k in (1, 2, 3) for c in enumerate_invariants(len(dims), k)]
+        d = math.prod(dims)
+        ghz = np.zeros(d, dtype=np.complex128)
+        ghz[[0, -1]] = 0.5 ** 0.5
+        product = np.ones(d, dtype=np.complex128) / d ** 0.5
+        a = rng.standard_normal((d, d))
+        real = a @ a.T / np.trace(a @ a.T)
+        yield dims, tuples, (
+            StateData.pure(Tensor(ghz)), np.outer(ghz, ghz), StateData.pure(Tensor(product)),
+            np.outer(product, product), real.astype(np.complex128),
+        )
+
+
+def test_replay_has_the_bits_of_the_replay_written_out_in_full(monkeypatch):
+    # every value evaluate_many and verify_classes return, on either route and at
+    # every chunk size, is bit for bit the written-out replay's; a replay that
+    # skips a transpose it needs, or the 1 * of a connected value, fails here
+    seen, contract_all, trials = [], invariants._contract_all, 2
+
+    def spy(plan, src, count):
+        values = contract_all(plan, src, count)
+        assert same_bits(values, reference_contract_all(plan, src, count))
+        seen.append((src.pure, len(src.array)))
+        return values
+
+    monkeypatch.setattr(invariants, "_contract_all", spy)
+    connected, purified = set(), False
+    for dims, tuples, states_ in _replay_cases():
+        connected.update(len(connected_components(t)) == 1 for t in tuples)
+        for state in states_:
+            src = invariants._operand(state, dims)
+            plan, _ = invariants._plan(tuples, dims, src.pure)
+            want = reference_contract_all(plan, invariants._Operand(src.pure, src.array[None]), len(tuples))
+            got = evaluate_many(tuples, state, dims)
+            assert same_bits(np.array(got, dtype=np.complex128), want[:, 0]), dims
+            size = _row_bytes(tuples, state, dims)
+            for rows in (1, 2, trials + 1):  # a chunk of one row, two, and every row
+                monkeypatch.setattr(invariants, "BATCH_BYTES", rows * size)
+                seen.clear()
+                verify_classes(tuples, state, dims, trials=trials, seed=98)
+                assert sum(n for _, n in seen) == trials + 1
+                purified |= not src.pure and seen[0][0]
+    assert connected == {True, False} and purified
+    # math.prod's 1 * shows on operators outside the densities: tr rho overflows to
+    # inf + 0j, which 1 * makes inf + nan j, and (1 * tr rho) * tr rho is 1 - 0j when
+    # tr rho is -1, which a second 1 * would make 1 + 0j
+    tuples = [c.representative for k in (1, 2) for c in enumerate_invariants(2, k)]
+    assert tuples[1] == parse_label("2; e | e")  # tr rho times tr rho: two parts
+    huge = np.diag([1e308, 1e308, 1.0, 1.0]).astype(np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = evaluate_many(tuples, huge, (2, 2))
+    assert np.isnan(got[0].imag)
+    got = evaluate_many(tuples, -np.eye(4, dtype=np.complex128) / 4, (2, 2))
+    assert got[1] == 1 and np.signbit(got[1].imag)
+
+
 def test_verify_peak_memory_does_not_grow_from_20_to_2000_trials():
     dims = (4, 8)
     rho = random_density(32, np.random.default_rng(85))

@@ -1,0 +1,27 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_layers_quick_writes_the_record_schema(tmp_path):
+    out = tmp_path / "layers.json"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for tag in ("parent", "change", "change"):  # a repeated tag replaces its own entries
+        subprocess.run([sys.executable, str(ROOT / "tools" / "layers.py"), "--quick",
+                        "--tag", tag, "--out", str(out)], check=True, env=env, capture_output=True)
+    entries = json.loads(out.read_text())["entries"]
+    keys = {"tag", "layer", "size", "repeats", "median_s", "iqr_s", "peak_bytes",
+            "python", "numpy", "blas", "blas_threads", "cpus"}
+    assert all(set(e) == keys for e in entries)
+    layers = [(e["tag"], e["layer"]) for e in entries]
+    assert layers == [(tag, layer) for tag in ("parent", "change")
+                      for layer in ("plan", "evaluate_many", "verify_classes")]
+    for e in entries:
+        assert set(e["size"]) == {"dims", "k", "labels", "state", "trials"}
+        assert e["repeats"] == 3 and 0 < e["median_s"] and 0 <= e["iqr_s"] and e["peak_bytes"] > 0
+        assert isinstance(e["python"], str) and isinstance(e["numpy"], str) and e["cpus"] >= 1
+        assert e["blas_threads"] is None or e["blas_threads"] >= 1
