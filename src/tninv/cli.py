@@ -151,9 +151,15 @@ def cmd_factor(args) -> CommandResult:
     data = states.load_state(args.state)
     if data.legs != 1:
         raise StateFileError(f"{args.state}: expected a pure state, got {data.kind}")
-    chain = decompose.mps_factor(data.tensor, args.truncate_chi, args.truncate_tol)
-    rebuilt = decompose.mps_reconstruct(chain)
-    fid = decompose.fidelity(data.tensor, rebuilt)
+
+    def factored():  # the chain and its fidelity, and the bytes they hold
+        chain = decompose.mps_factor(data.tensor, args.truncate_chi, args.truncate_tol)
+        fid = decompose.fidelity(data.tensor, decompose.mps_reconstruct(chain))
+        held = sum(s.data.nbytes for s in chain.sites) + sum(s.nbytes for s in chain.bond_sigmas)
+        return (chain, fid), held
+
+    policy = (args.truncate_chi, args.truncate_tol)
+    chain, fid = states._derived(args.state, data, policy, factored)
     res.values["bond_dims"] = [int(c) for c in chain.bond_dims]
     res.values["bond_sigmas"] = [[float(s) for s in v] for v in chain.bond_sigmas]
     res.values["fidelity"] = fid

@@ -31,7 +31,11 @@ chunk.
 
 A file read before is served from a per-process memo of at most
 ``LOAD_MEMO_BYTES`` of arrays, checked against the SHA-256 of the bytes
-:func:`load_state` reads on every call.
+:func:`load_state` reads on every call.  An entry that keeps an array
+also keeps what :func:`_derived` computed from that array alone, such as
+``tninv factor``'s chain and fidelity for each truncation policy.  Each
+entry is charged its array's bytes plus those of the values it keeps, and
+a value that would take the memo past its budget is not kept.
 """
 
 from __future__ import annotations
@@ -59,8 +63,9 @@ MAX_COMPONENT = 1e150  # largest real or imaginary part of a state file: its squ
 # sooner on a small thread stack.  A state file nests 4 deep, and stdlib json
 # refused past about 1000 levels (RecursionError).
 MAX_DEPTH = 512
-# Bytes of parsed arrays that load_state keeps to serve files read again; each
-# entry, a path read once included, is charged at least _PAGE bytes.
+# Bytes of parsed arrays, and of values derived from them, that load_state keeps
+# to serve files read again; each entry's array, or the mark of a path read
+# once, is charged at least _PAGE bytes.
 LOAD_MEMO_BYTES = 4 * 1024 * 1024
 _PAGE = 4096
 
@@ -223,12 +228,17 @@ def _is_dim(d) -> bool:
 
 
 class _Kept(NamedTuple):
-    """A checked load of a path, valid while the file's bytes have ``digest``."""
+    """A checked load of a path, valid while the file's bytes have ``digest``.
+
+    ``derived`` maps a key to a ``(value, nbytes)`` pair: a value that
+    :func:`_derived` computed from ``tensor`` alone, and the bytes it holds.
+    """
 
     digest: bytes
     kind: str
     dims: tuple[int, ...]
     tensor: Tensor
+    derived: dict
 
 
 # path -> None once read, or its _Kept once read again; least recently read first
@@ -238,7 +248,9 @@ _memo_lock = threading.Lock()
 
 
 def _charge(kept: _Kept | None) -> int:
-    return _PAGE if kept is None else max(_PAGE, kept.tensor.data.nbytes)
+    if kept is None:
+        return _PAGE
+    return max(_PAGE, kept.tensor.data.nbytes) + sum(n for _, n in kept.derived.values())
 
 
 def _sha256(raw: bytes) -> bytes:
@@ -257,6 +269,34 @@ def _remember(path, kept: _Kept | None) -> None:
         _memo_bytes += _charge(kept)
         while _memo_bytes > LOAD_MEMO_BYTES:
             _memo_bytes -= _charge(_memo.popitem(last=False)[1])
+
+
+def _derived(path, state: StateData, key, make):
+    """The value that ``make()`` derives from ``state.tensor``, kept under ``key``.
+
+    ``make`` returns ``(value, nbytes)``: a value that depends on the
+    tensor and ``key`` alone, and the bytes it holds.  A kept value is
+    served only while the memo entry of ``path`` holds ``state``'s own
+    tensor, tested by identity, so a state parsed from other bytes never
+    reads an older value.  Otherwise ``make`` runs, and its value is kept
+    with that entry if the entry still holds the tensor and the memo's
+    charge with it stays within ``LOAD_MEMO_BYTES``; a value that does not
+    fit is not kept, and the entry is left as it was.  Eviction drops an
+    entry with its values.
+    """
+    global _memo_bytes
+    with _memo_lock:
+        kept = _memo.get(path)
+        ours = kept is not None and kept.tensor is state.tensor
+        if ours and key in kept.derived:
+            return kept.derived[key][0]
+    value, nbytes = make()
+    with _memo_lock:
+        fits = _memo_bytes + nbytes <= LOAD_MEMO_BYTES
+        if ours and _memo.get(path) is kept and key not in kept.derived and fits:
+            kept.derived[key] = (value, nbytes)
+            _memo_bytes += nbytes
+    return value
 
 
 def load_state(path) -> StateData:
@@ -280,7 +320,8 @@ def load_state(path) -> StateData:
     afresh, so the result never depends on the memo.  The memo charges each
     entry at least a page, keeps at most ``LOAD_MEMO_BYTES`` and evicts the
     least recently read paths first; an array larger than the budget is
-    never kept.
+    never kept.  An entry's charge is its array's bytes plus those of the
+    values :func:`_derived` keeps with it, and eviction drops them together.
     """
     try:
         with open(path, "rb") as fh:
@@ -307,7 +348,7 @@ def load_state(path) -> StateData:
     if not seen:
         _remember(path, None)
     elif state.tensor.data.nbytes <= LOAD_MEMO_BYTES:  # a larger array is never kept
-        _remember(path, _Kept(digest or _sha256(raw), state.kind, state.dims, state.tensor))
+        _remember(path, _Kept(digest or _sha256(raw), state.kind, state.dims, state.tensor, {}))
     return state
 
 

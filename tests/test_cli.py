@@ -259,6 +259,28 @@ def test_one_shot_command_hashes_nothing_and_keeps_no_array(product4_path):
                    env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
 
 
+def test_repeated_factor_prints_and_writes_what_a_fresh_process_does(tmp_path, capsys):
+    # calls 1-4 of a path in one process: a mark, then the kept array and chain, then
+    # two hits; each must match a fresh process, output, exit code and chain file
+    src = os.path.dirname(os.path.dirname(tninv.__file__))
+    run = "import sys; from tninv.cli import main; sys.exit(main(sys.argv[1:]))"
+    psi = StateData.pure(random_pure_state((2,) * 9, seed=19))
+    policies = ([], ["--truncate-chi", "4"], ["--truncate-tol", "0.02"])
+    for i, (flags, mode) in enumerate(itertools.product(policies, ([], ["--json"]))):
+        path, out = tmp_path / f"psi{i}.json", tmp_path / f"chain{i}.json"
+        save_state(psi, path)
+        argv = ["factor", str(path), *flags, "--out", str(out), *mode]
+        proc = subprocess.run([sys.executable, "-c", run, *argv], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60, check=False)
+        want = (proc.returncode, proc.stdout, proc.stderr, out.read_bytes())
+        assert want[0] == 0 and want[2] == "", want
+        for call in range(4):
+            out.unlink()
+            code = main(argv)
+            got = capsys.readouterr()
+            assert (code, got.out, got.err, out.read_bytes()) == want, (flags, mode, call)
+
+
 def test_factor_bad_truncation_flag(product4_path, capsys):
     for flag, value in (("--truncate-chi", "0"), ("--truncate-tol", "nan")):
         assert main(["factor", product4_path, flag, value]) == 2

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tninv import invariants, perms, states
+from tninv import cli, invariants, perms, states
 from tninv import (
     ContractionCost,
     PermTuple,
@@ -1479,11 +1479,20 @@ def test_warm_relabeling_lists_no_permutations(monkeypatch):
     assert listed == [3] and warm == cold
 
 
-def test_memos_hold_under_concurrent_callers():
+def test_memos_hold_under_concurrent_callers(tmp_path):
     sizes = [(n, k) for n in range(1, 4) for k in (2, 3)] + [(n, 1) for n in range(1, 25)]
     want = {nk: enumerate_invariants(*nk) for nk in sizes}
     rho = random_density(8, np.random.default_rng(76))
     values = evaluate_many([c.representative for c in want[3, 3]], rho, (2, 2, 2))
+    # factor callers share two files and two policies: the load memo and its kept chains
+    factors = {}
+    for i, flags in itertools.product(range(2), ((), ("--truncate-chi", "2"))):
+        psi = StateData.pure(random_pure_state((2,) * 6, seed=78 + i))
+        save_state(psi, tmp_path / f"alone{i}{len(flags)}.json")
+        save_state(psi, tmp_path / f"psi{i}.json")
+        argv = ["factor", str(tmp_path / f"psi{i}.json"), *flags, "--json"]
+        factors[tuple(argv)] = _factor_doc(["factor", str(tmp_path / f"alone{i}{len(flags)}.json"),
+                                            *flags, "--json"])
     clear_memos()
     errors = []
 
@@ -1493,6 +1502,9 @@ def test_memos_hold_under_concurrent_callers():
                 nk = sizes[(i + offset) % len(sizes)]
                 if enumerate_invariants(*nk) != want[nk]:
                     errors.append(nk)
+                argv = list(factors)[(i + offset) % len(factors)]
+                if i % 10 == 0 and _factor_doc(argv) != factors[argv]:
+                    errors.append(argv)
             tuples = [c.representative for c in enumerate_invariants(3, 3)]
             if not same_bits(evaluate_many(tuples, rho, (2, 2, 2)), values):
                 errors.append("values")
@@ -1511,6 +1523,12 @@ def test_memos_hold_under_concurrent_callers():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and enumeration_memo()[2] == len(sizes) == 30
+
+
+def _factor_doc(argv):
+    """A ``factor`` document through the CLI's own command, without touching stdout."""
+    args = cli._parse(list(argv))
+    return args.run(args).render(True)
 
 
 def _verify_cli(tmp_path, dims, k, *extra):

@@ -18,10 +18,16 @@ def test_layers_quick_writes_the_record_schema(tmp_path):
             "python", "numpy", "blas", "blas_threads", "cpus"}
     assert all(set(e) == keys for e in entries)
     layers = [(e["tag"], e["layer"]) for e in entries]
+    invariant_layers = ("plan", "evaluate_many", "verify_classes")
+    factor_layers = ("mps_factor", "mps_reconstruct+fidelity", "save_chain", "cli_factor", "cli_factor")
     assert layers == [(tag, layer) for tag in ("parent", "change")
-                      for layer in ("plan", "evaluate_many", "verify_classes")]
+                      for layer in invariant_layers + factor_layers]
+    assert [e["size"].get("read") for e in entries[-2:]] == ["second", "hit"]
     for e in entries:
-        assert set(e["size"]) == {"dims", "k", "labels", "state", "trials"}
+        if e["layer"] in invariant_layers:
+            assert set(e["size"]) == {"dims", "k", "labels", "state", "trials"}
+        else:
+            assert set(e["size"]) - {"read"} == {"qubits", "max_chi"}
         assert e["repeats"] == 3 and 0 < e["median_s"] and 0 <= e["iqr_s"] and e["peak_bytes"] > 0
         assert isinstance(e["python"], str) and isinstance(e["numpy"], str) and e["cpus"] >= 1
         assert e["blas_threads"] is None or e["blas_threads"] >= 1

@@ -9,7 +9,7 @@ import numpy as np
 import orjson
 import pytest
 
-from tninv import states
+from tninv import cli, decompose, states
 from tninv.states import MAX_COMPONENT, MAX_DEPTH, PSD_TOL, _decode, as_operator, random_local_unitaries
 from tninv import (
     Spectrum,
@@ -150,7 +150,29 @@ def test_load_state_hands_tensor_an_array_it_owns(tmp_path, monkeypatch):
     assert owned == [True, True]
 
 
-def test_third_load_shares_the_second_loads_array(tmp_path):
+def factor_json(path, *flags) -> str:
+    """``tninv factor path --json`` through the CLI's own command, as a document."""
+    args = cli._parse(["factor", str(path), *flags, "--json"])
+    return args.run(args).render(True)
+
+
+@pytest.fixture
+def counted_factor(monkeypatch):
+    """The policies that ``mps_factor`` ran with, one a call."""
+    made = []
+    monkeypatch.setattr(decompose, "mps_factor", lambda psi, chi=None, tol=None:
+                        made.append((chi, tol)) or mps_factor(psi, chi, tol))
+    return made
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """A load memo of its own, restored after the test."""
+    monkeypatch.setattr(states, "_memo", type(states._memo)())
+    monkeypatch.setattr(states, "_memo_bytes", 0)
+
+
+def test_third_load_shares_the_second_loads_array(tmp_path, counted_factor):
     psi = random_pure_state((2, 3, 2), seed=6)
     for state in (StateData.pure(psi), StateData.density(density_from_pure(psi), (2, 3, 2))):
         path = tmp_path / f"{state.kind}.json"
@@ -166,6 +188,70 @@ def test_third_load_shares_the_second_loads_array(tmp_path):
         del first
         gc.collect()
         assert first_ref() is None  # the memo kept only a mark of the first read
+    # factor's chain and fidelity are kept with the array: the first two reads
+    # factor, the second keeps what it made, and later reads are served it
+    path = str(tmp_path / "pure_factor.json")
+    save_state(StateData.pure(psi), path)
+    docs = [factor_json(path) for _ in range(4)]
+    assert docs == [docs[0]] * 4 and counted_factor == [(None, None)] * 2
+    entry = states._memo[path]
+    (chain, fid), nbytes = entry.derived[None, None]
+    assert nbytes == sum(s.data.nbytes for s in chain.sites) + sum(s.nbytes for s in chain.bond_sigmas)
+    assert json.loads(docs[0])["values"]["fidelity"] == fid
+
+
+def test_factor_of_rewritten_bytes_gives_the_new_states_chain(tmp_path, counted_factor):
+    path, fresh = str(tmp_path / "psi.json"), str(tmp_path / "fresh.json")
+    save_state(StateData.pure(random_pure_state((2,) * 6, seed=12)), path)
+    old = [factor_json(path) for _ in range(3)]
+    other = StateData.pure(random_pure_state((2,) * 6, seed=13))
+    for target in (path, fresh):
+        save_state(other, target)
+    new = [factor_json(path) for _ in range(3)]  # parsed afresh and kept, then served
+    assert new == [factor_json(fresh)] * 3 and new[0] != old[0]
+    assert len(counted_factor) == 2 + 1 + 1
+
+
+def test_factor_policies_on_one_file_never_serve_each_other(tmp_path, counted_factor):
+    path = str(tmp_path / "psi.json")
+    save_state(StateData.pure(random_pure_state((2,) * 6, seed=14)), path)
+    policies = ((), ("--truncate-chi", "2"), ("--truncate-tol", "0.1"))
+    want = {}
+    for i, flags in enumerate(policies):  # each policy's document from a path of its own
+        alone = str(tmp_path / f"alone{i}.json")
+        save_state(load_state(path), alone)
+        want[flags] = factor_json(alone, *flags)
+    assert len(set(want.values())) == 3
+    for _ in range(3):
+        for flags in policies:
+            assert factor_json(path, *flags) == want[flags], flags
+    assert set(states._memo[path].derived) == {(None, None), (2, None), (None, 0.1)}
+
+
+def test_derived_value_is_served_only_to_the_entrys_own_tensor(tmp_path):
+    path = str(tmp_path / "psi.json")
+    save_state(StateData.pure(random_pure_state((2, 2), seed=15)), path)
+    kept = [load_state(path) for _ in range(2)][1]
+    assert states._derived(path, kept, "key", lambda: ("kept", 16)) == "kept"
+    assert states._derived(path, kept, "key", lambda: ("made", 16)) == "kept"
+    twin = StateData.pure(Tensor(kept.tensor.data.copy()))  # equal bits, another tensor
+    assert states._derived(path, twin, "key", lambda: ("made", 16)) == "made"
+    assert states._memo[path].derived == {"key": ("kept", 16)}
+
+
+def test_rewritten_file_past_the_budget_reads_no_older_chain(tmp_path, monkeypatch, empty_memo):
+    monkeypatch.setattr(states, "LOAD_MEMO_BYTES", 64 * 1024)
+    path, fresh = str(tmp_path / "psi.json"), str(tmp_path / "fresh.json")
+    save_state(StateData.pure(random_pure_state((2,) * 6, seed=16)), path)
+    for _ in range(3):
+        factor_json(path)
+    entry = states._memo[path]
+    assert (None, None) in entry.derived
+    large = StateData.pure(random_pure_state((2,) * 13, seed=17))  # 128 KiB: never kept
+    for target in (path, fresh):
+        save_state(large, target)
+    assert factor_json(path) == factor_json(fresh)
+    assert states._memo[path] is entry  # the older entry stays, and serves no one
 
 
 def test_rewritten_file_is_parsed_again_whatever_its_mtime(tmp_path):
@@ -199,17 +285,33 @@ def test_rewritten_invalid_file_is_refused_as_before(tmp_path):
 
 def test_load_memo_holds_at_most_its_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(states, "LOAD_MEMO_BYTES", 64 * 1024)
+    chains = 0
     for i in range(24):
         n = (4, 8, 10, 13)[i % 4]  # arrays under a page, of a page, of 16 KiB, past the budget
-        path = tmp_path / f"psi{i}.json"
+        path = str(tmp_path / f"psi{i}.json")
         save_state(StateData.pure(random_pure_state((2,) * n, seed=i)), path)
-        for _ in range(2):
-            load_state(path)
+        for read in range(3):
+            (load_state if read == 0 else factor_json)(path)
             kept = [k for k in states._memo.values() if k is not None]
-            assert sum(k.tensor.data.nbytes for k in kept) <= states.LOAD_MEMO_BYTES
+            held = [k.tensor.data.nbytes + sum(b for _, b in k.derived.values()) for k in kept]
+            assert sum(held) <= states.LOAD_MEMO_BYTES
             assert states._memo_bytes == sum(map(states._charge, states._memo.values()))
             assert states._memo_bytes <= states.LOAD_MEMO_BYTES
         assert (states._memo[path] is None) == (n == 13)  # too large: its mark stays
+        chains += n != 13 and bool(states._memo[path].derived)
+    assert chains > 0  # some chains were charged beside their arrays
+
+
+def test_chain_past_the_budget_is_not_kept(tmp_path, monkeypatch, empty_memo, counted_factor):
+    monkeypatch.setattr(states, "LOAD_MEMO_BYTES", 64 * 1024)
+    path = str(tmp_path / "psi.json")
+    save_state(StateData.pure(random_pure_state((2,) * 12, seed=18)), path)  # 64 KiB: fits alone
+    docs = [factor_json(path) for _ in range(2)]  # a mark, then the array alone
+    entry = states._memo[path]
+    assert entry is not None and entry.derived == {} and states._memo_bytes == 64 * 1024
+    docs.append(factor_json(path))  # a hit on the array; the chain is made again
+    assert docs == [docs[0]] * 3 and len(counted_factor) == 3
+    assert states._memo[path] is entry and entry.derived == {} and states._memo_bytes == 64 * 1024
 
 
 def test_threads_share_one_file(tmp_path):

@@ -24,17 +24,34 @@ label and program memos hold its plan.  The layers:
 Each runs on the shapes of the benchmark's lu_verify jobs, on a rank-2
 density drawn from a fixed seed.  ``verify_classes`` also runs 20 trials
 over every k-class on a full-rank density and on a rank-2 one, the sizes
-of an older row of the ROADMAP's table.  Each entry records the layer,
-the size, the median and interquartile range of ``REPEATS`` (101) timed
-calls, the ``tracemalloc`` peak of one more call, and the Python, numpy
-and BLAS versions, the BLAS thread count and the CPU count.
+of an older row of the ROADMAP's table.  The factor path has four more,
+on pure states of n qubits drawn from a fixed seed:
+
+- ``mps_factor``: the sweep, exact at 12 to 16 qubits, and with
+  ``max_chi`` 4 at 12 and 16 at 14;
+- ``mps_reconstruct+fidelity``: the dense rebuild and the overlap that
+  ``factor`` reports, on the benchmark's state_scale factor shapes;
+- ``save_chain``: the chain file that ``factor --out`` writes, on the same
+  shapes;
+- ``cli_factor``: a whole in-process ``factor --json`` through
+  :func:`tninv.cli.main`, stdout captured, on the same shapes.  ``read``
+  says which read of its file it times: ``second``, with the load memo's
+  entry set back to a first read's mark before each call (untimed), or
+  ``hit``, from the third read on.
+
+Each entry records the layer, the size, the median and interquartile
+range of ``REPEATS`` (101) timed calls, the ``tracemalloc`` peak of one
+more call, and the Python, numpy and BLAS versions, the BLAS thread count
+and the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import glob
+import io
 import json
 import math
 import os
@@ -42,11 +59,12 @@ import platform
 import statistics
 import sys
 import time
+import tempfile
 import tracemalloc
 
 import numpy as np
 
-from tninv import invariants
+from tninv import StateData, cli, decompose, invariants, random_pure_state, save_chain, save_state, states
 
 # (layer, dims, k, trials) in the benchmark's lu_verify order; a degree-6
 # label stands for the one job that names its label
@@ -75,6 +93,10 @@ LU_SHAPES = (
 # the table row that predates the stacked draw: 20 trials, every k-class
 VERIFY_20 = (((2, 2, 2), 3), ((2, 2, 2, 2), 3), ((2,) * 6, 2), ((4, 4, 4), 2), ((8, 8), 3))
 QUICK_SHAPES = (("evaluate_many", (2, 2, 2), 2, 0), ("verify_classes", (2, 2, 2), 2, 3))
+# (qubits, max_chi) of the sweep's ladder, and of the benchmark's state_scale factor jobs
+FACTOR_SHAPES = ((12, None), (13, None), (14, None), (15, None), (16, None), (12, 4), (14, 16))
+FACTOR_JOBS = ((12, 4), (13, None), (14, None), (14, 16))
+QUICK_FACTOR = ((10, None),)
 SEED = 2024
 REPEATS = 101  # timed calls per entry; --quick takes 3
 
@@ -105,14 +127,20 @@ def blas_threads() -> int | None:
     return None
 
 
-def measure(call, repeats: int) -> dict:
-    """Median and IQR of ``repeats`` warm calls, and the tracemalloc peak of one more."""
+def measure(call, repeats: int, setup=lambda: None) -> dict:
+    """Median and IQR of ``repeats`` warm calls, and the tracemalloc peak of one more.
+
+    ``setup`` runs, untimed, before each call.
+    """
+    setup()
     call()
     times = []
     for _ in range(repeats):
+        setup()
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
+    setup()
     tracemalloc.start()
     try:
         call()
@@ -149,11 +177,14 @@ def entries(quick: bool, repeats: int) -> list[dict]:
     """One entry per (layer, size), in the order measured."""
     rng, out = np.random.default_rng(SEED), []
 
+    def record(layer, size, call, setup=lambda: None):
+        out.append({"layer": layer, "size": size, **measure(call, repeats, setup)})
+        print(f"{layer:24} {json.dumps(size)}  {out[-1]['median_s'] * 1e3:.3f} ms "
+              f"(IQR {out[-1]['iqr_s'] * 1e3:.3f})", file=sys.stderr)
+
     def add(layer, dims, k, tuples, state, trials, call):
         size = {"dims": list(dims), "k": k, "labels": len(tuples), "state": state, "trials": trials}
-        out.append({"layer": layer, "size": size, **measure(call, repeats)})
-        print(f"{layer:15} {json.dumps(size)}  {out[-1]['median_s'] * 1e3:.3f} ms "
-              f"(IQR {out[-1]['iqr_s'] * 1e3:.3f})", file=sys.stderr)
+        record(layer, size, call)
 
     for layer, dims, k, trials in QUICK_SHAPES if quick else LU_SHAPES:
         rho, tuples = rank2_density(rng, math.prod(dims)), labels(dims, k)
@@ -170,7 +201,33 @@ def entries(quick: bool, repeats: int) -> list[dict]:
                            ("rank-2 density", rank2_density(rng, math.prod(dims)))):
             add("verify_classes", dims, k, tuples, state, 20,
                 lambda: invariants.verify_classes(tuples, rho, dims, trials=20, seed=SEED))
+    with tempfile.TemporaryDirectory() as tmp:
+        factor_entries(record, quick, tmp)
     return out
+
+
+def factor_entries(record, quick: bool, tmp: str) -> None:
+    """The factor path's layers, through ``record(layer, size, call, setup)``."""
+    ladder, jobs = (QUICK_FACTOR, QUICK_FACTOR) if quick else (FACTOR_SHAPES, FACTOR_JOBS)
+    psis = {n: random_pure_state((2,) * n, seed=SEED + n) for n, _ in ladder + jobs}
+    for n, chi in ladder:
+        record("mps_factor", {"qubits": n, "max_chi": chi}, lambda: decompose.mps_factor(psis[n], chi))
+    for n, chi in jobs:
+        chain, size = decompose.mps_factor(psis[n], chi), {"qubits": n, "max_chi": chi}
+        record("mps_reconstruct+fidelity", size,
+               lambda: decompose.fidelity(psis[n], decompose.mps_reconstruct(chain)))
+        record("save_chain", size, lambda: save_chain(chain, os.path.join(tmp, "chain.json")))
+        path = os.path.join(tmp, f"psi{n}_{chi}.json")
+        save_state(StateData.pure(psis[n]), path)
+        argv = ["factor", path, "--json"] + ([] if chi is None else ["--truncate-chi", str(chi)])
+
+        def run():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+
+        record("cli_factor", {**size, "read": "second"}, run, lambda: states._remember(path, None))
+        # the last call above was a second read, so every read from here on is a hit
+        record("cli_factor", {**size, "read": "hit"}, run)
 
 
 def main(argv: list[str]) -> int:
