@@ -30,15 +30,16 @@ gives the same bits, so sharing changes no value.  On density input most
 traces repeat (608 traces, 68 distinct, over the 251 degree-3 classes of
 2 x 2 x 2 x 2); psi terms carry none.  Products are not shared: on density
 input no two are alike.
-Each program carries, beside the pinned traces and steps, the form that is
-replayed, fixed when it is compiled so that a replay makes only the numpy
-calls that do work.  A transpose whose axes are the identity is left out
-(344 of the 970 transposes of an operator's 485 products over those 251
-classes, 939 of psi's 2442).  A trace is kept under its ``pairs`` alone,
-since only an operator's programs trace and every term of one is that
-operator.  A connected network's value is its last product as it stands:
-the ``1 *`` that ``math.prod`` gives every value is applied to all rows
-of a call in one multiply, and only then are the values of networks in
+A program has one form: the steps the tests pin are the steps a replay
+runs, fixed when the program is compiled so that a replay makes only the
+numpy calls that do work.  A transpose whose axes are the identity is
+compiled as ``None`` and left out (344 of the 970 transposes of an
+operator's 485 products over those 251 classes, 939 of psi's 2442).  A
+trace is kept under its ``pairs`` alone, since only an operator's
+programs trace and every term of one is that operator.  A connected
+network's value is its one result slot as its last product left it: the
+``1 *`` that ``math.prod`` gives every value is applied to all rows of a
+call in one multiply, and only then are the values of networks in
 several parts written, which ``math.prod`` made in full.  So each value
 keeps the bits of the product over its parts, signed zeros and NaNs
 included.
@@ -92,11 +93,15 @@ label entry holds its shared program, so a warm call makes one lookup per
 label.  Every label of a call goes through the label memo, so a call over
 more labels than it holds evicts its own first ones.  Measured with
 tracemalloc, a label entry takes 0.4-1.3 KB (5 MB for a full memo).  A
-program entry, its key and replay form included, takes 1.0-2.6 KB up to
-degree 6 (11 MB for a full memo; 0.8-2.6 KB before programs carried the
-replay form) and 2.6-6.4 KB if it uses all ``MAX_LABELS`` indices
-(26 MB), over classes of 2 to 6 subsystems of dimension 2 to 8 on both
-routes.  A tuple that has been hashed keeps its hash, some 40 B more.
+program entry, its key and LRU link included, takes 0.7-8.4 KB up to
+degree 6 (34 MB for a full memo of the largest), the most for six
+subsystems that carry six distinct permutations, and 9.7-28 KB if it
+uses all ``MAX_LABELS`` indices (113 MB); that is over 12264 entries of
+2 to 6 subsystems of dimension 2 to 8 and degree 1 to 6, and 910 of 52
+indices, on both routes, after a collection.  The 251 degree-3 classes of
+2 x 2 x 2 x 2 fill the memos with 410 KiB on the operator route and
+506 KiB on psi's.  A tuple that has been hashed keeps its hash, some
+40 B more.
 :func:`enumerate_invariants` keeps every enumeration of at most
 ``MEMO_ENTRIES`` classes, so the one memo bound also fixes which are
 kept: within ``MAX_SUBSYSTEMS`` and ``perms.MAX_DEGREE`` there are 56
@@ -443,22 +448,6 @@ class _Trace(NamedTuple):
     pairs: tuple[tuple[int, int], ...]
 
 
-class _Step(NamedTuple):
-    """Slot ``a`` becomes a @ b over the labels they share; slot ``b`` is freed.
-
-    Every axis tuple and shape here leads with the batch: axis 0 stays
-    first and each reshape target starts with -1.
-    """
-
-    a: int
-    b: int
-    axes_a: tuple[int, ...]  # batch, a's kept axes, then its shared ones
-    shape_a: tuple[int, int, int]  # (-1, m, k)
-    axes_b: tuple[int, ...]  # batch, b's shared axes in a's order, then its kept ones
-    shape_b: tuple[int, int, int]  # (-1, k, n)
-    out: tuple[int, ...]  # -1, a's kept dims, then b's
-
-
 class _Program(NamedTuple):
     """A network compiled into traces and pairwise matrix products.
 
@@ -469,19 +458,24 @@ class _Program(NamedTuple):
     product and one per traced entry; ``largest`` is the element count of
     the biggest intermediate.  Both are per row.
 
-    ``replay`` is the same program in the form :meth:`contract` runs:
-    ``(steps, last)``, each step as in ``steps`` but with ``None`` for a
-    transpose whose axes are the identity, and ``last`` the one slot of
-    ``result`` when the network is connected, else ``None``.
+    Each step ``(a, b, axes_a, shape_a, axes_b, shape_b, out)`` makes slot
+    ``a`` a @ b over the labels they share and frees slot ``b``.
+    ``axes_a`` orders a's axes as the batch, its kept axes, then its shared
+    ones, for ``shape_a`` = (-1, m, k); ``axes_b`` orders b's as the batch,
+    its shared axes in a's order, then its kept ones, for ``shape_b`` =
+    (-1, k, n); ``out`` is -1, a's kept dims, then b's.  An axes field is
+    ``None`` where its transpose would be the identity.  The steps are the
+    one form of the program, the one :meth:`contract` replays; they are
+    plain tuples because CPython unpacks a NamedTuple through its iterator,
+    some 70 ns more a step.
     """
 
     sources: tuple[int, ...]
     traces: tuple[_Trace, ...]
-    steps: tuple[_Step, ...]
+    steps: tuple[tuple, ...]
     result: tuple[int, ...]
     flops: int
     largest: int
-    replay: tuple[tuple[tuple, ...], int | None]
 
     def contract(self, fused: tuple[np.ndarray, ...], traced: dict) -> np.ndarray:
         """The values of every row of ``fused``, less ``math.prod``'s ``1 *`` when connected.
@@ -495,7 +489,6 @@ class _Program(NamedTuple):
         caller owes it the ``1 *`` that ``math.prod`` gives every other
         value (:func:`_contract_all` does it for all rows at once).
         """
-        steps, last = self.replay
         ops = [fused[s] for s in self.sources]
         for slot, pairs in self.traces:
             part = traced.get(pairs)
@@ -505,7 +498,7 @@ class _Program(NamedTuple):
                     part = part.trace(axis1=axis1, axis2=axis2)
                 traced[pairs] = part
             ops[slot] = part
-        for a, b, axes_a, shape_a, axes_b, shape_b, out in steps:
+        for a, b, axes_a, shape_a, axes_b, shape_b, out in self.steps:
             mat_a, mat_b = ops[a], ops[b]
             if axes_a is not None:
                 mat_a = mat_a.transpose(axes_a)
@@ -513,7 +506,7 @@ class _Program(NamedTuple):
                 mat_b = mat_b.transpose(axes_b)
             ops[a] = (mat_a.reshape(shape_a) @ mat_b.reshape(shape_b)).reshape(out)
             ops[b] = None
-        return ops[last] if last is not None else prod(ops[s] for s in self.result)
+        return ops[self.result[0]] if len(self.result) == 1 else prod(ops[s] for s in self.result)
 
 
 def _compile(
@@ -530,6 +523,9 @@ def _compile(
     the dimension of label x; axis 0 of every term is the batch, which no
     label names.
     """
+    def moved(axes: tuple[int, ...]) -> tuple[int, ...] | None:
+        return None if axes == tuple(range(len(axes))) else axes
+
     dim = size.__getitem__
     labels, numel, traces, steps, flops, largest = [], [], [], [], 0, 0
     for slot, term in enumerate(terms):
@@ -565,10 +561,10 @@ def _compile(
         kept_a = [x for x in la if x not in lb]
         kept_b = [x for x in lb if x not in la]
         m, n = numel[a] // k, numel[b] // k
-        steps.append(_Step(
+        steps.append((
             a, b,
-            (0, *(1 + la.index(x) for x in kept_a + shared)), (-1, m, k),
-            (0, *(1 + lb.index(x) for x in shared + kept_b)), (-1, k, n),
+            moved((0, *(1 + la.index(x) for x in kept_a + shared))), (-1, m, k),
+            moved((0, *(1 + lb.index(x) for x in shared + kept_b))), (-1, k, n),
             (-1, *map(dim, kept_a + kept_b)),
         ))
         flops, largest = flops + 2 * m * k * n, max(largest, m * n)
@@ -579,14 +575,7 @@ def _compile(
             c = sum(owner[x]) - b
             owner[x] = (a, c) if a < c else (c, a)
     result = tuple(slot for slot, term in enumerate(labels) if term is not None)
-
-    def moved(axes: tuple[int, ...]) -> tuple[int, ...] | None:
-        return None if axes == tuple(range(len(axes))) else axes
-
-    replay = tuple((a, b, moved(axes_a), shape_a, moved(axes_b), shape_b, out)
-                   for a, b, axes_a, shape_a, axes_b, shape_b, out in steps)
-    last = result[0] if len(result) == 1 else None
-    return _Program(sources, tuple(traces), tuple(steps), result, flops, largest, (replay, last))
+    return _Program(sources, tuple(traces), tuple(steps), result, flops, largest)
 
 
 def _fuse(src: _Operand, axes: tuple[int, ...], fused: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -714,7 +703,7 @@ def _contract_all(plan: dict, src: _Operand, count: int) -> np.ndarray:
         fused, traced = _fuse(src, *grouping), {}
         for i, program in members:
             value = program.contract(fused, traced)
-            if program.replay[1] is None:
+            if len(program.result) > 1:
                 split.append((i, value))
             else:
                 values[i] = value

@@ -320,7 +320,8 @@ def load_state(path) -> StateData:
     afresh, so the result never depends on the memo.  The memo charges each
     entry at least a page, keeps at most ``LOAD_MEMO_BYTES`` and evicts the
     least recently read paths first; an array larger than the budget is
-    never kept.  An entry's charge is its array's bytes plus those of the
+    never kept, and a read of one leaves only a mark, whatever the entry
+    held before.  An entry's charge is its array's bytes plus those of the
     values :func:`_derived` keeps with it, and eviction drops them together.
     """
     try:
@@ -345,10 +346,8 @@ def load_state(path) -> StateData:
         raise StateFileError(str(exc)) from None
     arr = _bounded(doc["data"], layout, dims if len(layout) == 1 else None)  # psi decodes into dims
     state = StateData(kind, dims, Tensor._wrap(_KINDS[kind][1](arr)))
-    if not seen:
-        _remember(path, None)
-    elif state.tensor.data.nbytes <= LOAD_MEMO_BYTES:  # a larger array is never kept
-        _remember(path, _Kept(digest or _sha256(raw), state.kind, state.dims, state.tensor, {}))
+    fits = seen and state.tensor.data.nbytes <= LOAD_MEMO_BYTES  # a larger array is never kept
+    _remember(path, _Kept(digest or _sha256(raw), state.kind, state.dims, state.tensor, {}) if fits else None)
     return state
 
 

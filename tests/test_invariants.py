@@ -576,7 +576,10 @@ def planner_digest(cases) -> str:
     """SHA-256 of each (tuple, dims) case's grouping and programs on both routes.
 
     Every NamedTuple is flattened to a plain tuple first, so renaming a
-    field does not change the digest.
+    field does not change the digest.  A step's ``None`` axes are written
+    out as the identity on the axes its operand has at that step: psi's
+    1 + m or an operator's 1 + 2m over m fused groups, less two a traced
+    pair, and ``len(out)`` once a step has written the slot.
     """
     def flat(x):
         return tuple(map(flat, x)) if isinstance(x, tuple) else x
@@ -585,7 +588,16 @@ def planner_digest(cases) -> str:
     for t, dims in cases:
         for pure in (False, True):
             grouping, p = invariants._network.__wrapped__(t, dims, pure)
-            record = (grouping, p.sources, p.traces, p.steps, p.result, p.flops, p.largest)
+            ndim = [1 + len(grouping[1]) * (1 if pure else 2)] * len(p.sources)
+            for slot, pairs in p.traces:
+                ndim[slot] -= 2 * len(pairs)
+            steps = []
+            for a, b, axes_a, shape_a, axes_b, shape_b, out in p.steps:
+                axes_a = tuple(range(ndim[a])) if axes_a is None else axes_a
+                axes_b = tuple(range(ndim[b])) if axes_b is None else axes_b
+                steps.append((a, b, axes_a, shape_a, axes_b, shape_b, out))
+                ndim[a] = len(out)
+            record = (grouping, p.sources, p.traces, tuple(steps), p.result, p.flops, p.largest)
             digest.update(repr(flat(record)).encode())
     return digest.hexdigest()
 
@@ -1256,9 +1268,9 @@ def test_shared_traces_change_no_bit(monkeypatch):
 def reference_contract_all(plan, src, count) -> np.ndarray:
     """``_contract_all`` with the replay written out in full.
 
-    Every step transposes and reshapes both operands, whatever the axes; a
-    trace is kept under ``(source, pairs)``; each value is ``math.prod``
-    over the program's result slots, connected or not.
+    Every step transposes and reshapes both operands, reading ``None`` axes
+    as the identity; a trace is kept under ``(source, pairs)``; each value
+    is ``math.prod`` over the program's result slots, connected or not.
     """
     values = np.empty((count, len(src.array)), dtype=np.complex128)
     for grouping, members in plan.items():
@@ -1274,8 +1286,9 @@ def reference_contract_all(plan, src, count) -> np.ndarray:
                     traced[key] = part
                 ops[slot] = traced[key]
             for a, b, axes_a, shape_a, axes_b, shape_b, out in program.steps:
-                mat_a = ops[a].transpose(axes_a).reshape(shape_a)
-                mat_b = ops[b].transpose(axes_b).reshape(shape_b)
+                mat_a = ops[a].transpose(range(ops[a].ndim) if axes_a is None else axes_a)
+                mat_b = ops[b].transpose(range(ops[b].ndim) if axes_b is None else axes_b)
+                mat_a, mat_b = mat_a.reshape(shape_a), mat_b.reshape(shape_b)
                 ops[a] = (mat_a @ mat_b).reshape(out)
                 ops[b] = None
             values[i] = math.prod(ops[s] for s in program.result)

@@ -18,7 +18,7 @@ def test_layers_quick_writes_the_record_schema(tmp_path):
             "python", "numpy", "blas", "blas_threads", "cpus"}
     assert all(set(e) == keys for e in entries)
     layers = [(e["tag"], e["layer"]) for e in entries]
-    invariant_layers = ("plan", "evaluate_many", "verify_classes")
+    invariant_layers = ("plan", "plan_cold", "evaluate_many", "verify_classes")
     factor_layers = ("mps_factor", "mps_reconstruct+fidelity", "save_chain", "cli_factor", "cli_factor")
     assert layers == [(tag, layer) for tag in ("parent", "change")
                       for layer in invariant_layers + factor_layers]

@@ -250,8 +250,12 @@ def test_rewritten_file_past_the_budget_reads_no_older_chain(tmp_path, monkeypat
     large = StateData.pure(random_pure_state((2,) * 13, seed=17))  # 128 KiB: never kept
     for target in (path, fresh):
         save_state(large, target)
-    assert factor_json(path) == factor_json(fresh)
-    assert states._memo[path] is entry  # the older entry stays, and serves no one
+    charged = states._memo_bytes
+    got = factor_json(path)
+    # the older entry is dropped to a mark, and its array and chain with it
+    assert states._memo[path] is None
+    assert charged - states._memo_bytes == states._charge(entry) - states._charge(None)
+    assert got == factor_json(fresh)
 
 
 def test_rewritten_file_is_parsed_again_whatever_its_mtime(tmp_path):

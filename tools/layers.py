@@ -13,9 +13,12 @@ rest.  ``--quick`` times one small shape a layer with few repeats and, unless
 ``--out`` is given, prints the record instead of writing it.
 
 Every call is made once before it is timed, so each figure is warm: the
-label and program memos hold its plan.  The layers:
+label and program memos hold its plan, except in ``plan_cold``.  The layers:
 
 - ``plan``: ``invariants._plan`` over every degree-k class, operator route;
+- ``plan_cold``: the same, with the label and program memos emptied and
+  a collection run before each call (untimed), so its time is the compile
+  and its ``peak_bytes`` the memory of the programs it compiles;
 - ``evaluate_many``: the replay through :func:`tninv.evaluate_many`, as an
   ``invariants eval`` job makes it;
 - ``verify_classes``: the replay through :func:`tninv.verify_classes`,
@@ -50,6 +53,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
+import gc
 import glob
 import io
 import json
@@ -167,6 +172,17 @@ def full_density(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def cold() -> None:
+    """Empty the label and program memos, so the next plan compiles every program.
+
+    The collection also empties CPython's free lists, which would otherwise
+    hand the freed programs' tuples back without tracemalloc seeing them.
+    """
+    invariants._network.cache_clear()
+    invariants._program.cache_clear()
+    gc.collect()
+
+
 def labels(dims, k) -> list:
     if isinstance(k, str):
         return [invariants.parse_label(k)]
@@ -182,14 +198,16 @@ def entries(quick: bool, repeats: int) -> list[dict]:
         print(f"{layer:24} {json.dumps(size)}  {out[-1]['median_s'] * 1e3:.3f} ms "
               f"(IQR {out[-1]['iqr_s'] * 1e3:.3f})", file=sys.stderr)
 
-    def add(layer, dims, k, tuples, state, trials, call):
+    def add(layer, dims, k, tuples, state, trials, call, setup=lambda: None):
         size = {"dims": list(dims), "k": k, "labels": len(tuples), "state": state, "trials": trials}
-        record(layer, size, call)
+        record(layer, size, call, setup)
 
     for layer, dims, k, trials in QUICK_SHAPES if quick else LU_SHAPES:
         rho, tuples = rank2_density(rng, math.prod(dims)), labels(dims, k)
         if layer == "evaluate_many":
-            add("plan", dims, k, tuples, "operator", 0, lambda: invariants._plan(tuples, dims, False))
+            plan = functools.partial(invariants._plan, tuples, dims, False)
+            add("plan", dims, k, tuples, "operator", 0, plan)
+            add("plan_cold", dims, k, tuples, "operator", 0, plan, cold)
             add(layer, dims, k, tuples, "rank-2 density", 0,
                 lambda: invariants.evaluate_many(tuples, rho, dims))
         else:
