@@ -262,7 +262,7 @@ def cmd_entropy(args) -> CommandResult:
     except ShapeError as exc:
         raise ShapeError(f"--keep {args.keep!r} is refused: {exc}") from None
     try:
-        alphas = [float(a) for a in args.alpha.split(",")]
+        alphas = list(dict.fromkeys(float(a) for a in args.alpha.split(",")))  # each order once
     except ValueError:
         raise ValueError(f"--alpha takes comma-separated numbers, got {args.alpha!r}") from None
 

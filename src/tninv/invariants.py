@@ -436,18 +436,6 @@ def _operand(state, dims: tuple[int, ...]) -> _Operand:
     return _Operand(legs == 1, array.reshape(dims * legs))
 
 
-class _Trace(NamedTuple):
-    """Sum one term over the labels it carries twice, in place.
-
-    ``pairs`` holds the two axes of each such label, each pair numbered as
-    the operand stands once the earlier pairs are traced away; axis 0, the
-    batch, is in no pair.  The kept axes stay in their order.
-    """
-
-    slot: int
-    pairs: tuple[tuple[int, int], ...]
-
-
 class _Program(NamedTuple):
     """A network compiled into traces and pairwise matrix products.
 
@@ -458,6 +446,12 @@ class _Program(NamedTuple):
     product and one per traced entry; ``largest`` is the element count of
     the biggest intermediate.  Both are per row.
 
+    Each trace ``(slot, pairs)`` sums that slot over the labels it carries
+    twice, in place: ``pairs`` holds the two axes of each such label, each
+    pair numbered as the operand stands once the earlier pairs are traced
+    away; axis 0, the batch, is in no pair, and the kept axes stay in
+    their order.
+
     Each step ``(a, b, axes_a, shape_a, axes_b, shape_b, out)`` makes slot
     ``a`` a @ b over the labels they share and frees slot ``b``.
     ``axes_a`` orders a's axes as the batch, its kept axes, then its shared
@@ -465,13 +459,13 @@ class _Program(NamedTuple):
     its shared axes in a's order, then its kept ones, for ``shape_b`` =
     (-1, k, n); ``out`` is -1, a's kept dims, then b's.  An axes field is
     ``None`` where its transpose would be the identity.  The steps are the
-    one form of the program, the one :meth:`contract` replays; they are
-    plain tuples because CPython unpacks a NamedTuple through its iterator,
-    some 70 ns more a step.
+    one form of the program, the one :meth:`contract` replays.  Traces and
+    steps are plain tuples because CPython unpacks a NamedTuple through
+    its iterator, some 70 ns more a step.
     """
 
     sources: tuple[int, ...]
-    traces: tuple[_Trace, ...]
+    traces: tuple[tuple, ...]
     steps: tuple[tuple, ...]
     result: tuple[int, ...]
     flops: int
@@ -539,7 +533,7 @@ def _compile(
         labels.append(term)
         numel.append(prod(map(dim, term)))
         if pairs:  # each of the numel[-1] kept entries sums inner traced ones
-            traces.append(_Trace(slot, tuple(pairs)))
+            traces.append((slot, tuple(pairs)))
             flops, largest = flops + numel[-1] * inner, max(largest, numel[-1])
     owner: dict[int, tuple[int, int]] = {}  # label -> the two slots that carry it, ascending
     for slot, term in enumerate(labels):
@@ -663,11 +657,6 @@ class ContractionCost:
     flops: int = 0
     largest: int = 0
     purification: Purification | None = None
-
-    def add(self, other: ContractionCost) -> None:
-        """Charge another cost's flops and keep the larger largest."""
-        self.flops += other.flops
-        self.largest = max(self.largest, other.largest)
 
 
 def _plan(tuples, dims, pure: bool) -> tuple[dict, ContractionCost]:
@@ -804,7 +793,7 @@ def _route(tuples, state, dims: Sequence[int], trials: int, cost: ContractionCos
             src, spent, plan, rows = _Operand(True, state.tensor.data), psi_spent, psi_plan, taken[0]
             spent.purification = found[1]
     if cost is not None:
-        cost.add(spent)
+        cost.flops, cost.largest = cost.flops + spent.flops, max(cost.largest, spent.largest)
         cost.purification = spent.purification
     return state, src, plan, rows
 

@@ -936,6 +936,21 @@ def test_entropy_orders_that_print_alike_keep_their_own_keys(tmp_path, capsys):
     assert "cross-check" in lines[1] and "cross-check" not in lines[2]
 
 
+def test_entropy_repeated_alpha_is_reported_and_contracted_once(bell_path, capsys, monkeypatch):
+    # 2 and 2.0 are one order, as a repeated --label is one label
+    seen, evaluate_many = [], invariants.evaluate_many
+
+    def spy(labels, *args, **kwargs):
+        seen.append(len(labels))
+        return evaluate_many(labels, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "evaluate_many", spy)
+    assert main(["entropy", bell_path, "--keep", "0", "--alpha", "2,2.0,3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" = ")[0] for line in lines] == ["S_vn", "S_2", "S_3"]
+    assert seen == [2]
+
+
 def test_entropy_crosscheck_past_its_threshold_exits_1(bell_path, capsys, monkeypatch):
     # tr(rho_A^2) of a Bell pair is 1/2; a contraction that gave 0.6 puts the
     # order-2 cross-check log(1.2) off S_2

@@ -616,6 +616,16 @@ def test_planner_programs_are_pinned():
     assert digest == "a061c6ad869ac9bad40d48e564fd1263fcb092865f49d5e335bd4aeea03ec09c"
 
 
+def test_programs_are_plain_tuples():
+    # the replay unpacks each trace and step; a tuple subclass unpacks
+    # through its iterator, slower than a plain tuple
+    for c in enumerate_invariants(4, 3):
+        for pure in (False, True):
+            _, program = invariants._network(c.representative, (2, 2, 2, 2), pure)
+            assert all(type(trace) is tuple for trace in program.traces)
+            assert all(type(step) is tuple for step in program.steps)
+
+
 @pytest.mark.parametrize("label", ["5; (12345) | (13524)", "6; (123456) | (135)(246)"])
 def test_program_never_falls_back_to_one_naive_loop(label):
     # every pairwise intermediate here is larger than rho, which a planner

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -31,3 +32,13 @@ def test_layers_quick_writes_the_record_schema(tmp_path):
         assert e["repeats"] == 3 and 0 < e["median_s"] and 0 <= e["iqr_s"] and e["peak_bytes"] > 0
         assert isinstance(e["python"], str) and isinstance(e["numpy"], str) and e["cpus"] >= 1
         assert e["blas_threads"] is None or e["blas_threads"] >= 1
+
+
+def test_measure_peak_sees_the_tuples_an_earlier_call_freed():
+    # Each warm call frees 1500 tuples onto CPython's free lists; without a
+    # collection first, the traced call takes them back unseen.
+    spec = importlib.util.spec_from_file_location("layers", ROOT / "tools" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    peak = layers.measure(lambda: [(i, i) for i in range(1500)], 3)["peak_bytes"]
+    assert peak >= 1500 * sys.getsizeof((0, 0))

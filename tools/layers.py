@@ -44,8 +44,8 @@ on pure states of n qubits drawn from a fixed seed:
 
 Each entry records the layer, the size, the median and interquartile
 range of ``REPEATS`` (101) timed calls, the ``tracemalloc`` peak of one
-more call, and the Python, numpy and BLAS versions, the BLAS thread count
-and the CPU count.
+more call after a collection, and the Python, numpy and BLAS versions,
+the BLAS thread count and the CPU count.
 """
 
 from __future__ import annotations
@@ -135,7 +135,9 @@ def blas_threads() -> int | None:
 def measure(call, repeats: int, setup=lambda: None) -> dict:
     """Median and IQR of ``repeats`` warm calls, and the tracemalloc peak of one more.
 
-    ``setup`` runs, untimed, before each call.
+    ``setup`` runs, untimed, before each call.  A collection runs before
+    the traced call, so CPython's free lists hand it no tuple that an
+    earlier call freed unseen by tracemalloc.
     """
     setup()
     call()
@@ -146,6 +148,7 @@ def measure(call, repeats: int, setup=lambda: None) -> dict:
         call()
         times.append(time.perf_counter() - start)
     setup()
+    gc.collect()
     tracemalloc.start()
     try:
         call()
@@ -175,8 +178,8 @@ def full_density(rng, dim: int) -> np.ndarray:
 def cold() -> None:
     """Empty the label and program memos, so the next plan compiles every program.
 
-    The collection also empties CPython's free lists, which would otherwise
-    hand the freed programs' tuples back without tracemalloc seeing them.
+    The collection also empties CPython's free lists, so each timed compile
+    starts from them as the traced one does (see :func:`measure`).
     """
     invariants._network.cache_clear()
     invariants._program.cache_clear()
