@@ -3,13 +3,22 @@
 Run from the root of a checkout, with one BLAS thread for figures that
 compare across runs::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/layers.py --tag change
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/layers.py
 
-``--tag`` names the code measured.  To set a change beside its parent,
-run the script again straight after, on the same machine, with
-``PYTHONPATH`` pointing at the parent's ``src`` and ``--tag parent``.  Each run replaces the entries
-of its own tag in ``--out`` (default ``BENCH_layers.json``) and keeps the
-rest.  ``--quick`` times one small shape a layer with few repeats and, unless
+times the ``tninv`` on ``PYTHONPATH`` alone.  To set a change beside its
+parent, export the parent's package and time both trees in one process::
+
+    git archive <parent> src/tninv | tar -x -C DIR
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tools/layers.py --against DIR/src/tninv
+
+``--against`` copies that package to a temporary directory as
+``tninv_parent`` and imports it beside ``tninv``; each tree keeps its own
+label, program and load memos.  Two records made in two sessions judge the
+sessions, not the code (Mytkowicz et al., ASPLOS 2009), so every round
+calls each tree once, in an order flipped every round, and each entry
+keeps the ratio change / parent of the two calls of one round.  A run
+writes its whole record to ``--out`` (default ``BENCH_layers.json``).
+``--quick`` times one small shape a layer with few repeats and, unless
 ``--out`` is given, prints the record instead of writing it.
 
 Every call is made once before it is timed, so each figure is warm: the
@@ -24,8 +33,9 @@ label and program memos hold its plan, except in ``plan_cold``.  The layers:
 - ``verify_classes``: the replay through :func:`tninv.verify_classes`,
   with an ``invariants verify`` job's trials and a fixed seed.
 
-Each runs on the shapes of the benchmark's lu_verify jobs, on a rank-2
-density drawn from a fixed seed.  ``verify_classes`` also runs 20 trials
+Each runs once on each distinct slot of the benchmark's lu_verify jobs
+(``bench/workloads.py``), on a rank-2 density drawn as those jobs draw
+theirs, from a fixed seed.  ``verify_classes`` also runs 20 trials
 over every k-class on a full-rank density and on a rank-2 one, the sizes
 of an older row of the ROADMAP's table.  The factor path has four more,
 on pure states of n qubits drawn from a fixed seed:
@@ -33,19 +43,23 @@ on pure states of n qubits drawn from a fixed seed:
 - ``mps_factor``: the sweep, exact at 12 to 16 qubits, and with
   ``max_chi`` 4 at 12 and 16 at 14;
 - ``mps_reconstruct+fidelity``: the dense rebuild and the overlap that
-  ``factor`` reports, on the benchmark's state_scale factor shapes;
+  ``factor`` reports, on the shapes of the benchmark's state_scale
+  factor jobs;
 - ``save_chain``: the chain file that ``factor --out`` writes, on the same
   shapes;
-- ``cli_factor``: a whole in-process ``factor --json`` through
-  :func:`tninv.cli.main`, stdout captured, on the same shapes.  ``read``
+- ``cli_factor``: a whole in-process ``factor --json`` through each
+  tree's own ``cli.main``, stdout captured, on the same shapes.  ``read``
   says which read of its file it times: ``second``, with the load memo's
   entry set back to a first read's mark before each call (untimed), or
   ``hit``, from the third read on.
 
-Each entry records the layer, the size, the median and interquartile
-range of ``REPEATS`` (101) timed calls, the ``tracemalloc`` peak of one
-more call after a collection, and the Python, numpy and BLAS versions,
-the BLAS thread count and the CPU count.
+Each entry records the layer, the size, the number of rounds (``REPEATS``,
+101), and for ``change`` (and ``parent``) the median and interquartile
+range in seconds of its timed calls and the ``tracemalloc`` peak of one
+more call after a collection; with ``--against``, ``ratio`` holds the
+median and interquartile range of the per-round ratios.  The record holds
+the Python, numpy and BLAS versions, the BLAS thread count and the CPU
+count once, as ``environment``.
 """
 
 from __future__ import annotations
@@ -53,57 +67,43 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import functools
 import gc
 import glob
+import importlib
 import io
 import json
 import math
 import os
 import platform
+import shutil
 import statistics
 import sys
-import time
 import tempfile
 import tracemalloc
+from time import perf_counter
 
 import numpy as np
 
-from tninv import StateData, cli, decompose, invariants, random_pure_state, save_chain, save_state, states
+import tninv.cli
 
-# (layer, dims, k, trials) in the benchmark's lu_verify order; a degree-6
-# label stands for the one job that names its label
-LU_SHAPES = (
-    ("evaluate_many", (2, 2, 2), 2, 0),
-    ("evaluate_many", (2, 2, 2), 3, 0),
-    ("evaluate_many", (2, 2, 2, 2), 2, 0),
-    ("evaluate_many", (2, 2, 2, 2), 3, 0),
-    ("evaluate_many", (2,) * 6, 2, 0),
-    ("evaluate_many", (3, 3, 3), 2, 0),
-    ("evaluate_many", (3, 3, 3), 3, 0),
-    ("evaluate_many", (4, 4, 4), 2, 0),
-    ("evaluate_many", (4, 4, 4), 3, 0),
-    ("evaluate_many", (8, 8), 2, 0),
-    ("evaluate_many", (8, 8), 3, 0),
-    ("evaluate_many", (8, 8), "6; (123456) | (12)(34)(56)", 0),
-    ("verify_classes", (2, 2, 2), 3, 6),
-    ("verify_classes", (2, 2, 2, 2), 2, 6),
-    ("verify_classes", (2, 2, 2, 2), 3, 2),
-    ("verify_classes", (3, 3, 3), 3, 6),
-    ("verify_classes", (4, 4, 4), 2, 6),
-    ("verify_classes", (4, 4, 4), 3, 3),
-    ("verify_classes", (8, 8), 3, 6),
-    ("verify_classes", (2,) * 6, 2, 4),
-)
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+import workloads  # noqa: E402  (bench/ is no package)
+
+# (layer, dims, k, trials) of each distinct lu_verify slot, in the benchmark's order
+LU_SHAPES = tuple(dict.fromkeys(
+    ({"eval": "evaluate_many", "verify": "verify_classes"}[action], dims,
+     workloads.DEGREE6_LABEL if k == "label" else k, trials)
+    for action, dims, k, trials in workloads.LU_SLOTS))
 # the table row that predates the stacked draw: 20 trials, every k-class
 VERIFY_20 = (((2, 2, 2), 3), ((2, 2, 2, 2), 3), ((2,) * 6, 2), ((4, 4, 4), 2), ((8, 8), 3))
 QUICK_SHAPES = (("evaluate_many", (2, 2, 2), 2, 0), ("verify_classes", (2, 2, 2), 2, 3))
-# (qubits, max_chi) of the sweep's ladder, and of the benchmark's state_scale factor jobs
+# (qubits, max_chi) of the sweep's ladder, and of each distinct state_scale factor slot
 FACTOR_SHAPES = ((12, None), (13, None), (14, None), (15, None), (16, None), (12, 4), (14, 16))
-FACTOR_JOBS = ((12, 4), (13, None), (14, None), (14, 16))
+FACTOR_JOBS = tuple(dict.fromkeys((n, chi if isinstance(chi, int) else None)
+                                  for command, n, chi in workloads.STATE_SLOTS if command == "factor"))
 QUICK_FACTOR = ((10, None),)
 SEED = 2024
-REPEATS = 101  # timed calls per entry; --quick takes 3
+REPEATS = 101  # timed rounds per entry; --quick takes 3
 
 
 def environment() -> dict:
@@ -132,41 +132,54 @@ def blas_threads() -> int | None:
     return None
 
 
-def measure(call, repeats: int, setup=lambda: None) -> dict:
-    """Median and IQR of ``repeats`` warm calls, and the tracemalloc peak of one more.
+def spread(values) -> dict:
+    """The median and interquartile range of ``values``."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "iqr": q3 - q1}
 
-    ``setup`` runs, untimed, before each call.  A collection runs before
-    the traced call, so CPython's free lists hand it no tuple that an
-    earlier call freed unseen by tracemalloc.
+
+def measure(call, trees: list, repeats: int, setup=lambda tree: None) -> dict:
+    """Time ``call(tree)`` on each tree of ``trees`` (the change's, then the parent's, if any).
+
+    Each tree's call is made once, untimed; then every one of ``repeats``
+    rounds times one call per tree, in an order flipped every round, with
+    the cyclic collector paused as :func:`tninv.cli.main` pauses it.
+    ``setup(tree)`` runs, untimed, before each call.  The tracemalloc peak
+    of one more call is taken one tree at a time, after a collection, so
+    CPython's free lists hand it no tuple that an earlier call freed unseen
+    by tracemalloc.
     """
-    setup()
-    call()
-    times = []
-    for _ in range(repeats):
-        setup()
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    setup()
-    gc.collect()
-    tracemalloc.start()
+    for tree in trees:
+        setup(tree)
+        call(tree)
+    order, times = list(range(len(trees))), [[] for _ in trees]
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
+        for _ in range(repeats):
+            for i in order:
+                setup(trees[i])
+                start = perf_counter()
+                call(trees[i])
+                times[i].append(perf_counter() - start)
+            order.reverse()
     finally:
-        tracemalloc.stop()
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
-    return {"repeats": repeats, "median_s": median, "iqr_s": q3 - q1, "peak_bytes": peak}
-
-
-def rank2_density(rng, dim: int) -> np.ndarray:
-    """w |u><u| + (1 - w) |v><v| for two Gaussian vectors, as lu_verify's files hold."""
-    u, v = (rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(2))
-    u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
-    w = rng.uniform(0.2, 0.8)
-    rho = w * np.outer(u, u.conj()) + (1 - w) * np.outer(v, v.conj())
-    rho = (rho + rho.conj().T) / 2
-    return rho / np.trace(rho).real
+        if enabled:
+            gc.enable()
+    entry = {"repeats": repeats}
+    for name, tree, timed in zip(("change", "parent"), trees, times):
+        setup(tree)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call(tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entry[name] = {**spread(timed), "peak_bytes": peak}
+    if len(trees) == 2:
+        entry["ratio"] = spread([change / parent for change, parent in zip(*times)])
+    return entry
 
 
 def full_density(rng, dim: int) -> np.ndarray:
@@ -175,97 +188,99 @@ def full_density(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def cold() -> None:
-    """Empty the label and program memos, so the next plan compiles every program.
+def cold(tree) -> None:
+    """Empty the tree's label and program memos, so its next plan compiles every program.
 
     The collection also empties CPython's free lists, so each timed compile
     starts from them as the traced one does (see :func:`measure`).
     """
-    invariants._network.cache_clear()
-    invariants._program.cache_clear()
+    tree.invariants._network.cache_clear()
+    tree.invariants._program.cache_clear()
     gc.collect()
 
 
-def labels(dims, k) -> list:
+def labels(tree, dims, k) -> list:
     if isinstance(k, str):
-        return [invariants.parse_label(k)]
-    return [c.representative for c in invariants.enumerate_invariants(len(dims), k)]
+        return [tree.invariants.parse_label(k)]
+    return [c.representative for c in tree.invariants.enumerate_invariants(len(dims), k)]
 
 
-def entries(quick: bool, repeats: int) -> list[dict]:
-    """One entry per (layer, size), in the order measured."""
-    rng, out = np.random.default_rng(SEED), []
+def entries(trees: list, quick: bool, tmp: str) -> list[dict]:
+    """One entry per (layer, size), in the order measured, on every tree of ``trees``."""
+    rng, out, repeats = np.random.default_rng(SEED), [], 3 if quick else REPEATS
 
-    def record(layer, size, call, setup=lambda: None):
-        out.append({"layer": layer, "size": size, **measure(call, repeats, setup)})
-        print(f"{layer:24} {json.dumps(size)}  {out[-1]['median_s'] * 1e3:.3f} ms "
-              f"(IQR {out[-1]['iqr_s'] * 1e3:.3f})", file=sys.stderr)
+    def record(layer, size, call, setup=lambda t: None):
+        out.append({"layer": layer, "size": size, **measure(call, trees, repeats, setup)})
+        timed, ratio = out[-1]["change"], out[-1].get("ratio")
+        print(f"{layer:24} {json.dumps(size)}  {timed['median'] * 1e3:.3f} ms (IQR {timed['iqr'] * 1e3:.3f})"
+              + (f"  ratio {ratio['median']:.3f} (IQR {ratio['iqr']:.3f})" if ratio else ""), file=sys.stderr)
 
-    def add(layer, dims, k, tuples, state, trials, call, setup=lambda: None):
-        size = {"dims": list(dims), "k": k, "labels": len(tuples), "state": state, "trials": trials}
+    def add(layer, dims, k, tuples, state, trials, call, setup=lambda t: None):
+        size = {"dims": list(dims), "k": k, "labels": len(tuples[tninv]), "state": state, "trials": trials}
         record(layer, size, call, setup)
 
     for layer, dims, k, trials in QUICK_SHAPES if quick else LU_SHAPES:
-        rho, tuples = rank2_density(rng, math.prod(dims)), labels(dims, k)
+        rho = workloads._rank2_density(rng, math.prod(dims))
+        tuples = {t: labels(t, dims, k) for t in trees}
         if layer == "evaluate_many":
-            plan = functools.partial(invariants._plan, tuples, dims, False)
-            add("plan", dims, k, tuples, "operator", 0, plan)
-            add("plan_cold", dims, k, tuples, "operator", 0, plan, cold)
+            for name, setup in (("plan", lambda t: None), ("plan_cold", cold)):
+                add(name, dims, k, tuples, "operator", 0,
+                    lambda t: t.invariants._plan(tuples[t], dims, False), setup)
             add(layer, dims, k, tuples, "rank-2 density", 0,
-                lambda: invariants.evaluate_many(tuples, rho, dims))
+                lambda t: t.invariants.evaluate_many(tuples[t], rho, dims))
         else:
             add(layer, dims, k, tuples, "rank-2 density", trials,
-                lambda: invariants.verify_classes(tuples, rho, dims, trials=trials, seed=SEED))
+                lambda t: t.invariants.verify_classes(tuples[t], rho, dims, trials=trials, seed=SEED))
     for dims, k in () if quick else VERIFY_20:
-        tuples = labels(dims, k)
+        tuples = {t: labels(t, dims, k) for t in trees}
         for state, rho in (("density", full_density(rng, math.prod(dims))),
-                           ("rank-2 density", rank2_density(rng, math.prod(dims)))):
+                           ("rank-2 density", workloads._rank2_density(rng, math.prod(dims)))):
             add("verify_classes", dims, k, tuples, state, 20,
-                lambda: invariants.verify_classes(tuples, rho, dims, trials=20, seed=SEED))
-    with tempfile.TemporaryDirectory() as tmp:
-        factor_entries(record, quick, tmp)
+                lambda t: t.invariants.verify_classes(tuples[t], rho, dims, trials=20, seed=SEED))
+    factor_entries(trees, record, quick, tmp)
     return out
 
 
-def factor_entries(record, quick: bool, tmp: str) -> None:
+def factor_entries(trees: list, record, quick: bool, tmp: str) -> None:
     """The factor path's layers, through ``record(layer, size, call, setup)``."""
     ladder, jobs = (QUICK_FACTOR, QUICK_FACTOR) if quick else (FACTOR_SHAPES, FACTOR_JOBS)
-    psis = {n: random_pure_state((2,) * n, seed=SEED + n) for n, _ in ladder + jobs}
+    psis = {t: {n: t.random_pure_state((2,) * n, seed=SEED + n) for n, _ in ladder + jobs} for t in trees}
     for n, chi in ladder:
-        record("mps_factor", {"qubits": n, "max_chi": chi}, lambda: decompose.mps_factor(psis[n], chi))
+        record("mps_factor", {"qubits": n, "max_chi": chi}, lambda t: t.decompose.mps_factor(psis[t][n], chi))
     for n, chi in jobs:
-        chain, size = decompose.mps_factor(psis[n], chi), {"qubits": n, "max_chi": chi}
+        size = {"qubits": n, "max_chi": chi}
+        chains = {t: t.decompose.mps_factor(psis[t][n], chi) for t in trees}
         record("mps_reconstruct+fidelity", size,
-               lambda: decompose.fidelity(psis[n], decompose.mps_reconstruct(chain)))
-        record("save_chain", size, lambda: save_chain(chain, os.path.join(tmp, "chain.json")))
+               lambda t: t.decompose.fidelity(psis[t][n], t.decompose.mps_reconstruct(chains[t])))
+        record("save_chain", size, lambda t: t.save_chain(chains[t], os.path.join(tmp, "chain.json")))
         path = os.path.join(tmp, f"psi{n}_{chi}.json")
-        save_state(StateData.pure(psis[n]), path)
+        tninv.save_state(tninv.StateData.pure(psis[tninv][n]), path)
         argv = ["factor", path, "--json"] + ([] if chi is None else ["--truncate-chi", str(chi)])
 
-        def run():
+        def run(tree):
             with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) == 0
+                assert tree.cli.main(argv) == 0
 
-        record("cli_factor", {**size, "read": "second"}, run, lambda: states._remember(path, None))
+        record("cli_factor", {**size, "read": "second"}, run, lambda t: t.states._remember(path, None))
         # the last call above was a second read, so every read from here on is a hit
         record("cli_factor", {**size, "read": "hit"}, run)
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--tag", default="change", help="name of the code measured (default change)")
-    parser.add_argument("--out", help="record to update (default BENCH_layers.json; - for stdout)")
+    parser.add_argument("--against", metavar="DIR", help="a tninv package to time beside this one, as parent")
+    parser.add_argument("--out", help="record to write (default BENCH_layers.json; - for stdout)")
     parser.add_argument("--quick", action="store_true", help="one small shape a layer, 3 repeats")
     args = parser.parse_args(argv)
-    repeats = 3 if args.quick else REPEATS
     out = args.out or ("-" if args.quick else "BENCH_layers.json")
-    env = environment()
-    fresh = [{"tag": args.tag, **entry, **env} for entry in entries(args.quick, repeats)]
-    record = {"entries": []}
-    if out != "-" and os.path.exists(out):
-        with open(out) as f:
-            record = json.load(f)
-    record["entries"] = [e for e in record["entries"] if e["tag"] != args.tag] + fresh
+    trees = [tninv]
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.against:
+            shutil.copytree(args.against, os.path.join(tmp, "tninv_parent"))
+            sys.path.insert(0, tmp)
+            importlib.import_module("tninv_parent.cli")
+            trees.append(sys.modules["tninv_parent"])
+        record = {"environment": environment(), "entries": entries(trees, args.quick, tmp)}
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if out == "-":
         sys.stdout.write(text)
