@@ -183,6 +183,8 @@ def cmd_invariants(args) -> CommandResult:
         raise ShapeError("-k and --label exclude each other: -k takes every class, --label names some")
 
     if args.action == "list":
+        if args.state:
+            raise ShapeError("invariants list takes no state file")
         if args.n is None or args.k is None:
             raise ShapeError("list needs both -n and -k")
         classes = invariants.enumerate_invariants(args.n, args.k)

@@ -89,7 +89,7 @@ def test_factor_truncation_flag(tmp_path, capsys):
     save_state(StateData.pure(psi), path)
     assert main(["factor", str(path), "--truncate-chi", "2", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert max(doc["values"]["bond_dims"]) <= 2
+    assert doc["values"]["bond_dims"] == [2, 2, 2, 2]  # min(chi, the exact 2, 4, 4, 2)
 
 
 def test_factor_writes_chain(tmp_path, capsys):
@@ -97,17 +97,21 @@ def test_factor_writes_chain(tmp_path, capsys):
     path = tmp_path / "r4.json"
     save_state(StateData.pure(psi), path)
     out_path = tmp_path / "chain.json"
-    assert main(["factor", str(path), "--out", str(out_path)]) == 0
-    doc = json.loads(out_path.read_text())
-    assert doc["kind"] == "mps"
-    assert doc["phys_dims"] == [2, 3, 2, 2]
-    sites = []
-    for pairs, shape in zip(doc["sites"], doc["site_shapes"]):
-        arr = np.array(pairs)
-        assert arr.shape == (shape[0] * shape[1], shape[2], 2)
-        sites.append(arr.view(np.complex128).reshape(shape))
-    for site, want in zip(sites, mps_factor(psi).sites):
-        assert site.tobytes() == want.data.tobytes()
+    # a truncated chain, whose sweep builds singular vectors at the cuts that drop
+    # values, and then the exact one, whose sites rebuild psi
+    for flags, chain in ((["--truncate-chi", "2"], mps_factor(psi, max_chi=2)), ([], mps_factor(psi))):
+        assert main(["factor", str(path), *flags, "--out", str(out_path)]) == 0
+        doc = json.loads(out_path.read_text())
+        assert doc["kind"] == "mps"
+        assert doc["phys_dims"] == [2, 3, 2, 2]
+        assert doc["site_shapes"] == [list(site.dims) for site in chain.sites], flags
+        sites = []
+        for pairs, shape in zip(doc["sites"], doc["site_shapes"]):
+            arr = np.array(pairs)
+            assert arr.shape == (shape[0] * shape[1], shape[2], 2)
+            sites.append(arr.view(np.complex128).reshape(shape))
+        for site, want in zip(sites, chain.sites):
+            assert site.tobytes() == want.data.tobytes()
     rebuilt = np.ones((1, 1))
     for site in sites:
         rebuilt = np.tensordot(rebuilt, site, axes=(-1, 0))
@@ -392,18 +396,24 @@ def test_invariants_list_human_output_is_unchanged(capsys):
     assert capsys.readouterr().out == LIST_3_3
 
 
-# sha256 of the stdout of (4, 4)'s 14491 classes, past the memo bound, in both modes
+# sha256 of the stdout of (3, 4)'s 681 classes, which the memo keeps (419 tagged real
+# and 77 split into components), and of (4, 4)'s 14491, past its bound, in both modes
 @pytest.mark.parametrize(
-    "mode, digest",
+    "mode, digests",
     [
-        (["--json"], "e8cd42c384cc5a1f6b1cde9076dffa39674ef53cdbdae0116b0e8ad3f9042570"),
-        ([], "71aa364750ed196891ddc870280bedff56ef7d86fba3555ac9ba60d6d7c9f555"),
+        (["--json"], {(3, 4): "59152dd46d405c19f8ee0f06544e66c8fea4c8ab3c3b00e80480ebc3fc852665",
+                      (4, 4): "e8cd42c384cc5a1f6b1cde9076dffa39674ef53cdbdae0116b0e8ad3f9042570"}),
+        ([], {(3, 4): "2a7ccc7297cba9a4f1c5e5603c14bc6635a297846c550cd65aebac7450458f58",
+              (4, 4): "71aa364750ed196891ddc870280bedff56ef7d86fba3555ac9ba60d6d7c9f555"}),
     ],
     ids=["json", "human"],
 )
-def test_invariants_list_output_is_pinned(mode, digest, capsys):
-    assert main(["invariants", "list", "-n", "4", "-k", "4", *mode]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+def test_invariants_list_output_is_pinned(mode, digests, capsys):
+    clear_memos()
+    for (n, k), digest in digests.items():
+        for _ in range(2):  # cold, then warm: the same bytes
+            assert main(["invariants", "list", "-n", str(n), "-k", str(k), *mode]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, (n, k)
 
 
 def test_invariants_list_json_builds_no_tags(capsys, monkeypatch):
@@ -551,6 +561,7 @@ def test_invariants_refusals_name_the_flags(bell_path, capsys):
         (["invariants", "list", "-n", "2"], "list needs both -n and -k"),
         (["invariants", "list", "-k", "2"], "list needs both -n and -k"),
         (["invariants", "verify", "-k", "2"], "invariants verify needs a state file"),
+        (["invariants", "list", bell_path, "-n", "2", "-k", "2"], "invariants list takes no state file"),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -937,7 +948,7 @@ def test_entropy_orders_that_print_alike_keep_their_own_keys(tmp_path, capsys):
 
 
 def test_entropy_repeated_alpha_is_reported_and_contracted_once(bell_path, capsys, monkeypatch):
-    # 2 and 2.0 are one order, as a repeated --label is one label
+    # 2 and 2.0 are one order, as a repeated --label is one label: the report is --alpha 2,3's
     seen, evaluate_many = [], invariants.evaluate_many
 
     def spy(labels, *args, **kwargs):
@@ -946,9 +957,11 @@ def test_entropy_repeated_alpha_is_reported_and_contracted_once(bell_path, capsy
 
     monkeypatch.setattr(invariants, "evaluate_many", spy)
     assert main(["entropy", bell_path, "--keep", "0", "--alpha", "2,2.0,3"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(" = ")[0] for line in lines] == ["S_vn", "S_2", "S_3"]
-    assert seen == [2]
+    out = capsys.readouterr().out
+    assert [line.split(" = ")[0] for line in out.splitlines()] == ["S_vn", "S_2", "S_3"]
+    assert main(["entropy", bell_path, "--keep", "0", "--alpha", "2,3"]) == 0
+    assert capsys.readouterr().out == out
+    assert seen == [2, 2]
 
 
 def test_entropy_crosscheck_past_its_threshold_exits_1(bell_path, capsys, monkeypatch):

@@ -236,16 +236,20 @@ def test_mps_roundtrip_fidelity(n):
 
 
 def test_mps_bond_sigmas_match_schmidt():
-    psi = random_pure_state((2,) * 5, seed=31)
-    chain = mps_factor(psi)
-    for b in range(4):
-        left = list(range(b + 1))
-        right = list(range(b + 1, 5))
-        sig = np.sort(schmidt(psi, (left, right)).sigma)[::-1]
-        bond = np.sort(chain.bond_sigmas[b])[::-1]
-        padded = np.zeros(len(sig))
-        padded[: len(bond)] = bond
-        assert np.max(np.abs(padded - sig)) < 1e-10
+    for n, seed in ((5, 31), (10, 3)):
+        psi = random_pure_state((2,) * n, seed=seed)
+        chain = mps_factor(psi)
+        for b in range(n - 1):
+            left = list(range(b + 1))
+            right = list(range(b + 1, n))
+            sig = np.sort(schmidt(psi, (left, right)).sigma)[::-1]
+            bond = np.sort(chain.bond_sigmas[b])[::-1]
+            padded = np.zeros(len(sig))
+            padded[: len(bond)] = bond
+            assert np.max(np.abs(padded - sig)) < 1e-10
+            # numpy's SVD of psi cut after qubit b: every value, within 1e-12 relative
+            want = np.linalg.svd(psi.data.reshape(2 ** (b + 1), -1), compute_uv=False)
+            assert len(bond) == len(want) and np.all(np.abs(bond - want) <= 1e-12 * want), (n, b)
 
 
 def test_mps_single_site_reconstruct():
