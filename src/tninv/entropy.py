@@ -22,7 +22,10 @@ class Spectrum:
 
     Entries from ``-1e-12`` up to 0, -0.0 included, are clamped to +0.0;
     NaN, inf, anything more negative, or a total off 1 by more than
-    ``1e-9``, is rejected.
+    ``1e-9``, is rejected.  A spectrum with one nonzero entry is a point
+    mass, and that entry reads 1.0, so its entropies are +0.0 at every
+    order: rounding leaves the top eigenvalue of a pure cut an ulp or two
+    either side of 1.
     """
 
     probs: np.ndarray
@@ -40,7 +43,7 @@ class Spectrum:
         total = float(p.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        self.probs = p
+        self.probs = np.where(p > 0.0, 1.0, 0.0) if np.count_nonzero(p) == 1 else p
 
     @classmethod
     def from_density(cls, rho) -> "Spectrum":

@@ -3,9 +3,12 @@
 This module owns the file formats: UTF-8 JSON with each complex component
 a ``[real, imag]`` pair, so doubles round-trip bit-exactly.  orjson is the
 one codec: it writes compact JSON and reads any standard JSON writer's
-output.  A state file has ``kind`` (``pure`` or ``density``), ``dims`` and
-``data``; see :func:`save_chain` for chains, which :func:`load_state` does
-not read yet.
+output.  Every file holds the bytes orjson writes for its document, handed
+each complex array as a float64 view; :func:`save_chain` writes the
+chain's identity sites from their size alone, as slices of orjson's text
+for their two kinds of pair.  A state file has ``kind`` (``pure`` or
+``density``), ``dims`` and ``data``; see :func:`save_chain` for chains,
+which :func:`load_state` does not read yet.
 
 A kind is its ``legs`` plus its physics check, both in ``_KINDS``: 1 leg
 per subsystem for psi, 2 (row and column) for an operator.  Only this
@@ -143,36 +146,67 @@ def _check_state(dims: Sequence[int], kind: str = "density") -> tuple[int, ...]:
 
 
 def _encode(arr: np.ndarray) -> np.ndarray:
-    """``arr`` as float64 with a trailing ``[real, imag]`` axis per component."""
-    return np.stack([arr.real, arr.imag], -1)
-
-
-def _write_json(doc: dict, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
+    """A Tensor's complex128 ``arr`` viewed as float64, a trailing ``[real, imag]`` axis per component."""
+    return arr.view(np.float64).reshape(arr.shape + (2,))
 
 
 def save_state(state: StateData, path) -> None:
     """Write a StateData to ``path`` as JSON, ``data`` in the layout :func:`_check_state` gives."""
     data = _encode(state.tensor.data.reshape(_check_state(state.dims, state.kind)))
-    _write_json({"kind": state.kind, "dims": list(state.dims), "data": data}, path)
+    doc = {"kind": state.kind, "dims": list(state.dims), "data": data}
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE))
 
 
 def save_chain(chain, path) -> None:
-    """Write an MPSChain to ``path`` as JSON.
+    """Write an MPSChain to ``path`` as JSON, in one write.
 
     Each site is stored as its ``(left * phys, right)`` matrix, with its
-    3-leg shape in ``site_shapes``.
+    3-leg shape in ``site_shapes``.  The file holds the bytes of one
+    ``orjson.dumps`` of the whole document.  A site whose bits are those
+    of the m x m identity, compared by ``tobytes`` so that no -0.0 or NaN
+    passes, is written from m alone: it is the site of every wide or
+    square cut that keeps all its values, the left half of an exact chain
+    and the cuts below ``max_chi`` of a truncated one.  Its rows are
+    slices of one band of ``[0.0,0.0]`` and ``[1.0,0.0]`` pairs, which
+    orjson formats once a call, put where orjson wrote a ``""`` mark for
+    the site.  Every other site goes to orjson as a float64 view of its
+    matrix.
     """
+    sites, eyes = [], []
+    for s in chain.sites:
+        mat = s.data.reshape(-1, s.dims[2])
+        if mat.shape[0] == mat.shape[1] and mat.tobytes() == np.eye(len(mat), dtype=mat.dtype).tobytes():
+            sites.append("")  # a mark: no other site's text holds a quote
+            eyes.append(len(mat))
+        else:
+            sites.append(_encode(mat))
     doc = {
         "kind": "mps",
         "phys_dims": [int(d) for d in chain.phys_dims],
         "bond_dims": [int(c) for c in chain.bond_dims],
-        "sites": [_encode(s.data.reshape(-1, s.dims[2])) for s in chain.sites],
+        "sites": sites,
         "site_shapes": [list(s.dims) for s in chain.sites],
         "bond_sigmas": list(chain.bond_sigmas),
     }
-    _write_json(doc, path)
+    text = orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    if eyes:
+        # the pairs of a row with its 1 at pair top - 1 of 2 top - 1; row i of
+        # the m x m identity is the m pairs from pair top - 1 - i on
+        top = max(eyes)
+        row = _encode(np.eye(1, 2 * top - 1, top - 1, dtype=np.complex128)[0])
+        band = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        step = (len(band) + 1) // (2 * top - 1)  # a pair and its comma: both pairs are as long
+        view, end = memoryview(text), text.index(b'"sites":') + 8
+        chunks = [view[:end]]
+        for m in eyes:
+            start = text.index(b'"', end)  # one byte, so memchr skips the sites between
+            rows = (band[(top - 1 - i) * step:(top - 1 - i + m) * step - 1] for i in range(m))
+            chunks += [view[end:start], b"[[", b"],[".join(rows), b"]]"]
+            end = start + 2
+        text = b"".join(chunks + [view[end:]])
+    with open(path, "wb") as fh:
+        fh.write(text)
 
 
 def _decode(entries, shape: tuple[int, ...], out_shape=None) -> np.ndarray:

@@ -106,12 +106,14 @@ def test_pure_spectrum_entropies_are_unsigned_zero():
     values = [von_neumann(s), renyi_from_invariant(1.0, 2)]
     values += [renyi(s, alpha) for alpha in (0.5, 2, 3, 7.2)]
     assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in values), values
-    # a top eigenvalue or a trace that rounds above 1 takes them below zero
-    cut = Spectrum.from_state(StateData.pure(random_pure_state((2,), seed=1)), [0])
+    # a top eigenvalue or a trace an ulp or two off 1: a one-qubit psi's cut
+    # holds 1.0000000000000004 (seeds 1, 2), 1.0000000000000002 (seed 3) or
+    # 0.9999999999999998 (seed 4); a point mass reads 1.0, so every order is +0.0
+    cuts = [Spectrum.from_state(StateData.pure(random_pure_state((2,), seed=seed)), [0]) for seed in (1, 2, 3, 4)]
     rounded = [renyi_from_invariant(1 + 2.3e-16, 2)]
-    for s in (Spectrum([1 + 4.4e-16]), cut):
-        rounded += [von_neumann(s)] + [renyi(s, alpha) for alpha in (0.5, 2, 3, 7.2)]
-    assert all(v >= 0.0 and math.copysign(1.0, v) == 1.0 for v in rounded), rounded
+    for s in [Spectrum([1 + 4.4e-16]), Spectrum([1 - 2.2e-16, 0.0, -0.0])] + cuts:
+        rounded += [von_neumann(s)] + [renyi(s, alpha) for alpha in (0.5, 0.9, 2, 3, 7.2)]
+    assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in rounded), rounded
 
 
 def test_entropies_pass_nan_through():

@@ -19,7 +19,7 @@ def load_layers():
 def test_layers_quick_writes_the_record_schema(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     invariant_layers = ("plan", "plan_cold", "evaluate_many", "verify_classes")
-    factor_layers = ("mps_factor", "mps_reconstruct+fidelity", "save_chain", "cli_factor", "cli_factor")
+    factor_layers = ("mps_factor", "save_chain", "mps_reconstruct+fidelity", "cli_factor", "cli_factor")
     for against in ([], ["--against", str(ROOT / "src" / "tninv")]):
         out = tmp_path / "layers.json"
         subprocess.run([sys.executable, str(ROOT / "tools" / "layers.py"), "--quick", "--out", str(out), *against],

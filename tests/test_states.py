@@ -381,6 +381,43 @@ def test_chain_file_reads_bitwise_with_stdlib_json(tmp_path):
         assert bits(np.array(stored)) == bits(sigma)
 
 
+def one_call_chain_bytes(chain) -> bytes:
+    """The chain file as one orjson call over the whole document writes it."""
+    mats = [s.data.reshape(-1, s.dims[2]) for s in chain.sites]
+    doc = {
+        "kind": "mps",
+        "phys_dims": [int(d) for d in chain.phys_dims],
+        "bond_dims": [int(c) for c in chain.bond_dims],
+        "sites": [np.stack([m.real, m.imag], -1) for m in mats],
+        "site_shapes": [list(s.dims) for s in chain.sites],
+        "bond_sigmas": list(chain.bond_sigmas),
+    }
+    return orjson.dumps(doc, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+
+
+def test_chain_file_is_the_one_call_bytes(tmp_path):
+    chains = [mps_factor(random_pure_state((2,) * n, seed=n)) for n in range(2, 15)]
+    psi = random_pure_state((2,) * 12, seed=31)
+    chains += [mps_factor(psi, max_chi=4), mps_factor(psi, max_chi=16), mps_factor(psi, sigma_cutoff=0.02)]
+    chains.append(mps_factor(random_pure_state((3, 2, 4, 3), seed=32)))
+    # the left half of an exact chain is identity sites, written from their size
+    ten = [s.data.tobytes() == np.eye(s.dims[2], dtype=complex).tobytes() for s in chains[8].sites]
+    assert ten == [True] * 5 + [False] * 5
+    # an almost-identity square site goes to orjson: one -0.0 (real or imaginary), one NaN, one 1.0 an ulp high
+    base = mps_factor(random_pure_state((2,) * 6, seed=33))
+    assert base.sites[2].dims == (4, 2, 8)
+    for at, value in (((3, 5), complex(-0.0, 0.0)), ((6, 6), complex(np.nan, 0.0)),
+                      ((2, 2), complex(np.nextafter(1.0, 2.0), 0.0)), ((7, 0), complex(0.0, -0.0))):
+        site = np.eye(8, dtype=complex)
+        site[at] = value
+        sites = base.sites[:2] + [Tensor(site.reshape(4, 2, 8))] + base.sites[3:]
+        chains.append(decompose.MPSChain(sites=sites, bond_sigmas=base.bond_sigmas))
+    path = tmp_path / "chain.json"
+    for chain in chains:
+        save_chain(chain, path)
+        assert path.read_bytes() == one_call_chain_bytes(chain), [s.dims for s in chain.sites]
+
+
 def test_stdlib_json_file_loads_to_the_same_bits(tmp_path):
     for state in edge_operators()[:2] + [StateData.pure(random_pure_state((2, 3), seed=4))]:
         arr = state.tensor.data.reshape(-1) if state.kind == "pure" else state.tensor.data

@@ -42,11 +42,11 @@ on pure states of n qubits drawn from a fixed seed:
 
 - ``mps_factor``: the sweep, exact at 12 to 16 qubits, and with
   ``max_chi`` 4 at 12 and 16 at 14;
+- ``save_chain``: the file that ``factor --out`` writes of that sweep's
+  chain, on the same shapes;
 - ``mps_reconstruct+fidelity``: the dense rebuild and the overlap that
   ``factor`` reports, on the shapes of the benchmark's state_scale
   factor jobs;
-- ``save_chain``: the chain file that ``factor --out`` writes, on the same
-  shapes;
 - ``cli_factor``: a whole in-process ``factor --json`` through each
   tree's own ``cli.main``, stdout captured, on the same shapes.  ``read``
   says which read of its file it times: ``second``, with the load memo's
@@ -246,13 +246,15 @@ def factor_entries(trees: list, record, quick: bool, tmp: str) -> None:
     ladder, jobs = (QUICK_FACTOR, QUICK_FACTOR) if quick else (FACTOR_SHAPES, FACTOR_JOBS)
     psis = {t: {n: t.random_pure_state((2,) * n, seed=SEED + n) for n, _ in ladder + jobs} for t in trees}
     for n, chi in ladder:
-        record("mps_factor", {"qubits": n, "max_chi": chi}, lambda t: t.decompose.mps_factor(psis[t][n], chi))
+        size = {"qubits": n, "max_chi": chi}
+        record("mps_factor", size, lambda t: t.decompose.mps_factor(psis[t][n], chi))
+        chains = {t: t.decompose.mps_factor(psis[t][n], chi) for t in trees}
+        record("save_chain", size, lambda t: t.save_chain(chains[t], os.path.join(tmp, "chain.json")))
     for n, chi in jobs:
         size = {"qubits": n, "max_chi": chi}
         chains = {t: t.decompose.mps_factor(psis[t][n], chi) for t in trees}
         record("mps_reconstruct+fidelity", size,
                lambda t: t.decompose.fidelity(psis[t][n], t.decompose.mps_reconstruct(chains[t])))
-        record("save_chain", size, lambda t: t.save_chain(chains[t], os.path.join(tmp, "chain.json")))
         path = os.path.join(tmp, f"psi{n}_{chi}.json")
         tninv.save_state(tninv.StateData.pure(psis[tninv][n]), path)
         argv = ["factor", path, "--json"] + ([] if chi is None else ["--truncate-chi", str(chi)])
